@@ -3,10 +3,9 @@ solutions of fractional Choquard equations with mixed Hartree terms."""
 
 __version__ = "0.1.0"
 
-from .params import (ConstantSet, ExponentSet, MassThreshold, gamma_ts,
-                     hls_constant, mass_threshold, riesz_normalization,
-                     s_alpha_reference, sharp_constant, sobolev_constant,
-                     validate_regime)
+from .params import (ExponentSet, MassThreshold, gamma_ts, hls_constant,
+                     mass_threshold, riesz_normalization, s_alpha_reference,
+                     sharp_constant, sobolev_constant, validate_regime)
 from .spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                        fractional_laplacian, fractional_laplacian_free,
                        hs_norm, hs_norm_free, kinetic_energy,

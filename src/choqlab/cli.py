@@ -17,9 +17,9 @@ import numpy as np
 from . import __version__
 from .errors import ChoqlabError, Indistinct
 from .fiber import extract_profile, fiber_maximizer, fiber_value, psi
-from .harness import (ExperimentConfig, ReportRow, SCHEMA_VERSION, barycenter,
-                      default_config, run_concentration, run_multiplicity,
-                      run_verify, write_check_report, write_report)
+from .harness import (CHECK_FIELDS, SCHEMA_VERSION, ExperimentConfig,
+                      ReportRow, barycenter, default_config, run_concentration,
+                      run_multiplicity, run_verify, write_report)
 from .params import (hls_constant, mass_threshold, riesz_normalization,
                      s_alpha_reference, sharp_constant, validate_regime)
 from .snapshot import load_field, save_field, save_solve_sidecar
@@ -195,7 +195,7 @@ def cmd_concentrate(args) -> int:
 def cmd_multiplicity(args) -> int:
     cfg = _load_config(args)
     try:
-        out = run_multiplicity(cfg, threads=args.threads)
+        out = run_multiplicity(cfg)
     except Indistinct as exc:
         print(f"INDISTINCT: {exc}")
         return 1
@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     out = run_verify(cfg, quick=not args.full)
     path = _outpath(cfg, "verify.csv")
-    write_check_report(out["rows"], path)
+    write_report(out["rows"], path, CHECK_FIELDS)
     for name, status, measured, tol in out["rows"]:
         print(f"  [{status:>7}] {name:<28} measured={measured} tol={tol}")
     print(f"report -> {path}")
@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
 def cmd_snapshot(args) -> int:
     u = load_field(args.path)
     print(f"grid: N={u.grid.N} extent={u.grid.extent} points={u.grid.points}")
-    print(f"mass = {float(np.sum(u.values ** 2)) * u.grid.cell_volume!r}")
+    print(f"mass = {float(np.sum(u.values ** 2)) * u.grid.dx!r}")
     return 0
 
 

@@ -119,7 +119,7 @@ def hartree_energy(u: Field, r: float, alpha: float) -> float:
         raise OutOfRange(f"Hartree exponent must be >= 1, got {r}")
     rho = _abs_power(u.values, r)
     pot = riesz_potential(Field(u.grid, rho), alpha).values
-    return float(np.sum(pot * rho)) * u.grid.cell_volume
+    return float(np.sum(pot * rho)) * u.grid.dx
 
 
 def hartree_cross(u: Field, v: Field, r: float, alpha: float) -> float:
@@ -129,7 +129,7 @@ def hartree_cross(u: Field, v: Field, r: float, alpha: float) -> float:
     rho_u = _abs_power(u.values, r)
     rho_v = _abs_power(v.values, r)
     pot = riesz_potential(Field(u.grid, rho_u), alpha).values
-    return float(np.sum(pot * rho_v)) * u.grid.cell_volume
+    return float(np.sum(pot * rho_v)) * u.grid.dx
 
 
 def hartree_nonlinearity(u: Field, r: float, alpha: float) -> np.ndarray:
@@ -171,7 +171,7 @@ def _potential_integral(u: Field, potential) -> float:
     v = potential.values if isinstance(potential, Field) else np.asarray(potential)
     if v.shape != u.grid.shape:
         raise GridMismatch(f"potential shape {v.shape} != grid shape {u.grid.shape}")
-    return float(np.sum(v * u.values * u.values)) * u.grid.cell_volume
+    return float(np.sum(v * u.values * u.values)) * u.grid.dx
 
 
 def _potential_times(u: Field, potential) -> np.ndarray:

@@ -82,3 +82,7 @@ class Indistinct(ChoqlabError):
 
 class ConfigError(ChoqlabError):
     """Experiment configuration is invalid."""
+
+
+class NoPositivePart(ChoqlabError):
+    """Fiber profile has no Hartree term (B_p = B_q = 0): Psi never changes sign."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ChoqlabError, OutOfRange, ZeroField
+from .errors import ChoqlabError, NoPositivePart, OutOfRange, ZeroField
 from .energy import hartree_energy
 from .params import ExponentSet
 from .spectral import Field, kinetic_energy_free, mass
@@ -96,8 +96,7 @@ def fiber_maximizer(prof: FiberProfile, rel_tol: float = 1e-12) -> FiberMax:
     upper end from t=1 always produces a sign change.
     """
     if prof.B_p + prof.B_q <= 0.0:
-        raise ChoqlabError(
-            "NoPositivePart: Psi never changes sign without a Hartree term")
+        raise NoPositivePart("Psi never changes sign without a Hartree term")
     lo, hi = 1e-6, 1.0
     if psi(prof, lo) <= 0.0:
         # root below the default bracket: shrink lo (possible for extreme

@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +29,17 @@ from .solver import (SolveConfig, make_profile, solve_autonomous,
 __all__ = [
     "ExperimentConfig", "ReportRow", "barycenter", "default_config",
     "run_concentration", "run_multiplicity", "run_verify",
-    "write_report", "write_check_report", "SCHEMA_VERSION",
+    "write_report", "CHECK_FIELDS", "SCHEMA_VERSION",
 ]
 
 SCHEMA_VERSION = "choqlab-report v1"
+
+# header of the verification battery's report (verify.csv)
+CHECK_FIELDS = ("check", "status", "measured", "tolerance")
+
+# sections ExperimentConfig.from_file understands; any other is an error
+_CONFIG_SECTIONS = ("params", "grid", "mass", "potential", "sweep", "solver",
+                    "output")
 
 
 def default_config(out_dir: str = "out", seed: int = 12345) -> "ExperimentConfig":
@@ -68,12 +75,10 @@ def barycenter(u: Field, eps: float, box_radius: float) -> np.ndarray:
     """(1/a) Int zeta(eps x) |u|^2 dx with zeta the identity inside
     box_radius and smoothly cut to zero beyond 2*box_radius."""
     g = u.grid
-    a = mass(u)
-    z = [eps * c for c in g.coords()]
-    r = np.sqrt(sum(zi * zi for zi in z))
-    cut = smooth_cutoff(r, box_radius, 2.0 * box_radius)
-    w = u.values * u.values * g.cell_volume / a
-    return np.array([float(np.sum(zi * cut * w)) for zi in z])
+    z = eps * g.axis()
+    cut = smooth_cutoff(np.abs(z), box_radius, 2.0 * box_radius)
+    w = u.values * u.values * g.dx / mass(u)
+    return np.array([float(np.sum(z * cut * w))])
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +98,6 @@ class ExperimentConfig:
     solver: SolveConfig
     out_dir: str
     seed: int
-    trunc: Truncation | None = None
     separation: float = 0.1
 
     @classmethod
@@ -102,6 +106,10 @@ class ExperimentConfig:
         read = cp.read(path)
         if not read:
             raise ConfigError(f"cannot read config file {path}")
+        unknown = [name for name in cp.sections() if name not in _CONFIG_SECTIONS]
+        if unknown:
+            raise ConfigError(f"unknown config section(s) {unknown}; "
+                              f"known: {list(_CONFIG_SECTIONS)}")
         try:
             p = cp["params"]
             exps = validate_regime(p.getint("N"), p.getfloat("s"),
@@ -134,10 +142,6 @@ class ExperimentConfig:
                 max_iter=int(sol.get("max_iter", "300")),
                 refine=str(sol.get("refine", "true")).lower() in ("1", "true", "yes"),
             )
-            trunc = None
-            if cp.has_section("truncation"):
-                t = cp["truncation"]
-                trunc = Truncation(t.getfloat("R0"), t.getfloat("R1"))
             out = cp["output"] if cp.has_section("output") else {}
             out_dir = out.get("dir", "out")
             seed = int(out.get("seed", "12345"))
@@ -149,7 +153,7 @@ class ExperimentConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
         return cls(exps=exps, grid=grid, a=a, potential=spec, eps_list=eps_list,
                    delta=delta, delta_target=delta_target, box_radius=box_radius,
-                   solver=solver, out_dir=out_dir, seed=seed, trunc=trunc)
+                   solver=solver, out_dir=out_dir, seed=seed)
 
 
 @dataclass
@@ -175,8 +179,9 @@ class ReportRow:
         return [getattr(self, f) for f in self.FIELDS]
 
 
-def write_report(rows, path) -> None:
-    """CSV with a schema comment line; atomic via temp-file rename."""
+def write_report(rows, path, header=ReportRow.FIELDS) -> None:
+    """CSV with a schema comment line and the given header row; atomic via
+    temp-file rename.  Rows are ReportRows or plain sequences."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -184,7 +189,7 @@ def write_report(rows, path) -> None:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(f"# {SCHEMA_VERSION}\n")
             writer = csv.writer(fh)
-            writer.writerow(ReportRow.FIELDS)
+            writer.writerow(header)
             for row in rows:
                 writer.writerow(row.as_list() if isinstance(row, ReportRow) else row)
         os.replace(tmp, path)
@@ -210,8 +215,9 @@ def _solve_cell(cfg: ExperimentConfig, w_auto, eps: float, y: float):
 
 def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     """Solve from make_profile seeds at every well for each eps and track
-    the barycenter distance to M; the max distance must decrease along the
-    sweep and end below delta_target."""
+    the barycenter distance to M; the sweep passes when every cell
+    converged and the max distance decreases along the sweep and ends
+    below delta_target."""
     if len(cfg.eps_list) < 3:
         raise ConfigError("concentration sweep needs >= 3 eps values")
     m_points, _, degenerate = detect_M(cfg.potential, cfg.grid,
@@ -251,7 +257,8 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
         gaps.setdefault(eps, []).append(abs(res.level - auto.level))
     gap_seq = [max(gaps[e]) for e in cfg.eps_list]
     monotone = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(len(dists) - 1))
-    passed = monotone and dists[-1] <= cfg.delta_target
+    converged = all(row.converged for row in rows)
+    passed = converged and monotone and dists[-1] <= cfg.delta_target
     return dict(skipped=False, rows=rows, dists=dists, gaps=gap_seq,
                 monotone=monotone, autonomous_level=auto.level, passed=passed)
 
@@ -262,20 +269,20 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
 
 def _hs_distance(u: Field, v: Field, s: float, aligned: bool) -> float:
     """Relative H^s distance, optionally minimized over integer-cell shifts."""
-    uh = np.fft.fftn(u.values)
-    vh = np.fft.fftn(v.values)
+    uh = np.fft.fft(u.values)
+    vh = np.fft.fft(v.values)
     w = 1.0 + u.grid.k_abs() ** (2.0 * s)
-    scale = u.grid.cell_volume / u.values.size
+    scale = u.grid.dx / u.grid.points
     nu = float(np.sum(w * (uh.real ** 2 + uh.imag ** 2))) * scale
     nv = float(np.sum(w * (vh.real ** 2 + vh.imag ** 2))) * scale
-    # ifftn carries 1/n: the lag-correlation needs the bare cell volume
-    corr = np.fft.ifftn(w * np.conj(uh) * vh).real * u.grid.cell_volume
-    best = float(np.max(corr)) if aligned else float(corr.reshape(-1)[0])
+    # ifft carries 1/n: the lag-correlation needs the bare dx
+    corr = np.fft.ifft(w * np.conj(uh) * vh).real * u.grid.dx
+    best = float(np.max(corr)) if aligned else float(corr[0])
     d2 = max(nu + nv - 2.0 * best, 0.0)
     return math.sqrt(d2) / math.sqrt(max(nu, nv))
 
 
-def run_multiplicity(cfg: ExperimentConfig, threads: int = 1):
+def run_multiplicity(cfg: ExperimentConfig):
     """Two wells, smallest eps: solve from both profile seeds and certify
     two distinct normalized solutions localized at distinct wells.
 
@@ -327,24 +334,6 @@ def run_multiplicity(cfg: ExperimentConfig, threads: int = 1):
 # ---------------------------------------------------------------------------
 # Verification battery
 # ---------------------------------------------------------------------------
-
-def write_check_report(rows, path) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(f"# {SCHEMA_VERSION}\n")
-            writer = csv.writer(fh)
-            writer.writerow(("check", "status", "measured", "tolerance"))
-            for row in rows:
-                writer.writerow(row)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
 
 def _positive_corpus(grid, rng, count, kmax_frac=0.06):
     from .spectral import random_field
@@ -414,11 +403,11 @@ def run_verify(cfg: ExperimentConfig, quick: bool = True):
     # multiplier self-adjointness
     v_g = Field(g_small, np.exp(-((x - 1.3) ** 2)))
     lhs = float(np.sum(v_g.values * fractional_laplacian(u_g, exps.s).values)) \
-        * g_small.cell_volume
+        * g_small.dx
     rhs = float(np.sum(u_g.values * fractional_laplacian(v_g, exps.s).values)) \
-        * g_small.cell_volume
+        * g_small.dx
     pair = float(np.sum(u_g.values * fractional_laplacian(u_g, exps.s).values)) \
-        * g_small.cell_volume
+        * g_small.dx
     record("kinetic_selfadjoint",
            abs(lhs - rhs) / abs(lhs)
            + abs(pair - kinetic_energy(u_g, exps.s)) / pair, 1e-10)

@@ -8,7 +8,9 @@ The admissible regime is
 so both Hartree exponents sit strictly above the L^2-critical value
 p_bar = (N + 2s + alpha)/N while p is the upper critical exponent.
 Everything downstream (fiber maps, level laws, mass thresholds) is a
-function of the exponents collected here.
+function of the exponents collected here.  The lab solves only N = 1
+(so s < 1/2 and (1 - 4s)^+ < alpha < 1); the closed-form constants keep
+their N argument.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .errors import NonPositiveConstant, OutOfRange, RegimeViolation
 
 __all__ = [
     "ExponentSet",
-    "ConstantSet",
     "MassThreshold",
     "validate_regime",
     "gamma_ts",
@@ -70,23 +71,6 @@ class ExponentSet:
 
 
 @dataclass(frozen=True)
-class ConstantSet:
-    """Numeric constants attached to one ExponentSet.
-
-    s_alpha and c_alpha_q are solver-supplied (Rayleigh sweep and scalar
-    ground state); the rest are closed-form Gamma expressions.
-    """
-
-    a_n_alpha: float   # Riesz kernel normalization A_{N,alpha}
-    c_hls: float       # sharp Hardy-Littlewood-Sobolev constant C(N,alpha)
-    s_alpha: float     # critical Choquard constant
-    c_alpha_q: float   # sharp subcritical interpolation constant
-    k_q: float
-    theta_q: float
-    a_max: float       # mass threshold of the multiplicity theorem
-
-
-@dataclass(frozen=True)
 class MassThreshold:
     a_max: float
     k_q: float
@@ -105,9 +89,11 @@ def validate_regime(N: int, s: float, alpha: float, q: float) -> ExponentSet:
 
     Raises RegimeViolation naming the first violated inequality.  Boundary
     values are rejected: the hypotheses of the existence theory are strict.
+    N must be 1: the lab has the whole-space operators only in 1D.
     """
     _check(isinstance(N, int) and not isinstance(N, bool) and N >= 1,
            "N must be a positive integer", f"got {N!r}")
+    _check(N == 1, "N must be 1", f"got N={N}; only the 1D operators exist")
     _check(0.0 < s < 1.0, "s must lie in (0,1)", f"got s={s}")
     _check(N > 2.0 * s, "N must exceed 2s", f"got N={N}, 2s={2.0 * s}")
     lower_alpha = max(0.0, N - 4.0 * s)

@@ -24,9 +24,9 @@ class PotentialSpec:
     """Potential in slow coordinates z; sampled on the grid as V(eps x).
 
     kind "constant": V == v_inf everywhere (degenerate: M is empty unless
-    v_inf == 0).  Wells: centers is a tuple of points (floats for N=1),
-    width the common Gaussian well width.  kind "sampled": values taken
-    from a Field in slow coordinates on its own grid (nearest sample).
+    v_inf == 0).  Wells: centers is a tuple of points, width the common
+    Gaussian well width.  kind "sampled": values taken from a Field in
+    slow coordinates on its own grid (nearest sample).
     """
 
     kind: str
@@ -51,10 +51,10 @@ class PotentialSpec:
             raise OutOfRange("sampled potential needs a Field")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        """Evaluate V at slow-coordinate points (shape (..., N) or (...,) in 1D)."""
+        """Evaluate V at slow-coordinate points z."""
         z = np.asarray(z, dtype=float)
         if self.kind == "constant":
-            return np.full(z.shape if z.ndim <= 1 else z.shape[:-1], float(self.v_inf))
+            return np.full(z.shape, float(self.v_inf))
         if self.kind == "sampled":
             g = self.sample.grid
             idx = np.rint((z + 0.5 * g.extent) / g.dx).astype(int) % g.points
@@ -66,8 +66,6 @@ class PotentialSpec:
 
     def sample_on(self, grid: Grid, eps: float) -> np.ndarray:
         """V(eps x) on the solver grid (fast coordinates x)."""
-        if grid.N != 1:
-            raise OutOfRange("potential sampling implemented for N=1")
         return self(eps * grid.axis())
 
     def well_points(self) -> tuple:
@@ -100,7 +98,7 @@ def detect_M(pot: PotentialSpec, grid: Grid, eps: float, delta: float,
 
 
 def dist_to_set(point, m_points) -> float:
-    """Euclidean distance from a point to the finite set M."""
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-    m = np.atleast_2d(np.asarray(m_points, dtype=float).reshape(len(np.atleast_1d(m_points)), -1))
-    return float(np.min(np.sqrt(((m - p[None, :]) ** 2).sum(axis=1))))
+    """Distance from a point (a scalar or a length-1 array) to the finite
+    set M."""
+    m = np.asarray(m_points, dtype=float)
+    return float(np.min(np.abs(m - np.asarray(point, dtype=float))))

@@ -4,10 +4,10 @@ Snapshot layout (little-endian throughout):
 
     bytes 0..3    magic "CHQF"
     bytes 4..7    format version (u32, currently 1)
-    bytes 8..11   dimension N (u32)
-    next 4*N      points per axis (u32 each)
-    next 8*N      extent per axis (f64 each)
-    rest          float64 samples, row-major
+    bytes 8..11   dimension N (u32, always 1)
+    bytes 12..15  points (u32)
+    bytes 16..23  extent (f64)
+    rest          float64 samples
 
 Round-trips are bitwise; any malformed header raises FormatError with the
 byte offset of the defect.  Solve results additionally get a key = value
@@ -32,9 +32,7 @@ VERSION = 1
 
 def save_field(u: Field, path) -> None:
     g = u.grid
-    header = MAGIC + struct.pack("<II", VERSION, g.N)
-    header += struct.pack(f"<{g.N}I", *((g.points,) * g.N))
-    header += struct.pack(f"<{g.N}d", *((g.extent,) * g.N))
+    header = MAGIC + struct.pack("<IIId", VERSION, 1, g.points, g.extent)
     data = np.ascontiguousarray(u.values, dtype="<f8").tobytes()
     Path(path).write_bytes(header + data)
 
@@ -50,29 +48,21 @@ def load_field(path) -> Field:
     version, ndim = struct.unpack_from("<II", raw, 4)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}, expected {VERSION}", 4)
-    if ndim not in (1, 2, 3):
-        raise FormatError(f"bad dimension {ndim}", 8)
-    off = 12
-    if len(raw) < off + 4 * ndim + 8 * ndim:
-        raise FormatError("truncated axis tables", off)
-    points = struct.unpack_from(f"<{ndim}I", raw, off)
-    off += 4 * ndim
-    extents = struct.unpack_from(f"<{ndim}d", raw, off)
-    off += 8 * ndim
-    if len(set(points)) != 1 or len(set(extents)) != 1:
-        raise FormatError("anisotropic grids are not supported", 12)
-    n, ext = points[0], extents[0]
-    count = n ** ndim
-    expected = off + 8 * count
-    if len(raw) != expected:
+    if ndim != 1:
+        raise FormatError(f"dimension {ndim} is not supported (N must be 1)", 8)
+    off = 24
+    if len(raw) < off:
+        raise FormatError("truncated grid header", 12)
+    n, ext = struct.unpack_from("<Id", raw, 12)
+    if len(raw) != off + 8 * n:
         raise FormatError(
-            f"payload has {len(raw) - off} bytes, expected {8 * count}", off)
-    vals = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
+            f"payload has {len(raw) - off} bytes, expected {8 * n}", off)
+    vals = np.frombuffer(raw, dtype="<f8", count=n, offset=off)
     try:
-        grid = Grid(ndim, ext, n)
+        grid = Grid(1, ext, n)
     except OutOfRange as exc:
         raise FormatError(f"invalid grid in header: {exc}", 8) from exc
-    return Field(grid, vals.reshape((n,) * ndim))
+    return Field(grid, vals)
 
 
 def save_solve_sidecar(result, path, config=None, extra=None) -> None:

@@ -29,7 +29,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from .errors import (NoConvergence, OutOfRange, StepUnderflow,
                      TruncationActive)
 from .energy import (Truncation, _abs_power, _odd_power, energy,
-                     hartree_jvp, lagrange_multiplier)
+                     hartree_jvp)
 from .fiber import extract_profile, fiber_maximizer
 from .params import ExponentSet
 from .spectral import (Field, band_limit, dilate, fractional_laplacian_free,
@@ -120,7 +120,7 @@ class _Pieces:
 
     def __init__(self, u: Field, exps: ExponentSet, potential):
         g = u.grid
-        dv = g.cell_volume
+        dv = g.dx
         self.u = u
         self.a = mass(u)
         rho_p = _abs_power(u.values, exps.p)
@@ -195,7 +195,7 @@ def _ray_level_sampled(u: Field, exps: ExponentSet, v_arr: np.ndarray,
         ut = translate(c, center_cells) if center_cells else c
     else:
         ut = u
-    pv = float(np.sum(v_arr * ut.values * ut.values)) * u.grid.cell_volume
+    pv = float(np.sum(v_arr * ut.values * ut.values)) * u.grid.dx
     return fm.value + 0.5 * pv
 
 
@@ -223,11 +223,8 @@ def _scalar_residual(u: Field, exps: ExponentSet) -> np.ndarray:
 
 
 def _symmetrize_even(values: np.ndarray) -> np.ndarray:
-    """Average with the reflection through the origin (grid point j=0...)."""
-    flipped = np.flip(values)
-    for ax in range(values.ndim):
-        flipped = np.roll(flipped, 1, axis=ax)
-    return 0.5 * (values + flipped)
+    """Average with the reflection x -> -x about grid point n/2 (x = 0)."""
+    return 0.5 * (values + np.roll(np.flip(values), 1))
 
 
 def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = None,
@@ -249,7 +246,7 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
     u = init.values.copy() if init is not None else np.exp(-0.5 * r * r)
     sym = g.k_abs() ** (2.0 * exps.s) + 1.0
     gamma_st = (2.0 * exps.q - 1.0) / (2.0 * exps.q - 2.0)
-    dv = g.cell_volume
+    dv = g.dx
     res_rel = np.inf
     it = 0
     for it in range(1, config.max_iter + 1):
@@ -258,13 +255,13 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
         pot = riesz_potential(Field(g, rho), exps.alpha).values
         nonlin = pot * _odd_power(u, exps.q - 1.0)
         # torus inverse of (-D)^s + 1 as the Petviashvili propagator
-        lin_u = np.fft.ifftn(sym * np.fft.fftn(u)).real
+        lin_u = np.fft.ifft(sym * np.fft.fft(u)).real
         num = float(np.sum(u * lin_u)) * dv
         den = float(np.sum(u * nonlin)) * dv
         if den <= 0.0:
             raise NoConvergence("Petviashvili pairing lost positivity", [])
         m_fac = num / den
-        u_new = np.fft.ifftn(np.fft.fftn(nonlin) / sym).real * m_fac ** gamma_st
+        u_new = np.fft.ifft(np.fft.fft(nonlin) / sym).real * m_fac ** gamma_st
         u_new = _symmetrize_even(u_new)
         res = _scalar_residual(Field(g, u_new), exps)
         res_rel = _l2(res, dv) / _l2(u_new, dv)
@@ -293,8 +290,8 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
 def _newton_unconstrained(u: Field, exps: ExponentSet, config: SolveConfig):
     """Newton-Krylov for (-D)^s U + U - N(U) = 0 (no constraint)."""
     g = u.grid
-    dv = g.cell_volume
-    nn = u.values.size
+    dv = g.dx
+    nn = g.points
     sym = g.k_abs() ** (2.0 * exps.s) + 1.0
 
     def resid(vals):
@@ -307,22 +304,19 @@ def _newton_unconstrained(u: Field, exps: ExponentSet, config: SolveConfig):
         fld = Field(g, vals)
 
         def jvp(v):
-            v = v.reshape(g.shape)
-            out = (fractional_laplacian_free(Field(g, v), exps.s).values + v
-                   - hartree_jvp(fld, v, exps.q, exps.alpha))
-            return out.ravel()
+            return (fractional_laplacian_free(Field(g, v), exps.s).values + v
+                    - hartree_jvp(fld, v, exps.q, exps.alpha))
 
         def prec(v):
-            return np.fft.ifftn(np.fft.fftn(v.reshape(g.shape)) / sym).real.ravel()
+            return np.fft.ifft(np.fft.fft(v) / sym).real
 
         op = LinearOperator((nn, nn), matvec=jvp)
         pre = LinearOperator((nn, nn), matvec=prec)
-        rhs = -resid(vals).ravel()
-        dz, _ = lgmres(op, rhs, M=pre, rtol=1e-10, atol=0.0, maxiter=200)
+        dz, _ = lgmres(op, -resid(vals), M=pre, rtol=1e-10, atol=0.0, maxiter=200)
         step = 1.0
         base = _l2(resid(vals), dv)
         for _ in range(10):
-            trial = vals + step * dz.reshape(g.shape)
+            trial = vals + step * dz
             if _l2(resid(trial), dv) < base:
                 vals = trial
                 break
@@ -362,7 +356,7 @@ def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
         a_kin = kinetic_energy_free(u, exps.s)
         rho = _abs_power(u.values, exps.p)
         bp = float(np.sum(riesz_potential(Field(g, rho), exps.alpha).values * rho)) \
-            * g.cell_volume
+            * g.dx
         quotients.append(a_kin / bp ** (1.0 / exps.p))
     quotients = tuple(quotients)
     value = min(quotients)
@@ -382,7 +376,7 @@ def constrained_step(u: Field, exps: ExponentSet, potential, config: SolveConfig
     a = mass(u)
     pieces = _Pieces(u, exps, potential)
     d = pieces.grad - pieces.lam * u.values
-    dv = u.grid.cell_volume
+    dv = u.grid.dx
     d_norm2 = float(np.sum(d * d)) * dv
     if d_norm2 == 0.0:
         return u
@@ -404,8 +398,8 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
                         a: float, config: SolveConfig):
     """Solve G(u) - lam u = 0, (mass - a)/2 = 0 for (u, lam)."""
     g = u.grid
-    dv = g.cell_volume
-    nn = u.values.size
+    dv = g.dx
+    nn = g.points
     sym = g.k_abs() ** (2.0 * exps.s) + 1.0
 
     if potential is None:
@@ -429,8 +423,7 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
     # slowly varying sampled potentials leave the translation mode d_x u
     # almost in the Jacobian kernel: recenter sub-cell along it and deflate
     # it from the Krylov solve, otherwise Newton steps blow up along it
-    soft_translation = (v_arr is not None and not np.isscalar(v_arr)
-                        and g.N == 1)
+    soft_translation = v_arr is not None and not np.isscalar(v_arr)
     k_ax = g.k_axis() if soft_translation else None
 
     def shift(vals, delta):
@@ -479,7 +472,7 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
                 return v
 
         def jvp(z):
-            v = deflate(z[:nn].reshape(g.shape))
+            v = deflate(z[:nn])
             dlam = z[nn]
             vf = Field(g, v)
             out = (fractional_laplacian_free(vf, exps.s).values
@@ -488,20 +481,19 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
                    - hartree_jvp(fld, v, exps.q, exps.alpha))
             if v_arr is not None:
                 out = out + v_arr * v
-            out = deflate(out) + (z[:nn].reshape(g.shape) - v)
+            out = deflate(out) + (z[:nn] - v)
             bottom = float(np.sum(vals * v)) * dv
-            return np.concatenate([out.ravel(), [bottom]])
+            return np.concatenate([out, [bottom]])
 
         def prec(z):
-            v = z[:nn].reshape(g.shape)
-            out = np.fft.ifftn(np.fft.fftn(v) / (sym + abs(lam_v))).real
-            return np.concatenate([out.ravel(), [z[nn]]])
+            out = np.fft.ifft(np.fft.fft(z[:nn]) / (sym + abs(lam_v))).real
+            return np.concatenate([out, [z[nn]]])
 
         op = LinearOperator((nn + 1, nn + 1), matvec=jvp)
         pre = LinearOperator((nn + 1, nn + 1), matvec=prec)
-        rhs = -np.concatenate([deflate(r).ravel(), [c]])
+        rhs = -np.concatenate([deflate(r), [c]])
         dz, _ = lgmres(op, rhs, M=pre, rtol=1e-8, atol=0.0, maxiter=300)
-        dz_field = deflate(dz[:nn].reshape(g.shape))
+        dz_field = deflate(dz[:nn])
         accepted = False
         step_len = 1.0
         for _ in range(12):
@@ -541,7 +533,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
                      config: SolveConfig, center_cells: int = 0,
                      mu_eff: float = 0.0) -> SolveResult:
     """Alternate fiber rescaling and projected descent, then Newton."""
-    dv = grid.cell_volume
+    dv = grid.dx
     u = project_mass(init, a)
     trace = []
     trunc = None
@@ -584,7 +576,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
             stall = 0
         best_level = min(best_level, level)
         d = pieces.grad - pieces.lam * u.values
-        dp = np.fft.ifftn(np.fft.fftn(d) / (sym + abs(pieces.lam))).real
+        dp = np.fft.ifft(np.fft.fft(d) / (sym + abs(pieces.lam))).real
         dp -= (float(np.sum(dp * u.values)) * dv / a) * u.values
         slope = float(np.sum(d * dp)) * dv  # positive: M^{-1} is SPD
         if slope <= 0.0:
@@ -672,7 +664,7 @@ def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
     v_arr = potential.values if isinstance(potential, Field) \
         else np.asarray(potential)
     if float(np.ptp(v_arr)) == 0.0:
-        mu = float(v_arr.reshape(-1)[0])
+        mu = float(v_arr[0])
         return _composite_solve(exps, mu, a, grid, init, config, mu_eff=mu)
     return _composite_solve(exps, potential, a, grid, init, config,
                             center_cells=center_cells, mu_eff=0.0)
@@ -682,7 +674,7 @@ def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
 # Concentration profiles
 # ---------------------------------------------------------------------------
 
-def make_profile(w: Field, y, eps: float, a: float,
+def make_profile(w: Field, y: float, eps: float, a: float,
                  cutoff_radius: float | None = None):
     """Cut the autonomous ground state at radius R_eps = eps^{-1/2},
     translate to the well position y/eps (snapped to the grid), and
@@ -693,22 +685,18 @@ def make_profile(w: Field, y, eps: float, a: float,
     if eps <= 0.0:
         raise OutOfRange(f"eps must be positive, got {eps}")
     r_eps = cutoff_radius if cutoff_radius is not None else eps ** -0.5
-    y_vec = np.atleast_1d(np.asarray(y, dtype=float))
-    if y_vec.size != g.N:
-        raise OutOfRange(f"well position has {y_vec.size} coords, grid has N={g.N}")
-    cells = np.rint((y_vec / eps) / g.dx).astype(int)
+    y = float(y)
+    cells = int(np.rint((y / eps) / g.dx))
     shift = cells * g.dx
-    if np.any(np.abs(shift) + 2.0 * r_eps > 0.5 * g.extent - 2.0 * g.dx):
+    if abs(shift) + 2.0 * r_eps > 0.5 * g.extent - 2.0 * g.dx:
         from .errors import OutOfBox
         raise OutOfBox(
-            f"profile at y/eps={y_vec / eps} with support radius {2 * r_eps:.3g} "
+            f"profile at y/eps={y / eps} with support radius {2 * r_eps:.3g} "
             f"exits the box of half-width {0.5 * g.extent:.3g}")
     chi = smooth_cutoff(g.radius(), r_eps, 2.0 * r_eps)
     cut = Field(g, w.values * chi)
-    moved = translate(cut, tuple(cells))
-    out = project_mass(moved, a)
-    center = shift * eps
-    return out, (float(center[0]) if g.N == 1 else center)
+    out = project_mass(translate(cut, cells), a)
+    return out, shift * eps
 
 
 # ---------------------------------------------------------------------------

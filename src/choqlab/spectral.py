@@ -1,21 +1,19 @@
-"""Periodic-grid fields and Fourier-multiplier operators.
+"""Periodic-grid fields and Fourier-multiplier operators (N = 1 only).
 
-The box [-L/2, L/2)^N is sampled on n points per axis (n a power of two)
-and R^N quantities are computed for fields that have decayed below ~1e-12
-before the boundary.  Three operators live here:
+The box [-L/2, L/2) is sampled on n points (n a power of two) and
+whole-line quantities are computed for fields that have decayed below
+~1e-12 before the boundary.  Three operators live here:
 
 * fractional Laplacian: multiplier |k|^{2s} on the torus wavenumbers
   k = 2*pi*m/L (the zero mode is annihilated);
 
-* Riesz potential I_alpha * rho: by default evaluated in *free space* by
+* Riesz potential I_alpha * rho, evaluated in *free space* by
   zero-padding to a 2L circle and multiplying with the exact Fourier
-  coefficients of the truncated kernel A_{N,alpha} |x|^{alpha-N} on
+  coefficients of the truncated kernel A_{1,alpha} |x|^{alpha-1} on
   [-L, L].  For densities supported in the box this reproduces the
-  whole-space convolution up to spectral accuracy; a plain periodic
-  multiplier |k|^{-alpha} (zero mode gauged to 0) is available as
-  mode="periodic".
+  whole-line convolution up to spectral accuracy.
 
-* mass-preserving dilation u_t(x) = t^{N/2} u(t x): the trigonometric
+* mass-preserving dilation u_t(x) = t^{1/2} u(t x): the trigonometric
   interpolant is resampled at spacing t*dx with a chirp-z transform, which
   preserves the exact L^2-scaling laws the fiber-map machinery relies on.
 """
@@ -48,15 +46,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [-L/2, L/2)^N with n samples per axis."""
+    """Uniform periodic grid on [-L/2, L/2) with n samples.
+
+    N is kept in the signature but must be 1: the free-space Riesz
+    coefficients and the zeta kinetic correction exist only in 1D.
+    """
 
     N: int
     extent: float
     points: int
 
     def __post_init__(self):
-        if self.N not in (1, 2, 3):
-            raise OutOfRange(f"dimension N={self.N} not in {{1,2,3}}")
+        if self.N != 1:
+            raise OutOfRange(f"dimension N={self.N} is not supported (N must be 1)")
         if self.extent <= 0.0:
             raise OutOfRange(f"extent must be positive, got {self.extent}")
         n = self.points
@@ -68,34 +70,23 @@ class Grid:
         return self.extent / self.points
 
     @property
-    def cell_volume(self) -> float:
-        return self.dx ** self.N
-
-    @property
     def shape(self) -> tuple:
-        return (self.points,) * self.N
+        return (self.points,)
 
     def axis(self) -> np.ndarray:
-        """Sample coordinates -L/2 + j*dx along one axis."""
+        """Sample coordinates -L/2 + j*dx."""
         return -0.5 * self.extent + self.dx * np.arange(self.points)
-
-    def coords(self) -> list:
-        """Meshgrid coordinate arrays, one per axis (ij indexing)."""
-        return list(np.meshgrid(*([self.axis()] * self.N), indexing="ij"))
 
     def radius(self) -> np.ndarray:
         """|x| on the grid."""
-        xs = self.coords()
-        return np.sqrt(sum(x * x for x in xs))
+        return np.abs(self.axis())
 
     def k_axis(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
 
     def k_abs(self) -> np.ndarray:
-        """|k| on the full spectral grid."""
-        k = self.k_axis()
-        ks = np.meshgrid(*([k] * self.N), indexing="ij")
-        return np.sqrt(sum(ki * ki for ki in ks))
+        """|k| in fft order."""
+        return np.abs(self.k_axis())
 
 
 class Field:
@@ -114,7 +105,7 @@ class Field:
         self.grid = grid
         self.values = values
         if cached_mass is not None:
-            actual = float(np.sum(values * values)) * grid.cell_volume
+            actual = float(np.sum(values * values)) * grid.dx
             if abs(actual - cached_mass) > 1e-12 * max(abs(cached_mass), 1e-300):
                 raise OutOfRange(
                     f"cached_mass {cached_mass} disagrees with quadrature {actual}")
@@ -141,7 +132,7 @@ def mass(u: Field) -> float:
     """Quadrature of |u|^2 over the box."""
     if u.cached_mass is not None:
         return u.cached_mass
-    return float(np.sum(u.values * u.values)) * u.grid.cell_volume
+    return float(np.sum(u.values * u.values)) * u.grid.dx
 
 
 def project_mass(u: Field, a: float) -> Field:
@@ -154,12 +145,9 @@ def project_mass(u: Field, a: float) -> Field:
     return Field(u.grid, u.values * math.sqrt(a / m))
 
 
-def translate(u: Field, cells) -> Field:
+def translate(u: Field, cells: int) -> Field:
     """Shift by an integer number of grid cells (exact, periodic)."""
-    if np.isscalar(cells):
-        cells = (int(cells),) * u.grid.N
-    return Field(u.grid, np.roll(u.values, tuple(int(c) for c in cells),
-                                 axis=tuple(range(u.grid.N))))
+    return Field(u.grid, np.roll(u.values, int(cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +159,7 @@ def fractional_laplacian(u: Field, s: float) -> Field:
     if not (0.0 < s <= 1.0):
         raise OutOfRange(f"s={s} outside (0, 1]")
     symbol = u.grid.k_abs() ** (2.0 * s)
-    out = np.fft.ifftn(symbol * np.fft.fftn(u.values)).real
+    out = np.fft.ifft(symbol * np.fft.fft(u.values)).real
     return Field(u.grid, out)
 
 
@@ -180,9 +168,9 @@ def kinetic_energy(u: Field, s: float) -> float:
     matching the quadrature of u * (-Delta)^s u."""
     if not (0.0 < s <= 1.0):
         raise OutOfRange(f"s={s} outside (0, 1]")
-    uh = np.fft.fftn(u.values)
+    uh = np.fft.fft(u.values)
     symbol = u.grid.k_abs() ** (2.0 * s)
-    scale = u.grid.cell_volume / u.values.size
+    scale = u.grid.dx / u.grid.points
     return float(np.sum(symbol * (uh.real ** 2 + uh.imag ** 2))) * scale
 
 
@@ -192,7 +180,7 @@ def hs_norm(u: Field, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Whole-space kinetic energy (1D)
+# Whole-space kinetic energy
 #
 # The Parseval lattice sum S = sum_m |k_m|^{2s} |u_hat(k_m)|^2 / L is a
 # trapezoid rule whose only non-superalgebraic error comes from the cusp of
@@ -240,14 +228,8 @@ def _autocorrelation_padded(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def kinetic_energy_free(u: Field, s: float) -> float:
-    """Whole-space A(u): Parseval sum plus the zeta cusp correction (N=1).
-
-    For N >= 2 the correction kernel (an Epstein-zeta sum) is not
-    implemented and the plain lattice value is returned.
-    """
+    """Whole-space A(u): Parseval sum plus the zeta cusp correction."""
     base = kinetic_energy(u, s)
-    if u.grid.N != 1:
-        return base
     kern = _kinetic_zeta_kernel(u.grid.points, u.grid.extent, s)
     r_auto = _autocorrelation_padded(u.values, u.grid.dx)
     return base + float(np.sum(r_auto * kern)) * u.grid.dx
@@ -255,10 +237,8 @@ def kinetic_energy_free(u: Field, s: float) -> float:
 
 def fractional_laplacian_free(u: Field, s: float) -> Field:
     """Variational derivative of kinetic_energy_free/2: the torus operator
-    plus the smooth convolution with the zeta kernel (N=1)."""
+    plus the smooth convolution with the zeta kernel."""
     base = fractional_laplacian(u, s)
-    if u.grid.N != 1:
-        return base
     n = u.grid.points
     kern = _kinetic_zeta_kernel(n, u.grid.extent, s)
     up = np.zeros(2 * n)
@@ -273,7 +253,7 @@ def hs_norm_free(u: Field, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Free-space Riesz kernel coefficients (1D)
+# Free-space Riesz kernel coefficients
 #
 # The multiplier on the padded 2L circle is A_{1,alpha} * g_hat(m) with
 #   g_hat(m) = 2 * Integral_0^L x^{alpha-1} cos(pi m x / L) dx
@@ -289,7 +269,8 @@ _ASYMP_SWITCH = 40
 
 
 def _sine_moment_small(omega: float, alpha: float) -> float:
-    """W(omega) for moderate omega: series on [0,1] + quadrature on [1,omega]."""
+    """W(omega) for pi <= omega <= pi*_ASYMP_SWITCH: series on [0,1] +
+    quadrature on [1,omega]."""
     # series part: Integral_0^1 v^{alpha-2} sin v dv
     acc, term_j, j = 0.0, 0.0, 0
     fact = 1.0  # (2j+1)!
@@ -300,12 +281,6 @@ def _sine_moment_small(omega: float, alpha: float) -> float:
             break
         j += 1
         fact *= (2.0 * j) * (2.0 * j + 1.0)
-    if omega <= 1.0:
-        # rescale: Integral_0^omega = omega^alpha * series in omega... not needed,
-        # the padded lattice never requests omega < pi; integrate directly.
-        val, _ = quad(lambda v: v ** (alpha - 2.0) * math.sin(v), 0.0, omega,
-                      limit=200)
-        return val
     tail, _ = quad(lambda v: v ** (alpha - 2.0) * math.sin(v), 1.0, omega,
                    limit=max(200, int(20 * omega)))
     return acc + tail
@@ -359,35 +334,19 @@ def _freespace_multiplier_1d(n_pad: int, L: float, alpha: float) -> np.ndarray:
     return out
 
 
-def riesz_potential(rho: Field, alpha: float, mode: str = "auto") -> Field:
-    """I_alpha * rho with the A_{N,alpha} normalization folded in.
-
-    mode "free" (default for N=1): exact whole-space convolution of the
-    box-supported interpolant via kernel truncation on a zero-padded
-    circle.  mode "periodic": torus multiplier |k|^{-alpha} with the zero
-    mode set to 0 (mean-field gauge).
-    """
+def riesz_potential(rho: Field, alpha: float) -> Field:
+    """I_alpha * rho with the A_{1,alpha} normalization folded in: exact
+    whole-line convolution of the box-supported interpolant via kernel
+    truncation on a zero-padded circle."""
     grid = rho.grid
-    if not (0.0 < alpha < grid.N):
-        raise OutOfRange(f"alpha={alpha} outside (0, N={grid.N})")
-    if mode == "auto":
-        mode = "free" if grid.N == 1 else "periodic"
-    if mode == "free":
-        if grid.N != 1:
-            raise OutOfRange("free-space Riesz evaluation is implemented for N=1")
-        n = grid.points
-        mult = _freespace_multiplier_1d(2 * n, grid.extent, alpha)
-        padded = np.zeros(2 * n)
-        padded[:n] = rho.values
-        pot = np.fft.ifft(np.fft.fft(padded) * mult).real[:n]
-        return Field(grid, pot)
-    if mode == "periodic":
-        k = grid.k_abs()
-        with np.errstate(divide="ignore"):
-            symbol = np.where(k > 0.0, k ** (-alpha), 0.0)
-        out = np.fft.ifftn(symbol * np.fft.fftn(rho.values)).real
-        return Field(grid, out)
-    raise OutOfRange(f"unknown riesz mode {mode!r}")
+    if not (0.0 < alpha < 1.0):
+        raise OutOfRange(f"alpha={alpha} outside (0, 1)")
+    n = grid.points
+    mult = _freespace_multiplier_1d(2 * n, grid.extent, alpha)
+    padded = np.zeros(2 * n)
+    padded[:n] = rho.values
+    pot = np.fft.ifft(np.fft.fft(padded) * mult).real[:n]
+    return Field(grid, pot)
 
 
 def riesz_oracle_1d(rho: Field, alpha: float) -> np.ndarray:
@@ -397,8 +356,6 @@ def riesz_oracle_1d(rho: Field, alpha: float) -> np.ndarray:
     integrated exactly over each cell and rho is taken piecewise constant,
     so the result is quadrature- not Fourier-based.
     """
-    if rho.grid.N != 1:
-        raise OutOfRange("oracle implemented for N=1")
     n, dx = rho.grid.points, rho.grid.dx
     a_const = riesz_normalization(1, alpha)
     d = np.arange(n) * dx
@@ -413,31 +370,25 @@ def riesz_oracle_1d(rho: Field, alpha: float) -> np.ndarray:
 # Mass-preserving dilation
 # ---------------------------------------------------------------------------
 
-def _dilate_axis(vals: np.ndarray, axis: int, t: float, n: int) -> np.ndarray:
-    """Resample the trig interpolant at t*x_j along one axis (complex out)."""
-    u_hat = np.fft.fft(vals, axis=axis)
-    u_s = np.fft.fftshift(u_hat, axes=axis)
+def _dilate_resample(vals: np.ndarray, t: float, n: int) -> np.ndarray:
+    """Resample the trig interpolant at t*x_j (complex out)."""
+    u_s = np.fft.fftshift(np.fft.fft(vals))
     m = np.arange(n) - n // 2
-    shape = [1] * vals.ndim
-    shape[axis] = n
     # node offset phase: x_0 = -L/2 gives exp(-i pi m (t-1))
-    phase_in = np.exp(-1j * np.pi * m * (t - 1.0)).reshape(shape)
-    nyq = np.take(u_s, 0, axis=axis).copy()       # coefficient at m = -n/2
+    phase_in = np.exp(-1j * np.pi * m * (t - 1.0))
+    nyq = u_s[0]                                  # coefficient at m = -n/2
     u_s = u_s * phase_in
-    idx = [slice(None)] * vals.ndim
-    idx[axis] = 0
-    u_s[tuple(idx)] = 0.0
-    raw = czt(u_s, m=n, w=np.exp(2j * np.pi * t / n), a=1.0 + 0.0j, axis=axis)
-    el = np.arange(n).reshape(shape)
+    u_s[0] = 0.0
+    raw = czt(u_s, m=n, w=np.exp(2j * np.pi * t / n), a=1.0 + 0.0j)
+    el = np.arange(n)
     out = raw * np.exp(-1j * np.pi * t * el) / n
     # real-field Nyquist treatment: split coefficient into +-n/2 halves
     x_rel = t * (el - n // 2) + n // 2            # (t*x_l - x_0)/dx
-    nyq_term = np.expand_dims(nyq, axis) * np.cos(np.pi * x_rel) / n
-    return out + nyq_term
+    return out + nyq * np.cos(np.pi * x_rel) / n
 
 
 def dilate(u: Field, t: float, alias_tol: float = 1e-9) -> Field:
-    """Spectral interpolation of t^{N/2} u(t x) onto the same grid.
+    """Spectral interpolation of t^{1/2} u(t x) onto the same grid.
 
     Raises AliasRisk when more than alias_tol of the spectral energy would
     be pushed past Nyquist (t > 1); content at scaled-down frequencies is
@@ -450,37 +401,25 @@ def dilate(u: Field, t: float, alias_tol: float = 1e-9) -> Field:
         return u
     n = u.grid.points
     if t > 1.0:
-        uh = np.fft.fftn(u.values)
-        m_abs = np.abs(np.fft.fftfreq(n) * n)
-        cut = n / (2.0 * t)
-        mask = np.zeros(u.grid.shape, dtype=bool)
-        for ax in range(u.grid.N):
-            shape = [1] * u.grid.N
-            shape[ax] = n
-            mask |= (m_abs.reshape(shape) >= cut)
+        uh = np.fft.fft(u.values)
+        mask = np.abs(np.fft.fftfreq(n) * n) >= n / (2.0 * t)
         power = uh.real ** 2 + uh.imag ** 2
         total = float(np.sum(power))
         if total > 0.0:
             frac = float(np.sum(power[mask])) / total
             if frac > alias_tol:
                 raise AliasRisk(t, frac)
-    vals = u.values.astype(np.complex128)
-    for ax in range(u.grid.N):
-        vals = _dilate_axis(vals, ax, t, n)
-    out = vals.real * t ** (u.grid.N / 2.0)
+    vals = _dilate_resample(u.values.astype(np.complex128), t, n)
+    # t ** 0.5, not math.sqrt(t): the two differ in the last bit for some t
+    out = vals.real * t ** 0.5
     if t > 1.0:
         # sample points with |t x| >= L/2 land outside the box, where the
         # field is decayed by precondition: evaluate the continuation as 0
         # instead of letting the periodic interpolant wrap the center back
         # in.  The roll-off is smooth so that slowly decaying tails are not
         # cut with a jump (which would splatter noise across the spectrum).
-        x = np.abs(u.grid.axis())
         half = 0.5 * u.grid.extent
-        ramp = smooth_cutoff(x, 0.9 * half / t, half / t)
-        for ax in range(u.grid.N):
-            shape = [1] * u.grid.N
-            shape[ax] = n
-            out = out * ramp.reshape(shape)
+        out = out * smooth_cutoff(u.grid.radius(), 0.9 * half / t, half / t)
     return Field(u.grid, out)
 
 
@@ -518,14 +457,9 @@ def band_limit(u: Field, keep_frac: float = 0.25) -> Field:
     hygiene filter for dilation chains on solver outputs.
     """
     n = u.grid.points
-    uh = np.fft.fftn(u.values)
-    m_abs = np.abs(np.fft.fftfreq(n) * n)
-    keep = m_abs < keep_frac * n
-    for ax in range(u.grid.N):
-        shape = [1] * u.grid.N
-        shape[ax] = n
-        uh = np.where(keep.reshape(shape), uh, 0.0)
-    return Field(u.grid, np.fft.ifftn(uh).real)
+    uh = np.fft.fft(u.values)
+    keep = np.abs(np.fft.fftfreq(n) * n) < keep_frac * n
+    return Field(u.grid, np.fft.ifft(np.where(keep, uh, 0.0)).real)
 
 
 def boundary_decay(u: Field) -> float:
@@ -539,13 +473,8 @@ def boundary_decay(u: Field) -> float:
     amax = float(np.max(np.abs(u.values)))
     if amax == 0.0:
         return 0.0
-    edge = 0.0
-    for ax in range(u.grid.N):
-        sl = [slice(None)] * u.grid.N
-        sl[ax] = slice(0, w)
-        edge = max(edge, float(np.max(np.abs(u.values[tuple(sl)]))))
-        sl[ax] = slice(n - w, n)
-        edge = max(edge, float(np.max(np.abs(u.values[tuple(sl)]))))
+    edge = max(float(np.max(np.abs(u.values[:w]))),
+               float(np.max(np.abs(u.values[n - w:]))))
     return edge / amax
 
 
@@ -560,13 +489,11 @@ def random_field(grid: Grid, rng: np.random.Generator,
     """
     n = grid.points
     m_cut = max(2, int(kmax_frac * n / 2))
-    coeffs = rng.standard_normal((2 * m_cut + 1,) * grid.N)
-    spectrum = np.zeros(grid.shape, dtype=np.complex128)
+    coeffs = rng.standard_normal(2 * m_cut + 1)
+    spectrum = np.zeros(n, dtype=np.complex128)
     # place symmetric random coefficients around the zero mode
-    idx = [np.arange(-m_cut, m_cut + 1) % n] * grid.N
-    mesh = np.meshgrid(*idx, indexing="ij")
-    spectrum[tuple(mesh)] = coeffs
-    vals = np.fft.ifftn(spectrum).real
+    spectrum[np.arange(-m_cut, m_cut + 1) % n] = coeffs
+    vals = np.fft.ifft(spectrum).real
     r = grid.radius()
     width = envelope_frac * grid.extent
     vals = vals * np.exp(-((r / width) ** 8))

@@ -15,6 +15,11 @@ def test_validate_accepts_and_rejects(capsys):
     assert main(["validate", "--N", "1", "--s", "0.4", "--alpha", "0.5",
                  "--q", "2.0"]) == 1
     assert "REJECTED" in capsys.readouterr().out
+    # N=2 satisfies every regime inequality but has no 1D operators
+    assert main(["validate", "--N", "2", "--s", "0.4", "--alpha", "0.5",
+                 "--q", "1.8"]) == 1
+    out = capsys.readouterr().out
+    assert "REJECTED" in out and "N must be 1" in out
 
 
 def test_snapshot_info(tmp_path, capsys):

@@ -158,7 +158,7 @@ def test_multiplier_identity(grid_unit, rng, exps):
     u = make_positive_field(grid_unit, rng)
     lam = lagrange_multiplier(u, exps, 0.4)
     g0 = el_residual(u, 0.0, exps, 0.4).values
-    pairing = float(np.sum(g0 * u.values)) * grid_unit.cell_volume / mass(u)
+    pairing = float(np.sum(g0 * u.values)) * grid_unit.dx / mass(u)
     assert lam == pytest.approx(pairing, rel=1e-10)
     with pytest.raises(ZeroField):
         lagrange_multiplier(Field(grid_unit, np.zeros(grid_unit.shape)), exps)

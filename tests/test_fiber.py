@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choqlab.energy import energy
-from choqlab.errors import OutOfRange, ZeroField
+from choqlab.errors import NoPositivePart, OutOfRange, ZeroField
 from choqlab.fiber import (FiberProfile, extract_profile, fiber_maximizer,
                            fiber_value, psi, pure_p_maximizer, pure_q_maximizer,
                            ray_level)
@@ -152,3 +152,10 @@ def test_profile_guards(exps):
         fiber_value(prof, 0.0)
     with pytest.raises(OutOfRange):
         psi(prof, -1.0)
+
+
+def test_maximizer_needs_a_hartree_term(exps):
+    # B_p = B_q = 0: Psi = 2sA > 0 for every t, so there is no ray maximizer
+    prof = FiberProfile(A=1.0, B_p=0.0, B_q=0.0, a=1.0, mu=0.0, exps=exps)
+    with pytest.raises(NoPositivePart, match="never changes sign"):
+        fiber_maximizer(prof)

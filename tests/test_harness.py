@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from choqlab.errors import ConfigError, EmptyM, OutOfRange
-from choqlab.harness import (ExperimentConfig, ReportRow, SCHEMA_VERSION,
-                             barycenter, default_config, write_report)
+from choqlab.harness import (CHECK_FIELDS, ExperimentConfig, ReportRow,
+                             SCHEMA_VERSION, barycenter, default_config,
+                             write_report)
 from choqlab.potentials import PotentialSpec, detect_M, dist_to_set
 from choqlab.spectral import Field, project_mass, translate
 from conftest import make_positive_field
@@ -128,6 +129,18 @@ kind = constant
     path.write_text(bad_radii)
     with pytest.raises((ConfigError, OutOfRange)):
         ExperimentConfig.from_file(path)
+    # [truncation] reaches no solver: any radii, valid or not, are refused
+    # as an unknown section instead of being parsed and ignored
+    path.write_text(base + "[truncation]\nR0 = 1.0\nR1 = 3.0\n")
+    with pytest.raises(ConfigError, match="unknown config section"):
+        ExperimentConfig.from_file(path)
+    path.write_text(base + "[sovler]\ngrad_tol = 1e-8\n")
+    with pytest.raises(ConfigError, match="sovler"):
+        ExperimentConfig.from_file(path)
+    # only N = 1 has operators: N = 2 is rejected by the regime check
+    path.write_text(base.replace("N = 1", "N = 2").replace("q = 3.0", "q = 1.8"))
+    with pytest.raises(ConfigError, match="N must be 1"):
+        ExperimentConfig.from_file(path)
     bad_eps = base + "[sweep]\neps_list = 0.1, 0.2, 0.4\n"
     path.write_text(bad_eps)
     with pytest.raises(ConfigError):
@@ -146,6 +159,14 @@ def test_report_schema_and_atomicity(tmp_path):
     assert text[1].split(",") == list(ReportRow.FIELDS)
     assert "unit" in text[2]
     assert not list(tmp_path.glob("*.tmp"))
+    # the verification battery's report goes through the same writer
+    check = tmp_path / "verify.csv"
+    write_report([("riesz_kernel_oracle", "Passed", "1.0e-06", "1.0e-04")],
+                 check, CHECK_FIELDS)
+    text = check.read_text().splitlines()
+    assert text[:2] == [f"# {SCHEMA_VERSION}", "check,status,measured,tolerance"]
+    assert text[2] == "riesz_kernel_oracle,Passed,1.0e-06,1.0e-04"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_default_config_valid():
@@ -163,3 +184,28 @@ def test_hs_distance_mirror_structure(grid_unit, rng, exps):
     assert _hs_distance(u, far, exps.s, aligned=False) > 0.5
     # aligned: translates collapse
     assert _hs_distance(u, far, exps.s, aligned=True) < 1e-6
+
+
+def test_concentration_gates_on_convergence(monkeypatch):
+    # a small single-well sweep whose distances to M shrink to well under
+    # delta_target; with every cell reported unconverged it must not pass
+    import dataclasses
+
+    import choqlab.harness as harness
+    from choqlab.spectral import Grid
+
+    cfg = dataclasses.replace(
+        default_config(), grid=Grid(1, 120.0, 2048),
+        potential=PotentialSpec(kind="single_well", centers=(4.0,), width=1.0,
+                                v_inf=0.2),
+        delta=0.8, box_radius=5.0)
+    real = harness.solve_nonautonomous
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(harness, "solve_nonautonomous", unconverged)
+    out = harness.run_concentration(cfg)
+    assert out["monotone"] and out["dists"][-1] <= cfg.delta_target
+    assert not any(row.converged for row in out["rows"])
+    assert out["passed"] is False

@@ -38,8 +38,14 @@ def test_delta_p_identity(exps):
 def test_regime_rejections():
     with pytest.raises(RegimeViolation, match="q must exceed p_bar"):
         validate_regime(1, 0.4, 0.5, 2.3)  # boundary value rejected
-    with pytest.raises(RegimeViolation, match="alpha must exceed N-4s=1"):
-        validate_regime(3, 0.5, 0.5, 3.0)
+    with pytest.raises(RegimeViolation, match="alpha must exceed N-4s=0.5"):
+        validate_regime(1, 0.125, 0.25, 3.0)
+    # only N = 1 is solvable: higher dimensions are rejected even where the
+    # regime inequalities themselves hold
+    with pytest.raises(RegimeViolation, match="N must be 1"):
+        validate_regime(2, 0.4, 0.5, 1.8)
+    with pytest.raises(RegimeViolation, match="N must be 1"):
+        validate_regime(3, 0.9, 2.0, 2.5)
     p_exact = (1 + 0.5) / (1 - 0.8)  # float p, slightly above 7.5
     with pytest.raises(RegimeViolation, match="q must be below p"):
         validate_regime(1, 0.4, 0.5, p_exact)

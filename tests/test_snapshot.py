@@ -22,6 +22,11 @@ def test_roundtrip_bitwise(tmp_path, grid_unit, rng):
     path2 = tmp_path / "field2.chqf"
     save_field(v, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # version-1 layout with N written as 1: magic, version, N, points, extent
+    raw = path.read_bytes()
+    assert raw[:4] == b"CHQF"
+    assert struct.unpack_from("<IIId", raw, 4) == (1, 1, 1024, 48.0)
+    assert len(raw) == 24 + 8 * 1024
 
 
 def test_wrong_magic(tmp_path, grid_unit, rng):
@@ -57,6 +62,19 @@ def test_version_mismatch(tmp_path, grid_unit, rng):
     with pytest.raises(FormatError) as err:
         load_field(path)
     assert err.value.offset == 4
+
+
+def test_rejects_other_dimensions(tmp_path):
+    # a well-formed N=2 file (16x16 samples, isotropic) is refused at the
+    # dimension field, not loaded onto 1D operators
+    n, extent = 16, 10.0
+    header = b"CHQF" + struct.pack("<II", 1, 2)
+    header += struct.pack("<2I", n, n) + struct.pack("<2d", extent, extent)
+    path = tmp_path / "plane.chqf"
+    path.write_bytes(header + np.zeros(n * n).astype("<f8").tobytes())
+    with pytest.raises(FormatError, match="N must be 1") as err:
+        load_field(path)
+    assert err.value.offset == 8
 
 
 def test_sidecar(tmp_path, autonomous_mu0, desk_config):

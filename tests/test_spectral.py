@@ -12,6 +12,8 @@ from choqlab.spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                               hs_norm, kinetic_energy, kinetic_energy_free,
                               mass, project_mass, random_field,
                               riesz_oracle_1d, riesz_potential, translate)
+from choqlab.spectral import (_ASYMP_SWITCH, _freespace_multiplier_1d,
+                              _kinetic_zeta_kernel)
 from conftest import make_positive_field
 
 S = 0.4
@@ -31,8 +33,14 @@ def test_grid_validation():
         Grid(1, -1.0, 64)
     with pytest.raises(OutOfRange):
         Grid(4, 48.0, 64)
-    g = Grid(2, 10.0, 32)
-    assert g.cell_volume == pytest.approx((10.0 / 32) ** 2)
+    # only the 1D whole-space operators exist: N = 2, 3 are rejected
+    with pytest.raises(OutOfRange, match="N must be 1"):
+        Grid(2, 10.0, 32)
+    with pytest.raises(OutOfRange, match="N must be 1"):
+        Grid(3, 10.0, 32)
+    g = Grid(1, 10.0, 32)
+    assert g.shape == (32,)
+    assert g.dx == 10.0 / 32
 
 
 def test_field_validation(grid_small):
@@ -85,7 +93,7 @@ def test_kinetic_single_mode():
 def test_kinetic_selfadjoint_pairing(grid_unit, rng):
     u = make_positive_field(grid_unit, rng)
     v = make_positive_field(grid_unit, rng)
-    dv = grid_unit.cell_volume
+    dv = grid_unit.dx
     pair_uv = float(np.sum(v.values * fractional_laplacian(u, S).values)) * dv
     pair_vu = float(np.sum(u.values * fractional_laplacian(v, S).values)) * dv
     assert pair_uv == pytest.approx(pair_vu, rel=1e-10)
@@ -100,7 +108,7 @@ def test_kinetic_free_matches_continuum():
     assert kinetic_energy_free(u, S) == pytest.approx(A_GAUSS, rel=1e-13)
     # the corrected operator is the exact variational derivative
     pair = float(np.sum(u.values * fractional_laplacian_free(u, S).values)) \
-        * g.cell_volume
+        * g.dx
     assert pair == pytest.approx(kinetic_energy_free(u, S), rel=1e-13)
 
 
@@ -110,14 +118,6 @@ def test_kinetic_free_scaling_law(grid_unit, rng):
     for t in (0.5, 0.8, 1.25, 2.0):
         at = kinetic_energy_free(dilate(u, t), S)
         assert at == pytest.approx(t ** (2 * S) * a0, rel=1e-8)
-
-
-def test_riesz_eigenfunction_periodic():
-    g = Grid(1, 2 * np.pi, 64)
-    x = g.axis()
-    rho = Field(g, np.cos(5.0 * x))
-    out = riesz_potential(rho, ALPHA, mode="periodic").values
-    assert np.allclose(out, 5.0 ** -ALPHA * np.cos(5.0 * x), atol=1e-13)
 
 
 def test_riesz_freespace_vs_kernel_quadrature():
@@ -147,6 +147,47 @@ def test_riesz_freespace_vs_discrete_oracle(grid_unit):
     assert rel.max() < 1e-4
 
 
+def test_riesz_multiplier_vs_mpmath_closed_form():
+    # A * g_hat(m) with g_hat(m) = 2 Int_0^L x^(alpha-1) cos(pi m x/L) dx
+    #   = 2 L^alpha 1F2(alpha/2; 1/2, 1+alpha/2; -(pi m)^2/4) / alpha,
+    # checked on both sides of the series/asymptotic switch and at Nyquist
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    n, L = 1024, 48.0
+    ms = (0, 1, 2, 39, 40, 41, 42, 1000, n)
+    assert ms[4] == _ASYMP_SWITCH < ms[5]
+    for alpha in (0.3, 0.5, 0.9):
+        mult = _freespace_multiplier_1d(2 * n, L, alpha)
+        a = mpmath.mpf(alpha)
+        a_const = mpmath.gamma((1 - a) / 2) / (
+            mpmath.sqrt(mpmath.pi) * 2 ** a * mpmath.gamma(a / 2))
+        for m in ms:
+            ref = (a_const * 2 * mpmath.mpf(L) ** a / a
+                   * mpmath.hyp1f2(a / 2, 0.5, 1 + a / 2, -(mpmath.pi * m) ** 2 / 4))
+            assert float(abs(mult[m] - ref) / abs(ref)) < 1e-13, (alpha, m)
+        assert mult[2 * n - 3] == mult[3]      # even in m on the fft lattice
+
+
+def test_kinetic_zeta_kernel_vs_mpmath():
+    # c_K L^(-1-2s) [zeta(1+2s, 1-y/L) + zeta(1+2s, 1+y/L)] with
+    # c_K = Gamma(1+2s) sin(pi s)/pi, away from the taper (|y| < 0.9 L)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    n, L = 1024, 48.0
+    lags = (0, 1, -1, 7, 100, -450, 500, 900, -921)
+    for s in (0.1, 0.25, S, 0.45):
+        kern = _kinetic_zeta_kernel(n, L, s)
+        sm = mpmath.mpf(s)
+        c_k = (mpmath.gamma(1 + 2 * sm) * mpmath.sin(mpmath.pi * sm) / mpmath.pi
+               * mpmath.mpf(L) ** (-1 - 2 * sm))
+        for d in lags:
+            y = mpmath.mpf(d) * L / n
+            assert abs(y) < 0.9 * L
+            ref = c_k * (mpmath.zeta(1 + 2 * sm, 1 - y / L)
+                         + mpmath.zeta(1 + 2 * sm, 1 + y / L))
+            assert float(abs(kern[d % (2 * n)] - ref) / abs(ref)) < 1e-13, (s, d)
+
+
 def test_riesz_parity(grid_unit):
     x = grid_unit.axis()
     rho = Field(grid_unit, np.exp(-x ** 2) * (1 + 0.3 * np.cos(0.7 * x)))
@@ -160,7 +201,7 @@ def test_riesz_pairing_positive(grid_unit, rng):
     for _ in range(3):
         f = random_field(grid_unit, rng)
         pot = riesz_potential(f, ALPHA).values
-        pairing = float(np.sum(pot * f.values)) * grid_unit.cell_volume
+        pairing = float(np.sum(pot * f.values)) * grid_unit.dx
         assert pairing > 0.0
     with pytest.raises(OutOfRange):
         riesz_potential(f, 1.5)
