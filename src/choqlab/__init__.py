@@ -12,10 +12,8 @@ from .spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                        kinetic_energy_free, mass, project_mass,
                        random_field, riesz_potential, smooth_cutoff,
                        translate)
-from .energy import (EnergyBreakdown, Truncation, el_residual, energy,
-                     hartree_cross, hartree_energy, lagrange_multiplier,
-                     pohozaev, pohozaev_normalized, pohozaev_truncated,
-                     tau_eval, tau_prime)
+from .energy import (Evaluation, Truncation, energy, hartree_cross,
+                     hartree_energy, tau_eval, tau_prime)
 from .fiber import (FiberMax, FiberProfile, extract_profile, fiber_maximizer,
                     fiber_value, psi, ray_level)
 from .solver import (GroundState, SAlphaResult, SolveConfig, SolveResult,

@@ -1,4 +1,4 @@
-"""Energy functionals, Euler-Lagrange residuals, and Pohozaev identities.
+"""Energy functionals and the one evaluator of a field.
 
 The working functional on the mass sphere is
 
@@ -11,6 +11,9 @@ the critical term off at large H^s norm.  In the autonomous case V == mu
 the potential term is mu*mass/2.  Along the mass-preserving dilation ray
 the derivative of the truncated energy factors through the truncated
 Pohozaev functional:  d/dt J_T(u_t) = (t^{2s-1}/2) P_T(u_t).
+
+energy() evaluates a field once: its Evaluation carries the energy terms,
+the Lagrange multiplier, the Pohozaev value and the Euler-Lagrange gradient.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from .spectral import (Field, fractional_laplacian_free, kinetic_energy_free,
                        mass, riesz_potential, smooth_cutoff)
 
 __all__ = [
-    "Truncation", "EnergyBreakdown",
+    "Truncation", "Evaluation",
     "tau_eval", "tau_prime", "smooth_cutoff",
-    "hartree_energy", "hartree_cross", "hartree_nonlinearity",
-    "energy", "el_residual", "lagrange_multiplier",
-    "pohozaev", "pohozaev_normalized",
-    "pohozaev_truncated", "truncated_profile_pohozaev", "truncated_profile_value",
+    "hartree_energy", "hartree_cross", "hartree_nonlinearity", "hartree_jvp",
+    "normalize_potential", "energy",
+    "truncated_profile_pohozaev", "truncated_profile_value",
 ]
 
 
@@ -149,107 +151,107 @@ def hartree_jvp(u: Field, v: np.ndarray, r: float, alpha: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Assembled energy
+# One evaluation per field
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    kinetic: float     # A(u)
-    potential: float   # Int V(eps x)|u|^2  (mu * mass in the autonomous case)
-    hartree_p: float   # B_p(u)
-    hartree_q: float   # B_q(u)
-    tau_factor: float  # tau(||u||_{H^s})
-    total: float
-
-
-def _potential_integral(u: Field, potential) -> float:
-    """Int V |u|^2 for a constant mu or a sampled potential."""
-    if potential is None:
-        return 0.0
+def normalize_potential(potential, grid):
+    """V as the evaluator consumes it: a float for a constant mu, an ndarray
+    on the grid for a sampled potential (a Field or an array)."""
     if np.isscalar(potential):
-        return float(potential) * mass(u)
+        return float(potential)
     v = potential.values if isinstance(potential, Field) else np.asarray(potential)
-    if v.shape != u.grid.shape:
-        raise GridMismatch(f"potential shape {v.shape} != grid shape {u.grid.shape}")
-    return float(np.sum(v * u.values * u.values)) * u.grid.dx
+    if v.shape != grid.shape:
+        raise GridMismatch(f"potential shape {v.shape} != grid shape {grid.shape}")
+    return v
 
 
-def _potential_times(u: Field, potential) -> np.ndarray:
-    if potential is None:
-        return np.zeros(u.grid.shape)
-    if np.isscalar(potential):
-        return float(potential) * u.values
-    v = potential.values if isinstance(potential, Field) else np.asarray(potential)
-    if v.shape != u.grid.shape:
-        raise GridMismatch(f"potential shape {v.shape} != grid shape {u.grid.shape}")
-    return v * u.values
+class Evaluation:
+    """Every quantity the lab reads off one field, from one pass.
 
+    A, B_p, B_q and Int V|u|^2 determine the energy, the multiplier and the
+    Pohozaev value; the Hartree potentials I_alpha*|u|^r behind B_r are kept
+    for the Euler-Lagrange gradient, which is built on first use.  (Not
+    functools.cached_property: before Python 3.12 it holds one lock for every
+    instance, which serializes the harness's worker threads.)
+    """
 
-def assemble_total(kin: float, pot: float, bp: float, bq: float,
-                   tau: float, exps: ExponentSet) -> float:
-    """The one formula everything reuses; bitwise-reproducible assembly."""
-    return (0.5 * kin + 0.5 * pot
-            - tau * bp / (2.0 * exps.p) - bq / (2.0 * exps.q))
+    def __init__(self, u: Field, exps: ExponentSet, potential,
+                 trunc: Truncation | None = None):
+        dv = u.grid.dx
+        self.field = u
+        self.exps = exps
+        self._v = normalize_potential(potential, u.grid)
+        self.mass = mass(u)
+        self.kinetic = kinetic_energy_free(u, exps.s)     # A(u)
+        if isinstance(self._v, np.ndarray):               # Int V(eps x)|u|^2
+            self.potential = float(np.sum(self._v * u.values * u.values)) * dv
+        else:                                             # mu * mass
+            self.potential = self._v * self.mass
+        rho_p = _abs_power(u.values, exps.p)
+        rho_q = _abs_power(u.values, exps.q)
+        self._pot_p = riesz_potential(Field(u.grid, rho_p), exps.alpha).values
+        self._pot_q = riesz_potential(Field(u.grid, rho_q), exps.alpha).values
+        self.hartree_p = float(np.sum(self._pot_p * rho_p)) * dv   # B_p(u)
+        self.hartree_q = float(np.sum(self._pot_q * rho_q)) * dv   # B_q(u)
+        if trunc is None:                                 # tau(||u||_{H^s})
+            self.tau_factor = 1.0
+        else:
+            self.tau_factor = tau_eval(trunc, math.sqrt(self.kinetic + self.mass))
+        self.total = (0.5 * self.kinetic + 0.5 * self.potential
+                      - self.tau_factor * self.hartree_p / (2.0 * exps.p)
+                      - self.hartree_q / (2.0 * exps.q))
+        self._gradient = None
+
+    @property
+    def lam(self) -> float:
+        """lambda = (A + Int V|u|^2 - B_p - B_q) / mass, from testing the
+        Euler-Lagrange equation against u itself."""
+        if self.mass == 0.0:
+            raise ZeroField("multiplier undefined for the zero field")
+        return (self.kinetic + self.potential - self.hartree_p
+                - self.hartree_q) / self.mass
+
+    @property
+    def pohozaev(self) -> float:
+        """P(u) = 2s A(u) - (delta_p/p) B_p(u) - (delta_q/q) B_q(u)."""
+        e = self.exps
+        return (2.0 * e.s * self.kinetic
+                - (e.delta_p / e.p) * self.hartree_p
+                - (e.delta_q / e.q) * self.hartree_q)
+
+    @property
+    def poho_residual(self) -> float:
+        """|P(u)| / (2s A(u)): the solver's dimensionless certificate."""
+        if self.kinetic <= 0.0:
+            return 0.0
+        return abs(self.pohozaev) / (2.0 * self.exps.s * self.kinetic)
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """Untruncated Euler-Lagrange operator without the multiplier:
+
+        G = (-Delta)^s u + V u - (I_a*|u|^p)|u|^{p-2}u - (I_a*|u|^q)|u|^{q-2}u.
+        """
+        if self._gradient is None:
+            u, e = self.field, self.exps
+            self._gradient = (fractional_laplacian_free(u, e.s).values
+                              + self._v * u.values
+                              - self._pot_p * _odd_power(u.values, e.p - 1.0)
+                              - self._pot_q * _odd_power(u.values, e.q - 1.0))
+        return self._gradient
+
+    @property
+    def grad_residual(self) -> float:
+        """||G - lambda u||_2 / ||u||_2."""
+        d = self.gradient - self.lam * self.field.values
+        return math.sqrt(float(np.sum(d * d)) * self.field.grid.dx / self.mass)
 
 
 def energy(u: Field, exps: ExponentSet, potential=0.0,
-           trunc: Truncation | None = None) -> EnergyBreakdown:
-    """Full energy breakdown of the (optionally truncated) functional."""
-    kin = kinetic_energy_free(u, exps.s)
-    pot = _potential_integral(u, potential)
-    bp = hartree_energy(u, exps.p, exps.alpha)
-    bq = hartree_energy(u, exps.q, exps.alpha)
-    if trunc is None:
-        tau = 1.0
-    else:
-        tau = tau_eval(trunc, math.sqrt(kin + mass(u)))
-    total = assemble_total(kin, pot, bp, bq, tau, exps)
-    return EnergyBreakdown(kinetic=kin, potential=pot, hartree_p=bp,
-                           hartree_q=bq, tau_factor=tau, total=total)
-
-
-def el_residual(u: Field, lam: float, exps: ExponentSet, potential=0.0) -> Field:
-    """Residual of the untruncated Euler-Lagrange equation:
-
-    G = (-Delta)^s u + V u - lam u - (I_a*|u|^p)|u|^{p-2}u - (I_a*|u|^q)|u|^{q-2}u.
-    """
-    g = (fractional_laplacian_free(u, exps.s).values
-         + _potential_times(u, potential)
-         - lam * u.values
-         - hartree_nonlinearity(u, exps.p, exps.alpha)
-         - hartree_nonlinearity(u, exps.q, exps.alpha))
-    return Field(u.grid, g)
-
-
-def lagrange_multiplier(u: Field, exps: ExponentSet, potential=0.0) -> float:
-    """lambda = (A + Int V|u|^2 - B_p - B_q) / mass, from testing the
-    Euler-Lagrange equation against u itself."""
-    m = mass(u)
-    if m == 0.0:
-        raise ZeroField("multiplier undefined for the zero field")
-    kin = kinetic_energy_free(u, exps.s)
-    pot = _potential_integral(u, potential)
-    bp = hartree_energy(u, exps.p, exps.alpha)
-    bq = hartree_energy(u, exps.q, exps.alpha)
-    return (kin + pot - bp - bq) / m
-
-
-def pohozaev(u: Field, exps: ExponentSet) -> float:
-    """P(u) = 2s A(u) - (delta_p/p) B_p(u) - (delta_q/q) B_q(u)."""
-    kin = kinetic_energy_free(u, exps.s)
-    bp = hartree_energy(u, exps.p, exps.alpha)
-    bq = hartree_energy(u, exps.q, exps.alpha)
-    return (2.0 * exps.s * kin
-            - (exps.delta_p / exps.p) * bp
-            - (exps.delta_q / exps.q) * bq)
-
-
-def pohozaev_normalized(u: Field, exps: ExponentSet) -> float:
-    """|P(u)| / (2s A(u)): the solver's dimensionless certificate."""
-    kin = kinetic_energy_free(u, exps.s)
-    if kin == 0.0:
-        return 0.0
-    return abs(pohozaev(u, exps)) / (2.0 * exps.s * kin)
+           trunc: Truncation | None = None) -> Evaluation:
+    """Evaluate u once: energy breakdown of the (optionally truncated)
+    functional, multiplier, Pohozaev value and gradient."""
+    return Evaluation(u, exps, potential, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +283,3 @@ def truncated_profile_pohozaev(A: float, bp: float, bq: float, a: float,
             - (exps.delta_p / exps.p) * tau * t ** (exps.delta_p - 2.0 * s) * bp
             - (exps.delta_q / exps.q) * t ** (exps.delta_q - 2.0 * s) * bq
             - (s * taup / radius) * A * (t ** exps.delta_p / exps.p) * bp)
-
-
-def pohozaev_truncated(u: Field, t: float, exps: ExponentSet,
-                       trunc: Truncation) -> float:
-    """P_T(u_t) from the profile of u; includes the tau' correction."""
-    if t <= 0.0:
-        raise OutOfRange(f"t must be positive, got {t}")
-    kin = kinetic_energy_free(u, exps.s)
-    bp = hartree_energy(u, exps.p, exps.alpha)
-    bq = hartree_energy(u, exps.q, exps.alpha)
-    return truncated_profile_pohozaev(kin, bp, bq, mass(u), exps, trunc, t)

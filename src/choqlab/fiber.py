@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ChoqlabError, NoPositivePart, OutOfRange, ZeroField
-from .energy import hartree_energy
+from .energy import energy
 from .params import ExponentSet
-from .spectral import Field, kinetic_energy_free, mass
+from .spectral import Field
 
 __all__ = [
     "FiberProfile", "FiberMax",
@@ -58,15 +58,11 @@ class FiberMax:
 
 def extract_profile(u: Field, exps: ExponentSet, mu: float = 0.0) -> FiberProfile:
     """Compute (A, B_p, B_q, a) once; fiber evaluations are then O(1)."""
-    a = mass(u)
-    if a == 0.0:
+    ev = energy(u, exps, mu)
+    if ev.mass == 0.0:
         raise ZeroField("cannot extract a fiber profile from the zero field")
-    return FiberProfile(
-        A=kinetic_energy_free(u, exps.s),
-        B_p=hartree_energy(u, exps.p, exps.alpha),
-        B_q=hartree_energy(u, exps.q, exps.alpha),
-        a=a, mu=mu, exps=exps,
-    )
+    return FiberProfile(A=ev.kinetic, B_p=ev.hartree_p, B_q=ev.hartree_q,
+                        a=ev.mass, mu=mu, exps=exps)
 
 
 def fiber_value(prof: FiberProfile, t: float) -> float:

@@ -354,14 +354,14 @@ def run_verify(cfg: ExperimentConfig, quick: bool = True):
     zero; any Skipped or Failed row makes the battery fail overall.
     """
     from scipy.integrate import quad as _quad
-    from .energy import (hartree_energy, energy as energy_eval,
-                         truncated_profile_pohozaev, truncated_profile_value)
+    from .energy import (energy as energy_eval, truncated_profile_pohozaev,
+                         truncated_profile_value)
     from .errors import NoConvergence as _NC, OutOfRange as _OOR
     from .fiber import FiberProfile, extract_profile, fiber_value, psi
     from .params import (riesz_normalization, s_alpha_reference, sharp_constant)
     from .solver import solve_scalar_ground
     from .spectral import (dilate, fractional_laplacian, kinetic_energy,
-                           kinetic_energy_free, riesz_potential)
+                           riesz_potential)
 
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -471,14 +471,13 @@ def run_verify(cfg: ExperimentConfig, quick: bool = True):
     worst_sub, worst_crit = -np.inf, -np.inf
     for f in corpus + [Field(g_small, rng.standard_normal(g_small.shape)
                              * np.exp(-(x / 8.0) ** 2))]:
-        kin = kinetic_energy_free(f, exps.s)
-        m = mass(f)
-        bq = hartree_energy(f, exps.q, exps.alpha)
-        bp = hartree_energy(f, exps.p, exps.alpha)
+        ev = energy_eval(f, exps)
         worst_sub = max(worst_sub,
-                        bq / (c_aq * kin ** (exps.q * exps.gamma_q)
-                              * m ** (exps.q * (1 - exps.gamma_q))) - 1.0)
-        worst_crit = max(worst_crit, s_alpha * bp ** (1.0 / exps.p) / kin - 1.0)
+                        ev.hartree_q / (c_aq * ev.kinetic ** (exps.q * exps.gamma_q)
+                                        * ev.mass ** (exps.q * (1 - exps.gamma_q)))
+                        - 1.0)
+        worst_crit = max(worst_crit,
+                         s_alpha * ev.hartree_p ** (1.0 / exps.p) / ev.kinetic - 1.0)
     record("interp_subcritical", worst_sub, 1e-10)
     record("interp_critical", worst_crit, 1e-3)
 
@@ -486,12 +485,9 @@ def run_verify(cfg: ExperimentConfig, quick: bool = True):
     u_ref = band_limit(gs.field)
     quot = 0.0
     for t in np.linspace(0.7, 1.3, 13):
-        ut = dilate(u_ref, float(t))
-        kin = kinetic_energy_free(ut, exps.s)
-        m = mass(ut)
-        bq = hartree_energy(ut, exps.q, exps.alpha)
-        quot = max(quot, bq / (kin ** (exps.q * exps.gamma_q)
-                               * m ** (exps.q * (1 - exps.gamma_q))))
+        ev = energy_eval(dilate(u_ref, float(t)), exps)
+        quot = max(quot, ev.hartree_q / (ev.kinetic ** (exps.q * exps.gamma_q)
+                                         * ev.mass ** (exps.q * (1 - exps.gamma_q))))
     record("sharp_tightness", quot / c_aq, 0.99, higher_is_better=True)
 
     from .solver import solve_autonomous

@@ -28,13 +28,13 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import (NoConvergence, OutOfRange, StepUnderflow,
                      TruncationActive)
-from .energy import (Truncation, _abs_power, _odd_power, energy,
-                     hartree_jvp)
+from .energy import (Truncation, energy, hartree_energy, hartree_jvp,
+                     hartree_nonlinearity, normalize_potential)
 from .fiber import extract_profile, fiber_maximizer
 from .params import ExponentSet
 from .spectral import (Field, band_limit, dilate, fractional_laplacian_free,
                        hs_norm_free, kinetic_energy_free, mass, project_mass,
-                       riesz_potential, translate)
+                       translate)
 
 __all__ = [
     "SolveConfig", "SolveResult", "GroundState", "SAlphaResult",
@@ -109,57 +109,6 @@ def default_init(grid, a: float, width_frac: float = 1.0 / 16.0) -> Field:
     return project_mass(Field(grid, np.exp(-0.5 * (r / w) ** 2)), a)
 
 
-# ---------------------------------------------------------------------------
-# Shared Euler-Lagrange pieces
-# ---------------------------------------------------------------------------
-
-class _Pieces:
-    """One-pass evaluation of everything the composite iteration needs."""
-
-    __slots__ = ("u", "kin", "pv", "bp", "bq", "lam", "grad", "a")
-
-    def __init__(self, u: Field, exps: ExponentSet, potential):
-        g = u.grid
-        dv = g.dx
-        self.u = u
-        self.a = mass(u)
-        rho_p = _abs_power(u.values, exps.p)
-        rho_q = _abs_power(u.values, exps.q)
-        pot_p = riesz_potential(Field(g, rho_p), exps.alpha).values
-        pot_q = riesz_potential(Field(g, rho_q), exps.alpha).values
-        self.kin = kinetic_energy_free(u, exps.s)
-        self.bp = float(np.sum(pot_p * rho_p)) * dv
-        self.bq = float(np.sum(pot_q * rho_q)) * dv
-        if potential is None:
-            v_term = np.zeros(g.shape)
-            self.pv = 0.0
-        elif np.isscalar(potential):
-            v_term = float(potential) * u.values
-            self.pv = float(potential) * self.a
-        else:
-            vv = potential.values if isinstance(potential, Field) else np.asarray(potential)
-            v_term = vv * u.values
-            self.pv = float(np.sum(vv * u.values * u.values)) * dv
-        self.lam = (self.kin + self.pv - self.bp - self.bq) / self.a
-        self.grad = (fractional_laplacian_free(u, exps.s).values + v_term
-                     - pot_p * _odd_power(u.values, exps.p - 1.0)
-                     - pot_q * _odd_power(u.values, exps.q - 1.0))
-
-    def level(self, exps: ExponentSet) -> float:
-        return (0.5 * self.kin + 0.5 * self.pv
-                - self.bp / (2.0 * exps.p) - self.bq / (2.0 * exps.q))
-
-    def poho_res(self, exps: ExponentSet) -> float:
-        p_val = (2.0 * exps.s * self.kin
-                 - (exps.delta_p / exps.p) * self.bp
-                 - (exps.delta_q / exps.q) * self.bq)
-        return abs(p_val) / (2.0 * exps.s * self.kin) if self.kin > 0 else 0.0
-
-    def grad_residual(self, dv: float) -> float:
-        d = self.grad - self.lam * self.u.values
-        return math.sqrt(float(np.sum(d * d)) * dv / self.a)
-
-
 def _l2(values: np.ndarray, dv: float) -> float:
     return math.sqrt(float(np.sum(values * values)) * dv)
 
@@ -216,10 +165,8 @@ def _despeckle(u: Field) -> Field:
 # ---------------------------------------------------------------------------
 
 def _scalar_residual(u: Field, exps: ExponentSet) -> np.ndarray:
-    rho = _abs_power(u.values, exps.q)
-    pot = riesz_potential(Field(u.grid, rho), exps.alpha).values
     return (fractional_laplacian_free(u, exps.s).values + u.values
-            - pot * _odd_power(u.values, exps.q - 1.0))
+            - hartree_nonlinearity(u, exps.q, exps.alpha))
 
 
 def _symmetrize_even(values: np.ndarray) -> np.ndarray:
@@ -250,10 +197,7 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
     res_rel = np.inf
     it = 0
     for it in range(1, config.max_iter + 1):
-        fld = Field(g, u)
-        rho = _abs_power(u, exps.q)
-        pot = riesz_potential(Field(g, rho), exps.alpha).values
-        nonlin = pot * _odd_power(u, exps.q - 1.0)
+        nonlin = hartree_nonlinearity(Field(g, u), exps.q, exps.alpha)
         # torus inverse of (-D)^s + 1 as the Petviashvili propagator
         lin_u = np.fft.ifft(sym * np.fft.fft(u)).real
         num = float(np.sum(u * lin_u)) * dv
@@ -274,9 +218,7 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
         fld, res_rel, _ = _newton_unconstrained(fld, exps, config)
     a_kin = kinetic_energy_free(fld, exps.s)
     m = mass(fld)
-    bq = float(np.sum(riesz_potential(Field(g, _abs_power(fld.values, exps.q)),
-                                      exps.alpha).values
-                      * _abs_power(fld.values, exps.q))) * dv
+    bq = hartree_energy(fld, exps.q, exps.alpha)
     # scaling u(x/l) stationarity: (N-2s)/2 A + N/2 M = (N+alpha)/(2q) B_q
     poho = abs(0.5 * (exps.N - 2.0 * exps.s) * a_kin + 0.5 * exps.N * m
                - (exps.N + exps.alpha) / (2.0 * exps.q) * bq)
@@ -353,11 +295,8 @@ def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
     for eps in eps_grid:
         prof = (eps / (eps * eps + r * r)) ** (0.5 * (exps.N - 2.0 * exps.s))
         u = Field(g, prof * envelope)
-        a_kin = kinetic_energy_free(u, exps.s)
-        rho = _abs_power(u.values, exps.p)
-        bp = float(np.sum(riesz_potential(Field(g, rho), exps.alpha).values * rho)) \
-            * g.dx
-        quotients.append(a_kin / bp ** (1.0 / exps.p))
+        bp = hartree_energy(u, exps.p, exps.alpha)
+        quotients.append(kinetic_energy_free(u, exps.s) / bp ** (1.0 / exps.p))
     quotients = tuple(quotients)
     value = min(quotients)
     return SAlphaResult(value=value, eps_grid=tuple(eps_grid), quotients=quotients,
@@ -371,16 +310,14 @@ def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
 def constrained_step(u: Field, exps: ExponentSet, potential, config: SolveConfig,
                      trunc: Truncation | None = None) -> Field:
     """One projected-gradient step on S(a), backtracking until the
-    (truncated) energy does not increase.  The multiplier estimate equals
-    lagrange_multiplier(u) bitwise."""
-    a = mass(u)
-    pieces = _Pieces(u, exps, potential)
-    d = pieces.grad - pieces.lam * u.values
-    dv = u.grid.dx
-    d_norm2 = float(np.sum(d * d)) * dv
+    (truncated) energy does not increase."""
+    ev = energy(u, exps, potential, trunc)
+    d = ev.gradient - ev.lam * u.values
+    d_norm2 = float(np.sum(d * d)) * u.grid.dx
     if d_norm2 == 0.0:
         return u
-    base = energy(u, exps, potential, trunc).total
+    a = ev.mass
+    base = ev.total
     eta = config.step
     while eta >= 1e-14:
         trial = project_mass(Field(u.grid, u.values - eta * d), a)
@@ -394,27 +331,18 @@ def constrained_step(u: Field, exps: ExponentSet, potential, config: SolveConfig
 # Newton-Krylov for the coupled constrained system
 # ---------------------------------------------------------------------------
 
-def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
-                        a: float, config: SolveConfig):
-    """Solve G(u) - lam u = 0, (mass - a)/2 = 0 for (u, lam)."""
+def _newton_constrained(u: Field, lam: float, exps: ExponentSet, v_arr,
+                        a: float, config: SolveConfig) -> Field:
+    """Solve G(u) - lam u = 0, (mass - a)/2 = 0 for (u, lam); v_arr is a
+    normalized potential (see normalize_potential)."""
     g = u.grid
     dv = g.dx
     nn = g.points
     sym = g.k_abs() ** (2.0 * exps.s) + 1.0
 
-    if potential is None:
-        v_arr = None
-    elif np.isscalar(potential):
-        v_arr = float(potential)
-    else:
-        v_arr = potential.values if isinstance(potential, Field) else np.asarray(potential)
-
     def full_residual(vals, lam_v):
-        fld = Field(g, vals)
-        pc = _Pieces(fld, exps, potential)
-        r = pc.grad - lam_v * vals
-        c = 0.5 * (pc.a - a)
-        return r, c, pc
+        ev = energy(Field(g, vals), exps, v_arr)
+        return ev.gradient - lam_v * vals, 0.5 * (ev.mass - a)
 
     def fnorm(r, c, vals):
         return math.sqrt((float(np.sum(r * r)) * dv + c * c)
@@ -423,7 +351,7 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
     # slowly varying sampled potentials leave the translation mode d_x u
     # almost in the Jacobian kernel: recenter sub-cell along it and deflate
     # it from the Krylov solve, otherwise Newton steps blow up along it
-    soft_translation = v_arr is not None and not np.isscalar(v_arr)
+    soft_translation = isinstance(v_arr, np.ndarray)
     k_ax = g.k_axis() if soft_translation else None
 
     def shift(vals, delta):
@@ -433,14 +361,14 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
         span = 1.5 * g.dx
         best_d, best_fn = 0.0, fn
         for d in (-span, -span / 3.0, span / 3.0, span):
-            tr, tc, _ = full_residual(shift(vals, d), lam_v)
+            tr, tc = full_residual(shift(vals, d), lam_v)
             fn_d = fnorm(tr, tc, vals)
             if fn_d < best_fn:
                 best_d, best_fn = d, fn_d
         for _ in range(5):  # refine by bisection around the best offset
             span *= 0.35
             for d in (best_d - span, best_d + span):
-                tr, tc, _ = full_residual(shift(vals, d), lam_v)
+                tr, tc = full_residual(shift(vals, d), lam_v)
                 fn_d = fnorm(tr, tc, vals)
                 if fn_d < best_fn:
                     best_d, best_fn = d, fn_d
@@ -450,14 +378,14 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
 
     vals = u.values.copy()
     lam_v = lam
-    r, c, pc = full_residual(vals, lam_v)
+    r, c = full_residual(vals, lam_v)
     fn = fnorm(r, c, vals)
     stagnant = 0
     for it_newton in range(config.newton_max):
         if soft_translation and it_newton % 2 == 0:
             vals, fn_r = recenter(vals, lam_v, fn)
             if fn_r < fn:
-                r, c, pc = full_residual(vals, lam_v)
+                r, c = full_residual(vals, lam_v)
                 fn = fnorm(r, c, vals)
         fld = Field(g, vals)
         if soft_translation:
@@ -479,8 +407,7 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
                    - lam_v * v - dlam * vals
                    - hartree_jvp(fld, v, exps.p, exps.alpha)
                    - hartree_jvp(fld, v, exps.q, exps.alpha))
-            if v_arr is not None:
-                out = out + v_arr * v
+            out = out + v_arr * v
             out = deflate(out) + (z[:nn] - v)
             bottom = float(np.sum(vals * v)) * dv
             return np.concatenate([out, [bottom]])
@@ -499,9 +426,9 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
         for _ in range(12):
             tv = vals + step_len * dz_field
             tl = lam_v + step_len * dz[nn]
-            tr, tc, tpc = full_residual(tv, tl)
+            tr, tc = full_residual(tv, tl)
             if fnorm(tr, tc, tv) < fn:
-                vals, lam_v, r, c, pc = tv, tl, tr, tc, tpc
+                vals, lam_v, r, c = tv, tl, tr, tc
                 fn = fnorm(r, c, vals)
                 accepted = True
                 break
@@ -518,11 +445,11 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
                 stagnant = 0
             if fn2 < fn:
                 vals = vals2
-                r, c, pc = full_residual(vals, lam_v)
+                r, c = full_residual(vals, lam_v)
                 fn = fnorm(r, c, vals)
         if fn < config.newton_tol:
             break
-    return Field(g, vals), lam_v, fn, pc
+    return Field(g, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +459,11 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, potential,
 def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
                      config: SolveConfig, center_cells: int = 0,
                      mu_eff: float = 0.0) -> SolveResult:
-    """Alternate fiber rescaling and projected descent, then Newton."""
+    """Alternate fiber rescaling and projected descent, then Newton.
+
+    potential is normalized (see normalize_potential): a float mu or the
+    sampled V(eps x) as an ndarray."""
+    sampled = isinstance(potential, np.ndarray)
     dv = grid.dx
     u = project_mass(init, a)
     trace = []
@@ -558,11 +489,10 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
         # (ii) preconditioned projected gradient step, Armijo on the
         # ray-reduced level (the raw step is stiff: |k|^{2s} amplifies
         # high-k noise, so descend in the (|k|^{2s}+1+|lam|)^{-1} metric)
-        pieces = _Pieces(u, exps, potential)
-        level = pieces.level(exps)
-        grad_res = pieces.grad_residual(dv)
-        poho_res = pieces.poho_res(exps)
-        trace.append(("descent", it, level, grad_res, poho_res))
+        ev = energy(u, exps, potential)
+        level = ev.total
+        grad_res = ev.grad_residual
+        trace.append(("descent", it, level, grad_res, ev.poho_residual))
         if grad_res < config.switch_tol or grad_res < config.grad_tol:
             break
         # the rescale/resample noise floor is ~1e-10 of the level: once the
@@ -575,30 +505,25 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
         else:
             stall = 0
         best_level = min(best_level, level)
-        d = pieces.grad - pieces.lam * u.values
-        dp = np.fft.ifft(np.fft.fft(d) / (sym + abs(pieces.lam))).real
+        d = ev.gradient - ev.lam * u.values
+        dp = np.fft.ifft(np.fft.fft(d) / (sym + abs(ev.lam))).real
         dp -= (float(np.sum(dp * u.values)) * dv / a) * u.values
         slope = float(np.sum(d * dp)) * dv  # positive: M^{-1} is SPD
         if slope <= 0.0:
             break
-        scalar_pot = np.isscalar(potential) or potential is None
-        if scalar_pot:
-            r_base = fm.value
-        else:
-            v_arr = potential.values if isinstance(potential, Field) \
-                else np.asarray(potential)
-            r_base = pieces.level(exps)  # u is on the Pohozaev frame already
+        # a sampled u is on the Pohozaev frame already: its level is R(u)
+        r_base = level if sampled else fm.value
         # preconditioned steps are only linearly stable for eta = O(1);
         # larger eta can lower R while pumping high-k modes geometrically
         eta = min(eta * 1.5, 1.2)
         accepted = False
         while eta >= 1e-14:
             trial = project_mass(Field(grid, u.values - eta * dp), a)
-            if scalar_pot:
+            if not sampled:
                 r_trial = _ray_level(trial, exps, mu_eff)
             else:
-                r_trial = _ray_level_sampled(trial, exps, v_arr, center_cells,
-                                             config.alias_tol)
+                r_trial = _ray_level_sampled(trial, exps, potential,
+                                             center_cells, config.alias_tol)
             if r_trial <= r_base - 1e-4 * eta * slope:
                 u = project_mass(_despeckle(trial), a)
                 accepted = True
@@ -607,18 +532,16 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
         if not accepted:
             break  # stalled this close to criticality: Newton finishes
     # Newton endgame on the true coupled system
-    pieces = _Pieces(u, exps, potential)
-    lam = pieces.lam
+    ev = energy(u, exps, potential)
     if config.refine and config.max_iter >= 1:
-        u_n, lam, fn, pieces = _newton_constrained(u, lam, exps, potential, a, config)
-        u = project_mass(u_n, a)
-        pieces = _Pieces(u, exps, potential)
-        lam = pieces.lam
-        trace.append(("newton", it + 1, pieces.level(exps),
-                      pieces.grad_residual(dv), pieces.poho_res(exps)))
-    grad_res = pieces.grad_residual(dv)
-    poho_res = pieces.poho_res(exps)
-    level = pieces.level(exps)
+        u = project_mass(_newton_constrained(u, ev.lam, exps, potential, a, config), a)
+        ev = energy(u, exps, potential)
+        trace.append(("newton", it + 1, ev.total, ev.grad_residual,
+                      ev.poho_residual))
+    lam = ev.lam
+    grad_res = ev.grad_residual
+    poho_res = ev.poho_residual
+    level = ev.total
     converged = bool(grad_res < config.grad_tol and poho_res < config.poho_tol)
     if trunc is not None and hs_norm_free(u, exps.s) >= trunc.R0:
         raise TruncationActive(
@@ -642,7 +565,7 @@ def solve_autonomous(exps: ExponentSet, mu: float, a: float, grid,
     if config.max_iter < 1:
         raise NoConvergence("iteration budget is zero", [])
     init = init if init is not None else default_init(grid, a)
-    return _composite_solve(exps, mu, a, grid, init, config, mu_eff=mu)
+    return _composite_solve(exps, float(mu), a, grid, init, config, mu_eff=mu)
 
 
 def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
@@ -658,15 +581,12 @@ def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
     if config.max_iter < 1:
         raise NoConvergence("iteration budget is zero", [])
     init = init if init is not None else default_init(grid, a)
-    if np.isscalar(potential):
-        return _composite_solve(exps, float(potential), a, grid, init, config,
-                                mu_eff=float(potential))
-    v_arr = potential.values if isinstance(potential, Field) \
-        else np.asarray(potential)
-    if float(np.ptp(v_arr)) == 0.0:
-        mu = float(v_arr[0])
-        return _composite_solve(exps, mu, a, grid, init, config, mu_eff=mu)
-    return _composite_solve(exps, potential, a, grid, init, config,
+    v = normalize_potential(potential, grid)
+    if isinstance(v, np.ndarray) and float(np.ptp(v)) == 0.0:
+        v = float(v[0])
+    if isinstance(v, float):
+        return _composite_solve(exps, v, a, grid, init, config, mu_eff=v)
+    return _composite_solve(exps, v, a, grid, init, config,
                             center_cells=center_cells, mu_eff=0.0)
 
 

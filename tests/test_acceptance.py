@@ -22,8 +22,7 @@ import numpy as np
 import pytest
 
 from choqlab.energy import (Truncation, energy, hartree_energy,
-                            lagrange_multiplier, truncated_profile_pohozaev,
-                            truncated_profile_value)
+                            truncated_profile_pohozaev, truncated_profile_value)
 from choqlab.fiber import FiberProfile, extract_profile, fiber_value, psi
 from choqlab.harness import (ReportRow, default_config, run_concentration,
                              run_multiplicity, write_report)
@@ -127,7 +126,7 @@ def test_criterion_04_multiplier_law(cfg, cert_solve):
     """Closed form lam*a = mu*a - coeff*B_q within 1e-6; lam < mu strictly."""
     exps = cfg.exps
     res = cert_solve
-    lam_direct = lagrange_multiplier(res.field, exps, 0.0)
+    lam_direct = energy(res.field, exps, 0.0).lam
     coeff = ((exps.N + exps.alpha) - (exps.N - 2 * exps.s) * exps.q) \
         / (2 * exps.s * exps.q)
     bq = hartree_energy(res.field, exps.q, exps.alpha)

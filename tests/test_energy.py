@@ -5,10 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from choqlab.energy import (Truncation, el_residual, energy,
-                            hartree_cross, hartree_energy, hartree_jvp,
-                            lagrange_multiplier, pohozaev, pohozaev_normalized,
-                            pohozaev_truncated, tau_eval, tau_prime,
+from choqlab.energy import (Truncation, energy, hartree_cross, hartree_energy,
+                            hartree_jvp, tau_eval, tau_prime,
                             truncated_profile_pohozaev, truncated_profile_value)
 from choqlab.errors import OutOfRange, ZeroField
 from choqlab.fiber import extract_profile
@@ -140,12 +138,13 @@ def test_energy_truncation_regions(grid_unit, rng, exps):
 
 def test_el_residual_basics(grid_unit, rng, exps):
     z = Field(grid_unit, np.zeros(grid_unit.shape))
-    assert np.all(el_residual(z, 0.3, exps, 0.0).values == 0.0)
+    assert np.all(energy(z, exps, 0.0).gradient - 0.3 * z.values == 0.0)
     u = make_positive_field(grid_unit, rng)
     # residual of a translate equals the translated residual (V constant);
     # only the outermost cells see the tapered zeta-kernel ring
-    r0 = el_residual(u, -0.2, exps, 0.4)
-    r1 = el_residual(translate(u, 25), -0.2, exps, 0.4)
+    r0 = Field(grid_unit, energy(u, exps, 0.4).gradient + 0.2 * u.values)
+    ut = translate(u, 25)
+    r1 = Field(grid_unit, energy(ut, exps, 0.4).gradient + 0.2 * ut.values)
     diff = np.abs(r1.values - translate(r0, 25).values)
     x = grid_unit.axis()
     scale = np.max(np.abs(r0.values))
@@ -156,12 +155,11 @@ def test_el_residual_basics(grid_unit, rng, exps):
 def test_multiplier_identity(grid_unit, rng, exps):
     # <G, u> = A + PV - B_p - B_q: lambda is the EL pairing by construction
     u = make_positive_field(grid_unit, rng)
-    lam = lagrange_multiplier(u, exps, 0.4)
-    g0 = el_residual(u, 0.0, exps, 0.4).values
-    pairing = float(np.sum(g0 * u.values)) * grid_unit.dx / mass(u)
-    assert lam == pytest.approx(pairing, rel=1e-10)
+    ev = energy(u, exps, 0.4)
+    pairing = float(np.sum(ev.gradient * u.values)) * grid_unit.dx / mass(u)
+    assert ev.lam == pytest.approx(pairing, rel=1e-10)
     with pytest.raises(ZeroField):
-        lagrange_multiplier(Field(grid_unit, np.zeros(grid_unit.shape)), exps)
+        energy(Field(grid_unit, np.zeros(grid_unit.shape)), exps).lam
 
 
 def test_hartree_jvp_finite_difference(grid_unit, rng, exps):
@@ -180,17 +178,17 @@ def test_hartree_jvp_finite_difference(grid_unit, rng, exps):
 
 def test_pohozaev_zero_and_sign_change(grid_unit, rng, exps):
     z = Field(grid_unit, np.zeros(grid_unit.shape))
-    assert pohozaev(z, exps) == 0.0
+    assert energy(z, exps).pohozaev == 0.0
     u = make_positive_field(grid_unit, rng)
     # P(u_t) = t^{2s} Psi(t) changes sign exactly once from + to -
-    signs = [math.copysign(1.0, pohozaev(dilate(u, t), exps))
+    signs = [math.copysign(1.0, energy(dilate(u, t), exps).pohozaev)
              for t in np.geomspace(0.25, 4.0, 9)]
     flips = [i for i in range(len(signs) - 1) if signs[i] != signs[i + 1]]
     assert len(flips) <= 1
     prof = extract_profile(u, exps)
     from choqlab.fiber import fiber_maximizer
     t_star = fiber_maximizer(prof).t_star
-    assert pohozaev(dilate(u, min(t_star * 0.8, 2.0)), exps) > 0.0
+    assert energy(dilate(u, min(t_star * 0.8, 2.0)), exps).pohozaev > 0.0
 
 
 def test_pohozaev_truncated_regions(grid_unit, rng, exps):
@@ -200,8 +198,11 @@ def test_pohozaev_truncated_regions(grid_unit, rng, exps):
     # tau == 1 along the probed ray: P_T = P (profile arithmetic)
     wide = Truncation(10.0 * radius1, 20.0 * radius1)
     p_plain = prof_pohozaev_ref(prof, exps, 1.0)
-    assert pohozaev_truncated(u, 1.0, exps, wide) == pytest.approx(
-        p_plain, rel=1e-12)
+    ev = energy(u, exps)
+    p_trunc = truncated_profile_pohozaev(ev.kinetic, ev.hartree_p, ev.hartree_q,
+                                         ev.mass, exps, wide, 1.0)
+    assert p_trunc == pytest.approx(p_plain, rel=1e-12)
+    assert p_trunc == pytest.approx(ev.pohozaev, rel=1e-12)
     # tau == 0: the p-terms vanish from P_T
     tight = Truncation(radius1 / 8.0, radius1 / 4.0)
     pt = truncated_profile_pohozaev(prof.A, prof.B_p, prof.B_q, prof.a,
@@ -238,6 +239,6 @@ def test_truncated_ray_derivative_identity(grid_unit, rng, exps):
 
 def test_pohozaev_normalized(grid_unit, rng, exps):
     u = make_positive_field(grid_unit, rng)
-    p_val = pohozaev(u, exps)
-    assert pohozaev_normalized(u, exps) == pytest.approx(
-        abs(p_val) / (2 * exps.s * kinetic_energy_free(u, exps.s)), rel=1e-13)
+    ev = energy(u, exps)
+    assert ev.poho_residual == pytest.approx(
+        abs(ev.pohozaev) / (2 * exps.s * kinetic_energy_free(u, exps.s)), rel=1e-13)

@@ -65,11 +65,10 @@ def test_psi_positive_limit_and_decreasing(grid_unit, rng, exps):
 
 
 def test_psi_matches_pohozaev_sign(grid_unit, rng, exps):
-    from choqlab.energy import pohozaev
     u = make_positive_field(grid_unit, rng)
     prof = extract_profile(u, exps)
     for t in (0.6, 1.0, 1.6):
-        p_val = pohozaev(dilate(u, t), exps)
+        p_val = energy(dilate(u, t), exps).pohozaev
         assert p_val == pytest.approx(t ** (2 * exps.s) * psi(prof, t), rel=1e-7)
 
 

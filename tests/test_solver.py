@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from choqlab.energy import (energy, hartree_energy, lagrange_multiplier,
-                            pohozaev_normalized)
+from choqlab.energy import energy, hartree_energy
 from choqlab.errors import NoConvergence, OutOfBox, OutOfRange
 from choqlab.params import mass_threshold, s_alpha_reference
 from choqlab.solver import (SolveConfig, compute_S_alpha, constrained_step,
                             make_profile, solve_autonomous,
                             solve_nonautonomous, solve_scalar_ground,
-                            x_star_root, _Pieces)
+                            x_star_root)
 from choqlab.spectral import (Field, Grid, band_limit, dilate,
                               kinetic_energy_free, mass, project_mass)
 from conftest import DESK_MASS, make_positive_field
@@ -108,12 +107,6 @@ def test_autonomous_certificates(exps, autonomous_mu0, desk_config):
     assert np.all(res.field.values > -1e-8)
 
 
-def test_multiplier_bitwise_consistency(exps, autonomous_mu0):
-    # the lambda used internally equals the public formula bitwise
-    pieces = _Pieces(autonomous_mu0.field, exps, 0.0)
-    assert pieces.lam == lagrange_multiplier(autonomous_mu0.field, exps, 0.0)
-
-
 def test_descent_trace_monotone(exps, autonomous_mu0):
     # monotone up to the rescale/resample noise floor that triggers the
     # handover to Newton
@@ -141,7 +134,7 @@ def test_multiplier_closed_form_tracks_pohozaev(exps, autonomous_mu0):
     lam_cf = (0.0 * DESK_MASS - coeff * bq) / DESK_MASS
     defect = abs(res.lam - lam_cf) * DESK_MASS
     kin = kinetic_energy_free(res.field, exps.s)
-    p_val = pohozaev_normalized(res.field, exps) * 2 * exps.s * kin
+    p_val = energy(res.field, exps, 0.0).poho_residual * 2 * exps.s * kin
     assert defect == pytest.approx(p_val / (2 * exps.s), rel=1e-6)
 
 
