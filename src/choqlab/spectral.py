@@ -14,8 +14,9 @@ whole-line quantities are computed for fields that have decayed below
   whole-line convolution up to spectral accuracy.
 
 * mass-preserving dilation u_t(x) = t^{1/2} u(t x): the trigonometric
-  interpolant is resampled at spacing t*dx with a chirp-z transform, which
-  preserves the exact L^2-scaling laws the fiber-map machinery relies on.
+  interpolant is resampled at spacing t*dx by a Bluestein convolution with
+  a unit-modulus chirp, which preserves the exact L^2-scaling laws the
+  fiber-map machinery relies on.
 """
 
 from __future__ import annotations
@@ -26,10 +27,17 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.signal import czt
 
 from .errors import AliasRisk, GridMismatch, NonFinite, OutOfRange, ZeroField
 from .params import riesz_normalization
+
+# glibc serves blocks above its mmap threshold (128 KB at start-up) by mmap
+# and unmaps them on free, so the 128-256 KB transform temporaries of an
+# n=2^13 solve fault in fresh pages every time and numpy FFTs run about 2x
+# slower.  Freeing one mmapped block raises the threshold to that block's
+# size (see mallopt(3)); afterwards the temporaries are reused from the heap.
+_threshold_block = np.empty(1 << 21)   # 16 MB, never touched
+del _threshold_block
 
 __all__ = [
     "Grid", "Field",
@@ -379,8 +387,15 @@ def _dilate_resample(vals: np.ndarray, t: float, n: int) -> np.ndarray:
     nyq = u_s[0]                                  # coefficient at m = -n/2
     u_s = u_s * phase_in
     u_s[0] = 0.0
-    raw = czt(u_s, m=n, w=np.exp(2j * np.pi * t / n), a=1.0 + 0.0j)
+    # raw_l = sum_j u_s[j] exp(2 pi i t j l / n) as a Bluestein convolution
+    # (jl = (j^2 + l^2 - (l-j)^2)/2) on the 2n circle; the chirp is built by
+    # exp of an imaginary phase, so it keeps unit modulus at every n
     el = np.arange(n)
+    chirp = np.exp(1j * np.pi * t * el * el / n)
+    kern = np.zeros(2 * n, dtype=np.complex128)
+    kern[:n] = chirp.conj()
+    kern[n + 1:] = chirp[:0:-1].conj()
+    raw = chirp * np.fft.ifft(np.fft.fft(u_s * chirp, 2 * n) * np.fft.fft(kern))[:n]
     out = raw * np.exp(-1j * np.pi * t * el) / n
     # real-field Nyquist treatment: split coefficient into +-n/2 halves
     x_rel = t * (el - n // 2) + n // 2            # (t*x_l - x_0)/dx
