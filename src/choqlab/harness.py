@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,9 +37,20 @@ SCHEMA_VERSION = "choqlab-report v1"
 # header of the verification battery's report (verify.csv)
 CHECK_FIELDS = ("check", "status", "measured", "tolerance")
 
-# sections ExperimentConfig.from_file understands; any other is an error
-_CONFIG_SECTIONS = ("params", "grid", "mass", "potential", "sweep", "solver",
-                    "output")
+# the sections and keys ExperimentConfig.from_file understands; any other
+# section or key is an error.  [solver] sets SolveConfig fields by name.
+_CONFIG_KEYS = {
+    "params": ("n", "s", "alpha", "q"),
+    "grid": ("extent", "points"),
+    "mass": ("a",),
+    "potential": ("kind", "centers", "width", "v_inf"),
+    "sweep": ("eps_list", "delta", "delta_target", "box_radius"),
+    "solver": tuple(f.name for f in fields(SolveConfig)),
+    "output": ("dir", "seed"),
+}
+
+# [solver] defaults of a config file where they differ from SolveConfig's
+_SOLVER_FILE_DEFAULTS = {"poho_tol": 0.05}
 
 
 def default_config(out_dir: str = "out", seed: int = 12345) -> "ExperimentConfig":
@@ -106,10 +117,15 @@ class ExperimentConfig:
         read = cp.read(path)
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-        unknown = [name for name in cp.sections() if name not in _CONFIG_SECTIONS]
+        unknown = [name for name in cp.sections() if name not in _CONFIG_KEYS]
         if unknown:
             raise ConfigError(f"unknown config section(s) {unknown}; "
-                              f"known: {list(_CONFIG_SECTIONS)}")
+                              f"known: {list(_CONFIG_KEYS)}")
+        for name in cp.sections():
+            stray = [key for key in cp[name] if key not in _CONFIG_KEYS[name]]
+            if stray:
+                raise ConfigError(f"unknown key(s) {stray} in [{name}]; "
+                                  f"known: {list(_CONFIG_KEYS[name])}")
         try:
             p = cp["params"]
             exps = validate_regime(p.getint("N"), p.getfloat("s"),
@@ -135,13 +151,16 @@ class ExperimentConfig:
             delta_target = float(sw.get("delta_target", "0.25"))
             box_radius = float(sw.get("box_radius", "3.0"))
             sol = cp["solver"] if cp.has_section("solver") else {}
-            solver = SolveConfig(
-                step=float(sol.get("step", "0.5")),
-                grad_tol=float(sol.get("grad_tol", "1e-6")),
-                poho_tol=float(sol.get("poho_tol", "0.05")),
-                max_iter=int(sol.get("max_iter", "300")),
-                refine=str(sol.get("refine", "true")).lower() in ("1", "true", "yes"),
-            )
+            settings = {}
+            for f in fields(SolveConfig):
+                default = _SOLVER_FILE_DEFAULTS.get(f.name, f.default)
+                if f.name not in sol:
+                    settings[f.name] = default
+                elif isinstance(default, bool):
+                    settings[f.name] = sol[f.name].lower() in ("1", "true", "yes")
+                else:
+                    settings[f.name] = type(default)(sol[f.name])
+            solver = SolveConfig(**settings)
             out = cp["output"] if cp.has_section("output") else {}
             out_dir = out.get("dir", "out")
             seed = int(out.get("seed", "12345"))

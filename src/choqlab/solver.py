@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .errors import (NoConvergence, OutOfRange, StepUnderflow,
+from .errors import (AliasRisk, NoConvergence, OutOfRange, StepUnderflow,
                      TruncationActive)
 from .energy import (Truncation, energy, hartree_energy, hartree_jvp,
                      hartree_nonlinearity, normalize_potential)
@@ -522,8 +522,14 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
             if not sampled:
                 r_trial = _ray_level(trial, exps, mu_eff)
             else:
-                r_trial = _ray_level_sampled(trial, exps, potential,
-                                             center_cells, config.alias_tol)
+                try:
+                    r_trial = _ray_level_sampled(trial, exps, potential,
+                                                 center_cells, config.alias_tol)
+                except AliasRisk:
+                    # too rough to rescale: reject the trial like an
+                    # Armijo failure and try a shorter step
+                    eta *= 0.5
+                    continue
             if r_trial <= r_base - 1e-4 * eta * slope:
                 u = project_mass(_despeckle(trial), a)
                 accepted = True

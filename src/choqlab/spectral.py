@@ -100,9 +100,9 @@ class Grid:
 class Field:
     """Real field sampled on a Grid; immutable after construction."""
 
-    __slots__ = ("grid", "values", "cached_mass")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values: np.ndarray, cached_mass: float | None = None):
+    def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         if values.shape != grid.shape:
             raise GridMismatch(f"values shape {values.shape} != grid shape {grid.shape}")
@@ -112,24 +112,10 @@ class Field:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-        if cached_mass is not None:
-            actual = float(np.sum(values * values)) * grid.dx
-            if abs(actual - cached_mass) > 1e-12 * max(abs(cached_mass), 1e-300):
-                raise OutOfRange(
-                    f"cached_mass {cached_mass} disagrees with quadrature {actual}")
-        self.cached_mass = cached_mass
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
 
     def __eq__(self, other):
         return (isinstance(other, Field) and self.grid == other.grid
                 and np.array_equal(self.values, other.values))
-
-
-def _same_grid(u: Field, v: Field) -> None:
-    if u.grid != v.grid:
-        raise GridMismatch(f"{u.grid} vs {v.grid}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +124,6 @@ def _same_grid(u: Field, v: Field) -> None:
 
 def mass(u: Field) -> float:
     """Quadrature of |u|^2 over the box."""
-    if u.cached_mass is not None:
-        return u.cached_mass
     return float(np.sum(u.values * u.values)) * u.grid.dx
 
 

@@ -209,3 +209,68 @@ def test_concentration_gates_on_convergence(monkeypatch):
     assert out["monotone"] and out["dists"][-1] <= cfg.delta_target
     assert not any(row.converged for row in out["rows"])
     assert out["passed"] is False
+
+
+def test_concentration_survives_alias_risk():
+    # on this coarse grid the sampled-potential line search proposes trials
+    # too rough to dilate (AliasRisk at t ~ 1.06); each counts as a rejected
+    # trial, so every cell is solved and reported instead of the sweep aborting
+    import dataclasses
+
+    from choqlab.harness import run_concentration
+    from choqlab.spectral import Grid
+
+    cfg = dataclasses.replace(default_config(), grid=Grid(1, 240.0, 1024))
+    out = run_concentration(cfg)
+    assert not out["skipped"]
+    assert len(out["rows"]) == 6
+    assert all(np.isfinite(row.level) for row in out["rows"])
+
+
+def test_config_solver_section_reads_every_field(tmp_path):
+    base = """
+[params]
+N = 1
+s = 0.4
+alpha = 0.5
+q = 3.0
+[grid]
+extent = 96.0
+points = 2048
+[mass]
+a = 1.5
+[potential]
+kind = constant
+"""
+    path = tmp_path / "solver.cfg"
+    path.write_text(base + "[solver]\nnewton_max = 60\nnewton_tol = 1e-9\n"
+                    "switch_tol = 1e-3\nalias_tol = 1e-8\nrefine = no\n")
+    sol = ExperimentConfig.from_file(path).solver
+    assert (sol.newton_max, sol.newton_tol, sol.switch_tol, sol.alias_tol,
+            sol.refine) == (60, 1e-9, 1e-3, 1e-8, False)
+    # missing keys keep the file defaults
+    assert (sol.step, sol.grad_tol, sol.poho_tol, sol.max_iter) == (
+        0.5, 1e-6, 0.05, 300)
+    # a key no field reads is an error, in any section
+    path.write_text(base + "[solver]\nnewton_mx = 60\n")
+    with pytest.raises(ConfigError, match="newton_mx"):
+        ExperimentConfig.from_file(path)
+    path.write_text(base.replace("a = 1.5", "a = 1.5\nmas = 2.0"))
+    with pytest.raises(ConfigError, match="mas"):
+        ExperimentConfig.from_file(path)
+
+
+def test_readme_config_is_the_default(tmp_path):
+    # the README's INI block is documented to reproduce default_config()
+    import dataclasses
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.cfg"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    cfg = ExperimentConfig.from_file(path)
+    ref = default_config()
+    for f in dataclasses.fields(ref.solver):
+        assert getattr(cfg.solver, f.name) == getattr(ref.solver, f.name), f.name
+    for f in dataclasses.fields(ref):
+        assert getattr(cfg, f.name) == getattr(ref, f.name), f.name

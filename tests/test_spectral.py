@@ -51,12 +51,6 @@ def test_field_validation(grid_small):
     u = Field(grid_small, np.ones(grid_small.shape))
     with pytest.raises(ValueError):
         u.values[0] = 2.0  # immutable
-    # cached mass must agree with quadrature
-    good = Field(grid_small, np.ones(grid_small.shape),
-                 cached_mass=48.0)
-    assert mass(good) == pytest.approx(48.0)
-    with pytest.raises(OutOfRange):
-        Field(grid_small, np.ones(grid_small.shape), cached_mass=47.0)
 
 
 def test_fractional_laplacian_eigenfunction():
