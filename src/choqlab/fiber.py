@@ -58,9 +58,7 @@ class FiberMax:
 
 def extract_profile(u: Field, exps: ExponentSet, mu: float = 0.0) -> FiberProfile:
     """Compute (A, B_p, B_q, a) once; fiber evaluations are then O(1)."""
-    ev = energy(u, exps, mu)
-    if ev.mass == 0.0:
-        raise ZeroField("cannot extract a fiber profile from the zero field")
+    ev = energy(u, exps, mu)     # FiberProfile rejects the zero field
     return FiberProfile(A=ev.kinetic, B_p=ev.hartree_p, B_q=ev.hartree_q,
                         a=ev.mass, mu=mu, exps=exps)
 

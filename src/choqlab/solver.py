@@ -30,7 +30,7 @@ from .errors import (AliasRisk, NoConvergence, OutOfRange, StepUnderflow,
                      TruncationActive)
 from .energy import (Truncation, energy, hartree_energy, hartree_jvp,
                      hartree_nonlinearity, normalize_potential)
-from .fiber import extract_profile, fiber_maximizer
+from .fiber import extract_profile, fiber_maximizer, ray_level
 from .params import ExponentSet
 from .spectral import (Field, band_limit, dilate, fractional_laplacian_free,
                        hs_norm_free, kinetic_energy_free, mass, project_mass,
@@ -126,10 +126,6 @@ def _dilate_composite(u: Field, t: float, alias_tol: float) -> Field:
     if remaining != 1.0:
         out = dilate(out, remaining, alias_tol)
     return out
-
-
-def _ray_level(u: Field, exps: ExponentSet, mu_eff: float) -> float:
-    return fiber_maximizer(extract_profile(u, exps, mu_eff)).value
 
 
 def _ray_level_sampled(u: Field, exps: ExponentSet, v_arr: np.ndarray,
@@ -470,7 +466,6 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
     trunc = None
     eta = config.step
     it = 0
-    grad_res = np.inf
     stall = 0
     best_level = np.inf
     sym = grid.k_abs() ** (2.0 * exps.s) + 1.0
@@ -520,7 +515,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
         while eta >= 1e-14:
             trial = project_mass(Field(grid, u.values - eta * dp), a)
             if not sampled:
-                r_trial = _ray_level(trial, exps, mu_eff)
+                r_trial = ray_level(trial, exps, mu_eff)
             else:
                 try:
                     r_trial = _ray_level_sampled(trial, exps, potential,
@@ -544,16 +539,14 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
         ev = energy(u, exps, potential)
         trace.append(("newton", it + 1, ev.total, ev.grad_residual,
                       ev.poho_residual))
-    lam = ev.lam
-    grad_res = ev.grad_residual
-    poho_res = ev.poho_residual
-    level = ev.total
-    converged = bool(grad_res < config.grad_tol and poho_res < config.poho_tol)
+    converged = bool(ev.grad_residual < config.grad_tol
+                     and ev.poho_residual < config.poho_tol)
     if trunc is not None and hs_norm_free(u, exps.s) >= trunc.R0:
         raise TruncationActive(
             f"converged H^s norm {hs_norm_free(u, exps.s):.4g} reached R0={trunc.R0:.4g}")
-    return SolveResult(field=u, lam=lam, level=level, poho_residual=poho_res,
-                       grad_residual=grad_res, iterations=it,
+    return SolveResult(field=u, lam=ev.lam, level=ev.total,
+                       poho_residual=ev.poho_residual,
+                       grad_residual=ev.grad_residual, iterations=it,
                        converged=converged, trace=tuple(trace))
 
 
