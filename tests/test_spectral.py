@@ -216,7 +216,8 @@ def test_dilate_mass_preservation(grid_unit, rng):
     for t in (0.5, 0.8, 1.3, 2.0):
         assert mass(dilate(u, t)) == pytest.approx(m0, rel=1e-8)
     # the resampling chirp keeps unit modulus, so mass holds to 1e-12 on
-    # the certificate-scale grid too (a chirp-z power drifts by ~n^2 ulp)
+    # the certificate-scale grid too (a chirp built as a complex power
+    # would drift by ~n^2 ulp)
     big = random_field(Grid(1, 3072.0, 2 ** 17), rng)
     for t in (0.8, 1.25):
         assert mass(dilate(big, t)) == pytest.approx(mass(big), rel=1e-12)
