@@ -1,5 +1,7 @@
 """CLI wiring (fast subcommands only; experiments run in the acceptance suite)."""
 
+import csv
+
 import numpy as np
 
 from choqlab.cli import main
@@ -42,7 +44,37 @@ def test_fiber_csv(tmp_path, capsys):
     assert len(lines) == 52
 
 
-def _write_cfg(tmp_path):
+SOLVER_CHECKS = ("scalar_ground", "interp_subcritical", "interp_critical",
+                 "sharp_tightness", "autonomous_certificates",
+                 "affine_level_shift", "determinism")
+
+
+def _verify_rows(out_dir):
+    lines = (out_dir / "verify.csv").read_text().splitlines()
+    assert lines[0] == "# choqlab-report v1"
+    assert lines[1] == "check,status,measured,tolerance"
+    return list(csv.reader(lines[2:]))
+
+
+def test_verify_battery_passes(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "verify"]) == 0
+    rows = _verify_rows(tmp_path)
+    assert len(rows) == 13
+    assert all(row[1] == "Passed" for row in rows)
+    assert [row[0] for row in rows[6:]] == list(SOLVER_CHECKS)
+
+
+def test_verify_skips_solver_checks_without_budget(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "max_iter = 0\n")
+    assert main(["--out", str(tmp_path), "--config", cfg, "verify"]) == 1
+    rows = _verify_rows(tmp_path)
+    assert [row[1] for row in rows[:6]] == ["Passed"] * 6
+    assert [row[0] for row in rows[6:]] == list(SOLVER_CHECKS)
+    assert all(row[1:] == ["Skipped", "", ""] for row in rows[6:])
+    assert "iteration budget is zero" in capsys.readouterr().out
+
+
+def _write_cfg(tmp_path, solver_extra=""):
     path = tmp_path / "exp.cfg"
     path.write_text("""
 [params]
@@ -63,5 +95,5 @@ v_inf = 0.2
 [solver]
 grad_tol = 1e-6
 poho_tol = 0.1
-""")
+""" + solver_extra)
     return str(path)
