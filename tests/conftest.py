@@ -4,9 +4,10 @@ session-scoped solver artifacts (scalar ground state, autonomous solves)."""
 import numpy as np
 import pytest
 
+from choqlab.harness import make_positive_field  # noqa: F401 (for the tests)
 from choqlab.params import validate_regime, sharp_constant
 from choqlab.solver import SolveConfig, solve_autonomous, solve_scalar_ground
-from choqlab.spectral import Field, Grid, random_field
+from choqlab.spectral import Grid
 
 DESK = dict(N=1, s=0.4, alpha=0.5, q=3.0)
 DESK_MASS = 1.5
@@ -30,16 +31,6 @@ def grid_unit():
 @pytest.fixture(scope="session")
 def grid_solver():
     return Grid(1, 96.0, 2048)
-
-
-def make_positive_field(grid, rng, kmax_frac=0.06, contrast=0.85):
-    """Positive band-limited field under the decayed envelope: the Hartree
-    densities |u|^r stay smooth (no nodal kinks), which the tight fiber
-    tolerances rely on."""
-    base = np.exp(-((grid.radius() / (0.16 * grid.extent)) ** 8))
-    f = random_field(grid, rng, kmax_frac=kmax_frac)
-    vals = f.values / np.max(np.abs(f.values))
-    return Field(grid, base * (1.0 + contrast * vals))
 
 
 @pytest.fixture()

@@ -15,24 +15,24 @@ certificate solve on (3072, 2^17), where criterion 3 reads 1.7e-6 and
 criterion 4 reads 5.1e-6 (honest fails with the scaling law printed).
 """
 
-import math
 import os
 
 import numpy as np
 import pytest
 
-from choqlab.energy import (Truncation, energy, hartree_energy,
-                            truncated_profile_pohozaev, truncated_profile_value)
-from choqlab.fiber import FiberProfile, extract_profile, fiber_value, psi
-from choqlab.harness import (ReportRow, default_config, run_concentration,
-                             run_multiplicity, write_report)
-from choqlab.params import (riesz_normalization, s_alpha_reference,
-                            sharp_constant)
+from choqlab.energy import energy, hartree_energy
+from choqlab.fiber import FiberProfile
+from choqlab.harness import (ReportRow, affine_level_defect, default_config,
+                             fiber_consistency_error, interpolation_slacks,
+                             oracle_density, passes, psi_sign_change_defect,
+                             rerun_defect, riesz_oracle_error,
+                             run_concentration, run_multiplicity,
+                             sharp_tightness, truncated_ray_error,
+                             write_report)
+from choqlab.params import s_alpha_reference
 from choqlab.snapshot import load_field, save_field
-from choqlab.solver import (SolveConfig, make_profile, solve_autonomous,
-                            solve_scalar_ground)
-from choqlab.spectral import (Field, Grid, band_limit, dilate,
-                              kinetic_energy_free, mass, project_mass)
+from choqlab.solver import SolveConfig, make_profile, solve_autonomous
+from choqlab.spectral import Grid, band_limit, project_mass, random_field
 from conftest import DESK_MASS, make_positive_field
 
 SEED = 20260808
@@ -69,44 +69,21 @@ def multiplicity(cfg):
 
 
 def test_criterion_01_riesz_oracle(cfg):
-    """Spectral Riesz potential vs direct kernel quadrature, n=4096."""
-    from scipy.integrate import quad
-    exps = cfg.exps
+    """Spectral Riesz potential vs the direct kernel integral, n=4096."""
     g = Grid(1, 60.0, 4096)
-    x = g.axis()
-    sigma = 0.8
-    rho_fun = lambda y: np.exp(-y * y / (2 * sigma * sigma))
-    rho = Field(g, rho_fun(x))
-    assert np.abs(rho.values[0]) < 1e-12  # boundary decay precondition
-    from choqlab.spectral import riesz_potential
-    pot = riesz_potential(rho, exps.alpha).values
-    a_const = riesz_normalization(1, exps.alpha)
-    worst = 0.0
-    for xi in np.linspace(-15.0, 15.0, 41):
-        i = int(round((xi + 30.0) / g.dx))
-        xg = x[i]
-        f = lambda y: rho_fun(y) * abs(xg - y) ** (exps.alpha - 1.0)
-        ref = a_const * (quad(f, -30, xg, points=[xg], limit=200)[0]
-                         + quad(f, xg, 30, points=[xg], limit=200)[0])
-        worst = max(worst, abs(pot[i] - ref) / abs(ref))
-    assert _line(1, "riesz oracle", worst < 1e-4,
+    assert oracle_density(g.axis()[0]) < 1e-12  # boundary decay precondition
+    worst = riesz_oracle_error(g, cfg.exps.alpha, np.linspace(-15.0, 15.0, 41))
+    assert _line(1, "riesz oracle", passes("riesz_kernel_oracle", worst),
                  f"max rel err {worst:.2e} < 1e-4 at 41 interior points")
 
 
 def test_criterion_02_fiber_consistency(cfg):
-    """fiber_value(prof, t) vs energy(dilate(u, t)) on 20 random fields."""
-    exps = cfg.exps
+    """Fiber map phi(t) vs energy(dilate(u, t)) on 20 random fields."""
     g = Grid(1, 48.0, 1024)
     rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for _ in range(20):
-        u = make_positive_field(g, rng)
-        prof = extract_profile(u, exps, mu=0.7)
-        for t in (0.5, 0.8, 1.25, 2.0):
-            fv = fiber_value(prof, t)
-            et = energy(dilate(u, t), exps, potential=0.7).total
-            worst = max(worst, abs(fv - et) / abs(fv))
-    assert _line(2, "fiber consistency", worst < 1e-7,
+    fields = [make_positive_field(g, rng) for _ in range(20)]
+    worst = fiber_consistency_error(fields, cfg.exps, 0.7, (0.5, 0.8, 1.25, 2.0))
+    assert _line(2, "fiber consistency", passes("fiber_consistency", worst),
                  f"max rel err {worst:.2e} < 1e-7, t in {{0.5, 0.8, 1.25, 2}}")
 
 
@@ -144,15 +121,12 @@ def test_criterion_04_multiplier_law(cfg, cert_solve):
 
 def test_criterion_05_affine_level_shift(cfg):
     """b_mu - b_0 = mu a/2 within 1e-4 relative for mu in {0.5, 1.0}."""
-    exps = cfg.exps
     g = Grid(1, 96.0, 2048)
     scfg = SolveConfig(grad_tol=1e-6, poho_tol=0.1, newton_max=40)
-    levels = {}
-    for mu in (0.0, 0.5, 1.0):
-        levels[mu] = solve_autonomous(exps, mu, DESK_MASS, g, config=scfg).level
-    worst = max(abs((levels[mu] - levels[0.0]) - mu * DESK_MASS / 2.0)
-                / (mu * DESK_MASS / 2.0) for mu in (0.5, 1.0))
-    assert _line(5, "affine level shift", worst < 1e-4,
+    levels = {mu: solve_autonomous(cfg.exps, mu, DESK_MASS, g, config=scfg).level
+              for mu in (0.0, 0.5, 1.0)}
+    worst = affine_level_defect(levels, DESK_MASS)
+    assert _line(5, "affine level shift", passes("affine_level_shift", worst),
                  f"max rel defect {worst:.2e} < 1e-4 over mu in {{0.5, 1}}")
 
 
@@ -174,37 +148,20 @@ def test_criterion_06_mass_monotonicity(cfg):
                  "levels " + " > ".join(f"{l:.6f}" for l in levels))
 
 
-def test_criterion_07_interpolation_inequalities(cfg):
+def test_criterion_07_interpolation_inequalities(cfg, scalar_ground, c_alpha_q):
     """Both sharp inequalities over 200 random fields + tightness at U."""
-    exps = cfg.exps
+    exps, c_aq = cfg.exps, c_alpha_q
     g = Grid(1, 48.0, 1024)
     rng = np.random.default_rng(SEED + 1)
-    gs = solve_scalar_ground(exps, Grid(1, 96.0, 4096))
-    c_aq = sharp_constant(exps, exps.q, gs.norm2)
-    s_alpha = s_alpha_reference(exps)
-    worst_sub = worst_crit = -np.inf
-    for k in range(200):
-        if k % 2 == 0:
-            u = make_positive_field(g, rng)
-        else:
-            from choqlab.spectral import random_field
-            u = random_field(g, rng)
-        kin = kinetic_energy_free(u, exps.s)
-        m = mass(u)
-        bq = hartree_energy(u, exps.q, exps.alpha)
-        bp = hartree_energy(u, exps.p, exps.alpha)
-        worst_sub = max(worst_sub, bq / (c_aq * kin ** (exps.q * exps.gamma_q)
-                                         * m ** (exps.q * (1 - exps.gamma_q))) - 1)
-        worst_crit = max(worst_crit, s_alpha * bp ** (1 / exps.p) / kin - 1)
-    u_ref = band_limit(gs.field)
-    quot = max(hartree_energy(dilate(u_ref, float(t)), exps.q, exps.alpha)
-               / (kinetic_energy_free(dilate(u_ref, float(t)), exps.s)
-                  ** (exps.q * exps.gamma_q)
-                  * mass(dilate(u_ref, float(t)))
-                  ** (exps.q * (1 - exps.gamma_q)))
-               for t in np.linspace(0.7, 1.3, 13))
-    tight = quot / c_aq
-    ok = worst_sub <= 1e-10 and worst_crit <= 1e-3 and tight >= 0.99
+    fields = [make_positive_field(g, rng) if k % 2 == 0 else random_field(g, rng)
+              for k in range(200)]
+    worst_sub, worst_crit = interpolation_slacks(fields, exps, c_aq,
+                                                 s_alpha_reference(exps))
+    tight = sharp_tightness(band_limit(scalar_ground.field), exps, c_aq,
+                            np.linspace(0.7, 1.3, 13))
+    ok = (passes("interp_subcritical", worst_sub)
+          and passes("interp_critical", worst_crit)
+          and passes("sharp_tightness", tight))
     assert _line(7, "interpolation inequalities", ok,
                  f"subcritical slack {worst_sub:.2e} <= 1e-10, critical slack "
                  f"{worst_crit:.2e} <= 1e-3, tightness {tight:.5f} >= 0.99")
@@ -212,48 +169,28 @@ def test_criterion_07_interpolation_inequalities(cfg):
 
 def test_criterion_08_truncated_ray_identity(cfg):
     """Finite-difference fiber derivative vs (t^{2s-1}/2) P_T at 10 pairs."""
-    exps = cfg.exps
     g = Grid(1, 48.0, 512)
     rng = np.random.default_rng(SEED + 2)
-    worst = 0.0
-    pairs = 0
-    while pairs < 10:
-        u = make_positive_field(g, rng)
-        prof = extract_profile(u, exps, 0.3)
-        radius1 = math.sqrt(prof.A + prof.a)
-        trunc = Truncation(0.8 * radius1, 1.3 * radius1)
-        for t in (0.7, 1.0, 1.5):
-            if pairs >= 10:
-                break
-            h = 1e-4
-            fd = (truncated_profile_value(prof.A, prof.B_p, prof.B_q, prof.a,
-                                          0.3, exps, trunc, t + h)
-                  - truncated_profile_value(prof.A, prof.B_p, prof.B_q,
-                                            prof.a, 0.3, exps, trunc, t - h)) \
-                / (2 * h)
-            formula = 0.5 * t ** (2 * exps.s - 1) * truncated_profile_pohozaev(
-                prof.A, prof.B_p, prof.B_q, prof.a, exps, trunc, t)
-            worst = max(worst, abs(fd - formula) / max(abs(formula), 1e-300))
-            pairs += 1
-    assert _line(8, "truncated ray identity", worst < 1e-6,
+    fields = [make_positive_field(g, rng) for _ in range(4)]
+    pairs = [(u, t) for u in fields for t in (0.7, 1.0, 1.5)][:10]
+    worst = truncated_ray_error(pairs, cfg.exps)
+    assert _line(8, "truncated ray identity",
+                 passes("truncated_ray_identity", worst),
                  f"max rel err {worst:.2e} < 1e-6 over 10 (u, t) pairs")
 
 
 def test_criterion_09_psi_uniqueness(cfg):
     """Exactly one sign change of Psi on a 1000-point log grid, 100 profiles."""
-    exps = cfg.exps
     rng = np.random.default_rng(SEED + 3)
-    ts = np.logspace(-6, 6, 1000)
-    ok_all = True
+    profiles = []
     for _ in range(100):
         a_kin = float(rng.uniform(0.2, 5.0))
-        prof = FiberProfile(A=a_kin,
-                            B_p=float(rng.uniform(0.0, 5.0)),
-                            B_q=float(a_kin * rng.uniform(0.05, 5.0)),
-                            a=float(rng.uniform(0.2, 4.0)), mu=0.0, exps=exps)
-        signs = np.sign([psi(prof, float(t)) for t in ts])
-        ok_all &= int(np.sum(np.diff(signs) != 0)) == 1
-    assert _line(9, "Psi uniqueness", ok_all,
+        profiles.append(FiberProfile(
+            A=a_kin, B_p=float(rng.uniform(0.0, 5.0)),
+            B_q=float(a_kin * rng.uniform(0.05, 5.0)),
+            a=float(rng.uniform(0.2, 4.0)), mu=0.0, exps=cfg.exps))
+    defect = psi_sign_change_defect(profiles)
+    assert _line(9, "Psi uniqueness", passes("psi_unique_zero", defect),
                  "exactly one sign change on [1e-6, 1e6] for 100 profiles")
 
 
@@ -297,25 +234,16 @@ def test_criterion_11_concentration_multiplicity(cfg, concentration, multiplicit
 
 def test_criterion_12_determinism_io(cfg, tmp_path):
     """Bit-exact re-run of a solve cell and snapshot round-trip."""
-    exps = cfg.exps
     g = Grid(1, 96.0, 2048)
     scfg = SolveConfig(grad_tol=1e-6, poho_tol=0.1, newton_max=40)
-    pot = cfg.potential.sample_on(g, 0.4)
-
-    def run_cell():
-        res = solve_autonomous(exps, 0.5, DESK_MASS, g, config=scfg)
-        row = ReportRow("determinism", 0.4, DESK_MASS, 0.5, res.level,
-                        res.lam, res.poho_residual, res.grad_residual,
-                        0.0, 0.0, res.iterations, res.converged)
-        return res, row
-
-    res1, row1 = run_cell()
-    res2, row2 = run_cell()
-    bitwise = (np.array_equal(res1.field.values, res2.field.values)
-               and row1.as_list() == row2.as_list())
+    res1, res2 = (solve_autonomous(cfg.exps, 0.5, DESK_MASS, g, config=scfg)
+                  for _ in range(2))
+    bitwise = passes("determinism", rerun_defect(res1, res2))
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    write_report([row1], p1)
-    write_report([row2], p2)
+    for res, path in ((res1, p1), (res2, p2)):
+        write_report([ReportRow("determinism", 0.4, DESK_MASS, 0.5, res.level,
+                                res.lam, res.poho_residual, res.grad_residual,
+                                0.0, 0.0, res.iterations, res.converged)], path)
     csv_ok = p1.read_bytes() == p2.read_bytes()
     snap = tmp_path / "u.chqf"
     save_field(res1.field, snap)

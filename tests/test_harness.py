@@ -1,7 +1,5 @@
 """Potentials, barycenter, configuration, and report plumbing."""
 
-import os
-
 import numpy as np
 import pytest
 

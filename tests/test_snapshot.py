@@ -7,7 +7,6 @@ import pytest
 
 from choqlab.errors import FormatError
 from choqlab.snapshot import load_field, save_field, save_solve_sidecar
-from choqlab.spectral import Field
 from conftest import make_positive_field
 
 

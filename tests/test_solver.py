@@ -5,13 +5,14 @@ import pytest
 
 from choqlab.energy import energy, hartree_energy
 from choqlab.errors import NoConvergence, OutOfBox, OutOfRange
+from choqlab.harness import passes, sharp_tightness
 from choqlab.params import mass_threshold, s_alpha_reference
 from choqlab.solver import (SolveConfig, compute_S_alpha, constrained_step,
                             make_profile, solve_autonomous,
                             solve_nonautonomous, solve_scalar_ground,
                             x_star_root)
-from choqlab.spectral import (Field, Grid, band_limit, dilate,
-                              kinetic_energy_free, mass, project_mass)
+from choqlab.spectral import (Field, Grid, band_limit, kinetic_energy_free,
+                              mass, project_mass)
 from conftest import DESK_MASS, make_positive_field
 
 
@@ -61,17 +62,10 @@ def test_compute_s_alpha_sweep(exps):
 
 
 def test_sharp_tightness_at_ground_state(exps, scalar_ground, c_alpha_q):
-    u_ref = band_limit(scalar_ground.field)
-    best = 0.0
-    for t in np.linspace(0.7, 1.3, 13):
-        ut = dilate(u_ref, float(t))
-        kin = kinetic_energy_free(ut, exps.s)
-        m = mass(ut)
-        bq = hartree_energy(ut, exps.q, exps.alpha)
-        best = max(best, bq / (kin ** (exps.q * exps.gamma_q)
-                               * m ** (exps.q * (1 - exps.gamma_q))))
-    assert best >= 0.99 * c_alpha_q
-    assert best <= c_alpha_q * (1 + 1e-3)  # never exceeds the sharp constant
+    tight = sharp_tightness(band_limit(scalar_ground.field), exps, c_alpha_q,
+                            np.linspace(0.7, 1.3, 13))
+    assert passes("sharp_tightness", tight)
+    assert tight <= 1 + 1e-3  # never exceeds the sharp constant
 
 
 # ---------------------------------------------------------------------------
