@@ -17,9 +17,9 @@ import numpy as np
 from . import __version__
 from .errors import ChoqlabError, Indistinct
 from .fiber import extract_profile, fiber_maximizer, fiber_value, psi
-from .harness import (CHECK_FIELDS, SCHEMA_VERSION, ExperimentConfig,
-                      ReportRow, barycenter, default_config, run_concentration,
-                      run_multiplicity, run_verify, write_report)
+from .harness import (CHECK_FIELDS, ExperimentConfig, ReportRow, barycenter,
+                      default_config, run_concentration, run_multiplicity,
+                      run_verify, write_report)
 from .params import (hls_constant, mass_threshold, riesz_normalization,
                      s_alpha_reference, sharp_constant, validate_regime)
 from .snapshot import load_field, save_field, save_solve_sidecar
@@ -139,11 +139,9 @@ def cmd_fiber(args) -> int:
     prof = extract_profile(res.field, cfg.exps, 0.0)
     fm = fiber_maximizer(prof)
     path = _outpath(cfg, "fiber.csv")
-    with open(path, "w") as fh:
-        fh.write(f"# {SCHEMA_VERSION}\n")
-        fh.write("t,phi,psi\n")
-        for t in np.geomspace(args.tmin, args.tmax, args.samples):
-            fh.write(f"{t!r},{fiber_value(prof, t)!r},{psi(prof, t)!r}\n")
+    write_report([(t, fiber_value(prof, t), psi(prof, t))
+                  for t in np.geomspace(args.tmin, args.tmax, args.samples)],
+                 path, header=("t", "phi", "psi"))
     print(f"fiber curve at the a={cfg.a} solution (t*={fm.t_star:.6g}, "
           f"R={fm.value:.8g}) -> {path}")
     return 0

@@ -17,6 +17,7 @@ text sidecar next to the snapshot.
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +79,8 @@ def save_solve_sidecar(result, path, config=None, extra=None) -> None:
         f"mass = {result.mass!r}",
     ]
     if config is not None:
-        for name in ("step", "grad_tol", "poho_tol", "max_iter", "refine"):
-            lines.append(f"config.{name} = {getattr(config, name)!r}")
+        for f in fields(config):
+            lines.append(f"config.{f.name} = {getattr(config, f.name)!r}")
     if extra:
         for k, v in extra.items():
             lines.append(f"{k} = {v!r}")

@@ -42,6 +42,8 @@ def test_fiber_csv(tmp_path, capsys):
     lines = (tmp_path / "fiber.csv").read_text().splitlines()
     assert lines[1] == "t,phi,psi"
     assert len(lines) == 52
+    for line in lines[2:]:
+        assert len([float(v) for v in line.split(",")]) == 3
 
 
 SOLVER_CHECKS = ("scalar_ground", "interp_subcritical", "interp_critical",

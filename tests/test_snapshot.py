@@ -1,6 +1,7 @@
 """Field snapshot format and solve sidecars."""
 
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -83,5 +84,6 @@ def test_sidecar(tmp_path, autonomous_mu0, desk_config):
     text = path.read_text()
     assert f"level = {autonomous_mu0.level!r}" in text
     assert f"lambda = {autonomous_mu0.lam!r}" in text
-    assert "config.grad_tol" in text
+    for f in fields(desk_config):
+        assert f"config.{f.name} = {getattr(desk_config, f.name)!r}" in text
     assert "note = 'unit'" in text
