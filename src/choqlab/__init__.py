@@ -8,7 +8,7 @@ from .params import (ExponentSet, MassThreshold, gamma_ts, hls_constant,
                      sharp_constant, sobolev_constant, validate_regime)
 from .spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                        fractional_laplacian, fractional_laplacian_free,
-                       hs_norm, hs_norm_free, kinetic_energy,
+                       hs_norm_free, kinetic_energy,
                        kinetic_energy_free, mass, project_mass,
                        random_field, riesz_potential, smooth_cutoff,
                        translate)
@@ -17,7 +17,7 @@ from .energy import (Evaluation, Truncation, energy, hartree_cross,
 from .fiber import (FiberMax, FiberProfile, extract_profile, fiber_maximizer,
                     fiber_value, psi, ray_level)
 from .solver import (GroundState, SAlphaResult, SolveConfig, SolveResult,
-                     compute_S_alpha, constrained_step, default_init,
+                     compute_S_alpha, default_init,
                      level_curves, make_profile, solve_autonomous,
                      solve_nonautonomous, solve_scalar_ground, x_star_root)
 from .potentials import PotentialSpec, detect_M

@@ -44,10 +44,6 @@ class ZeroField(ChoqlabError):
     """Operation undefined on the identically-zero field."""
 
 
-class StepUnderflow(ChoqlabError):
-    """Backtracking line search shrank the step below 1e-14."""
-
-
 class NoConvergence(ChoqlabError):
     """Iteration budget exhausted before tolerances were met."""
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .errors import (AliasRisk, NoConvergence, OutOfRange, StepUnderflow,
-                     TruncationActive)
+from .errors import AliasRisk, NoConvergence, OutOfRange, TruncationActive
 from .energy import (Truncation, energy, hartree_energy, hartree_jvp,
                      hartree_nonlinearity, normalize_potential)
 from .fiber import extract_profile, fiber_maximizer, ray_level
@@ -39,7 +38,7 @@ from .spectral import (Field, band_limit, dilate, fractional_laplacian_free,
 __all__ = [
     "SolveConfig", "SolveResult", "GroundState", "SAlphaResult",
     "default_init", "solve_scalar_ground", "compute_S_alpha",
-    "constrained_step", "solve_autonomous", "solve_nonautonomous",
+    "solve_autonomous", "solve_nonautonomous",
     "make_profile", "level_curves", "x_star_root",
 ]
 
@@ -297,30 +296,6 @@ def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
     value = min(quotients)
     return SAlphaResult(value=value, eps_grid=tuple(eps_grid), quotients=quotients,
                         sensitivity=(max(quotients) - value) / value)
-
-
-# ---------------------------------------------------------------------------
-# Projected descent
-# ---------------------------------------------------------------------------
-
-def constrained_step(u: Field, exps: ExponentSet, potential, config: SolveConfig,
-                     trunc: Truncation | None = None) -> Field:
-    """One projected-gradient step on S(a), backtracking until the
-    (truncated) energy does not increase."""
-    ev = energy(u, exps, potential, trunc)
-    d = ev.gradient - ev.lam * u.values
-    d_norm2 = float(np.sum(d * d)) * u.grid.dx
-    if d_norm2 == 0.0:
-        return u
-    a = ev.mass
-    base = ev.total
-    eta = config.step
-    while eta >= 1e-14:
-        trial = project_mass(Field(u.grid, u.values - eta * d), a)
-        if energy(trial, exps, potential, trunc).total <= base:
-            return trial
-        eta *= 0.5
-    raise StepUnderflow(f"backtracking stalled below 1e-14 (|d|^2={d_norm2:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +616,7 @@ def level_curves(exps: ExponentSet, a_list, mu_list, grid,
             a_rows.append(dict(a=a, mu=0.0, level=res.level, lam=res.lam,
                                poho=res.poho_residual, grad=res.grad_residual,
                                iterations=res.iterations, converged=res.converged))
-        except (NoConvergence, StepUnderflow, TruncationActive) as exc:
+        except (NoConvergence, TruncationActive) as exc:
             a_rows.append(dict(a=a, mu=0.0, level=math.nan, lam=math.nan,
                                poho=math.nan, grad=math.nan, iterations=0,
                                converged=False, error=str(exc)))
@@ -654,7 +629,7 @@ def level_curves(exps: ExponentSet, a_list, mu_list, grid,
             mu_rows.append(dict(a=a0, mu=mu, level=res.level, lam=res.lam,
                                 poho=res.poho_residual, grad=res.grad_residual,
                                 iterations=res.iterations, converged=res.converged))
-        except (NoConvergence, StepUnderflow, TruncationActive) as exc:
+        except (NoConvergence, TruncationActive) as exc:
             mu_rows.append(dict(a=a0, mu=mu, level=math.nan, lam=math.nan,
                                 poho=math.nan, grad=math.nan, iterations=0,
                                 converged=False, error=str(exc)))

@@ -41,7 +41,7 @@ del _threshold_block
 
 __all__ = [
     "Grid", "Field",
-    "fractional_laplacian", "kinetic_energy", "hs_norm",
+    "fractional_laplacian", "kinetic_energy",
     "riesz_potential", "dilate", "translate",
     "mass", "project_mass", "random_field", "boundary_decay", "smooth_cutoff",
     "band_limit",
@@ -164,11 +164,6 @@ def kinetic_energy(u: Field, s: float) -> float:
     symbol = u.grid.k_abs() ** (2.0 * s)
     scale = u.grid.dx / u.grid.points
     return float(np.sum(symbol * (uh.real ** 2 + uh.imag ** 2))) * scale
-
-
-def hs_norm(u: Field, s: float) -> float:
-    """H^s norm: sqrt(kinetic + mass) (the norm used by the truncation)."""
-    return math.sqrt(kinetic_energy(u, s) + mass(u))
 
 
 # ---------------------------------------------------------------------------

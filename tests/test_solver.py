@@ -7,13 +7,11 @@ from choqlab.energy import energy, hartree_energy
 from choqlab.errors import NoConvergence, OutOfBox, OutOfRange
 from choqlab.harness import passes, sharp_tightness
 from choqlab.params import mass_threshold, s_alpha_reference
-from choqlab.solver import (SolveConfig, compute_S_alpha, constrained_step,
-                            make_profile, solve_autonomous,
-                            solve_nonautonomous, solve_scalar_ground,
-                            x_star_root)
-from choqlab.spectral import (Field, Grid, band_limit, kinetic_energy_free,
-                              mass, project_mass)
-from conftest import DESK_MASS, make_positive_field
+from choqlab.solver import (SolveConfig, compute_S_alpha, make_profile,
+                            solve_autonomous, solve_nonautonomous,
+                            solve_scalar_ground, x_star_root)
+from choqlab.spectral import Field, Grid, band_limit, kinetic_energy_free, mass
+from conftest import DESK_MASS
 
 
 # ---------------------------------------------------------------------------
@@ -66,25 +64,6 @@ def test_sharp_tightness_at_ground_state(exps, scalar_ground, c_alpha_q):
                             np.linspace(0.7, 1.3, 13))
     assert passes("sharp_tightness", tight)
     assert tight <= 1 + 1e-3  # never exceeds the sharp constant
-
-
-# ---------------------------------------------------------------------------
-# Projected descent step
-# ---------------------------------------------------------------------------
-
-def test_constrained_step_contract(exps, grid_unit, rng, desk_config):
-    u = project_mass(make_positive_field(grid_unit, rng), 1.0)
-    stepped = constrained_step(u, exps, 0.0, desk_config)
-    assert mass(stepped) == pytest.approx(1.0, rel=1e-12)
-    assert energy(stepped, exps, 0.0).total <= energy(u, exps, 0.0).total
-
-
-def test_constrained_step_fixed_point(exps, autonomous_mu0, desk_config):
-    u = autonomous_mu0.field
-    stepped = constrained_step(u, exps, 0.0, desk_config)
-    rel = (np.linalg.norm(stepped.values - u.values)
-           / np.linalg.norm(u.values))
-    assert rel < 1e-5  # near-identity at a critical point
 
 
 # ---------------------------------------------------------------------------

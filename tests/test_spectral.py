@@ -1,7 +1,5 @@
 """Grid/field plumbing and the Fourier-multiplier operators."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,7 +8,7 @@ from choqlab.errors import AliasRisk, NonFinite, OutOfRange, ZeroField
 from choqlab.harness import dilate_gaussian_error, passes
 from choqlab.spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                               fractional_laplacian, fractional_laplacian_free,
-                              hs_norm, kinetic_energy, kinetic_energy_free,
+                              kinetic_energy, kinetic_energy_free,
                               mass, project_mass, random_field,
                               riesz_oracle_1d, riesz_potential, translate)
 from choqlab.spectral import (_ASYMP_SWITCH, _freespace_multiplier_1d,
@@ -253,12 +251,6 @@ def test_mass_and_projection(grid_unit, rng):
         project_mass(Field(grid_unit, np.zeros(grid_unit.shape)), 1.0)
     # translation invariance of the quadrature
     assert mass(translate(u, 37)) == pytest.approx(m, rel=1e-13)
-
-
-def test_hs_norm(grid_unit, rng):
-    u = make_positive_field(grid_unit, rng)
-    assert hs_norm(u, S) == pytest.approx(
-        math.sqrt(kinetic_energy(u, S) + mass(u)), rel=1e-14)
 
 
 def test_band_limit_and_boundary_decay(grid_unit, rng):
