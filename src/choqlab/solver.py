@@ -112,9 +112,13 @@ def _l2(values: np.ndarray, dv: float) -> float:
     return math.sqrt(float(np.sum(values * values)) * dv)
 
 
-def _dilate_composite(u: Field, t: float, alias_tol: float) -> Field:
-    """Apply dilate in factors within [1/2, 2] to bound per-step aliasing."""
-    out = u
+def _dilate_composite(u: Field, t: float, alias_tol: float,
+                      center_cells: int = 0) -> Field:
+    """Dilate by t about the carrier cell center_cells, in factors within
+    [1/2, 2] to bound per-step aliasing; u itself when |log t| <= 1e-14."""
+    if abs(math.log(t)) <= 1e-14:
+        return u
+    out = translate(u, -center_cells) if center_cells else u
     remaining = t
     while remaining > 2.0:
         out = dilate(out, 2.0, alias_tol)
@@ -124,7 +128,7 @@ def _dilate_composite(u: Field, t: float, alias_tol: float) -> Field:
         remaining *= 2.0
     if remaining != 1.0:
         out = dilate(out, remaining, alias_tol)
-    return out
+    return translate(out, center_cells) if center_cells else out
 
 
 def _ray_level_sampled(u: Field, exps: ExponentSet, v_arr: np.ndarray,
@@ -133,12 +137,7 @@ def _ray_level_sampled(u: Field, exps: ExponentSet, v_arr: np.ndarray,
     maximizes in closed form, the potential term is evaluated at the
     maximizer (one dilation about the carrier cell)."""
     fm = fiber_maximizer(extract_profile(u, exps, 0.0))
-    if abs(math.log(fm.t_star)) > 1e-14:
-        c = translate(u, -center_cells) if center_cells else u
-        c = _dilate_composite(c, fm.t_star, alias_tol)
-        ut = translate(c, center_cells) if center_cells else c
-    else:
-        ut = u
+    ut = _dilate_composite(u, fm.t_star, alias_tol, center_cells)
     pv = float(np.sum(v_arr * ut.values * ut.values)) * u.grid.dx
     return fm.value + 0.5 * pv
 
@@ -448,11 +447,9 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
         # (i) rescale onto the Pohozaev set (dilation about the carrier cell)
         prof = extract_profile(u, exps, mu_eff)
         fm = fiber_maximizer(prof)
-        if abs(math.log(fm.t_star)) > 1e-14:
-            centered = translate(u, -center_cells) if center_cells else u
-            centered = _dilate_composite(centered, fm.t_star, config.alias_tol)
-            u = translate(centered, center_cells) if center_cells else centered
-            u = project_mass(_despeckle(u), a)
+        rescaled = _dilate_composite(u, fm.t_star, config.alias_tol, center_cells)
+        if rescaled is not u:
+            u = project_mass(_despeckle(rescaled), a)
         if trunc is None:
             radius = hs_norm_free(u, exps.s)
             trunc = Truncation(4.0 * radius, 8.0 * radius)
@@ -606,33 +603,28 @@ def level_curves(exps: ExponentSet, a_list, mu_list, grid,
     carry converged=False instead of aborting the table.
     """
     config = config or SolveConfig()
+
+    def solve_row(a, mu, init=None):
+        try:
+            res = solve_autonomous(exps, mu, a, grid, init=init, config=config)
+        except (NoConvergence, TruncationActive) as exc:
+            return None, dict(a=a, mu=mu, level=math.nan, lam=math.nan,
+                              poho=math.nan, grad=math.nan, iterations=0,
+                              converged=False, error=str(exc))
+        return res, dict(a=a, mu=mu, level=res.level, lam=res.lam,
+                         poho=res.poho_residual, grad=res.grad_residual,
+                         iterations=res.iterations, converged=res.converged)
+
     a_rows = []
     warm = None
     for a in a_list:
-        try:
-            init = project_mass(warm, a) if warm is not None else None
-            res = solve_autonomous(exps, 0.0, a, grid, init=init, config=config)
-            warm = res.field
-            a_rows.append(dict(a=a, mu=0.0, level=res.level, lam=res.lam,
-                               poho=res.poho_residual, grad=res.grad_residual,
-                               iterations=res.iterations, converged=res.converged))
-        except (NoConvergence, TruncationActive) as exc:
-            a_rows.append(dict(a=a, mu=0.0, level=math.nan, lam=math.nan,
-                               poho=math.nan, grad=math.nan, iterations=0,
-                               converged=False, error=str(exc)))
-    mu_rows = []
+        init = project_mass(warm, a) if warm is not None else None
+        res, row = solve_row(a, 0.0, init)
+        warm = res.field if res is not None else warm
+        a_rows.append(row)
     if a0 is None:
         a0 = a_list[len(a_list) // 2] if a_list else None
-    for mu in mu_list:
-        try:
-            res = solve_autonomous(exps, mu, a0, grid, config=config)
-            mu_rows.append(dict(a=a0, mu=mu, level=res.level, lam=res.lam,
-                                poho=res.poho_residual, grad=res.grad_residual,
-                                iterations=res.iterations, converged=res.converged))
-        except (NoConvergence, TruncationActive) as exc:
-            mu_rows.append(dict(a=a0, mu=mu, level=math.nan, lam=math.nan,
-                                poho=math.nan, grad=math.nan, iterations=0,
-                                converged=False, error=str(exc)))
+    mu_rows = [solve_row(a0, mu)[1] for mu in mu_list]
     return a_rows, mu_rows
 
 
