@@ -24,6 +24,8 @@ def test_scalar_ground_certificates(scalar_ground):
     assert np.all(gs.field.values > -1e-12)          # positive everywhere
     assert gs.field.values[gs.field.grid.points // 2] == np.max(gs.field.values)
     assert gs.poho_residual < 1e-3                    # scaling identity defect
+    # Petviashvili stops on its own increment, not on the budget
+    assert gs.iterations < SolveConfig().max_iter
 
 
 def test_scalar_ground_norm_reproducible(exps, scalar_ground):
