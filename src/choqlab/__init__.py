@@ -16,10 +16,10 @@ from .energy import (Evaluation, Truncation, energy, hartree_cross,
                      hartree_energy, tau_eval, tau_prime)
 from .fiber import (FiberMax, FiberProfile, extract_profile, fiber_maximizer,
                     fiber_value, psi, ray_level)
-from .solver import (GroundState, SAlphaResult, SolveConfig, SolveResult,
-                     compute_S_alpha, default_init,
-                     level_curves, make_profile, solve_autonomous,
-                     solve_nonautonomous, solve_scalar_ground, x_star_root)
+from .solver import (GroundState, NewtonStats, SAlphaResult, SolveConfig,
+                     SolveResult, compute_S_alpha, default_init, level_curves,
+                     make_profile, solve_autonomous, solve_nonautonomous,
+                     solve_scalar_ground, x_star_root)
 from .potentials import PotentialSpec, detect_M
 from .harness import (ExperimentConfig, ReportRow, barycenter, default_config,
                       run_concentration, run_multiplicity, run_verify)

@@ -93,7 +93,8 @@ def cmd_groundstate(args) -> int:
     cfg = _load_config(args)
     gs = solve_scalar_ground(cfg.exps, Grid(1, 96.0, 4096), cfg.solver)
     print(f"scalar ground state: residual={gs.residual:.2e} "
-          f"iterations={gs.iterations} converged={gs.converged}")
+          f"iterations={gs.iterations} converged={gs.converged} "
+          f"newton_stop={gs.newton.stop if gs.newton else 'off'}")
     print(f"  ||U||_2 = {gs.norm2:.12g}  action = {gs.action:.12g} "
           f"scaling identity defect = {gs.poho_residual:.2e}")
     save_field(gs.field, _outpath(cfg, "scalar_ground.chqf"))
@@ -124,7 +125,8 @@ def cmd_solve(args) -> int:
     print(f"{tag}: level={res.level:.10g} lambda={res.lam:.8g}")
     print(f"  grad_residual={res.grad_residual:.2e} "
           f"poho_residual={res.poho_residual:.2e} iterations={res.iterations} "
-          f"converged={res.converged}")
+          f"converged={res.converged} "
+          f"newton_stop={res.newton.stop if res.newton else 'off'}")
     snap = _outpath(cfg, f"{tag}.chqf")
     save_field(res.field, snap)
     save_solve_sidecar(res, snap + ".txt", cfg.solver,

@@ -36,7 +36,7 @@ from .spectral import (Field, band_limit, dilate, fractional_laplacian_free,
                        translate)
 
 __all__ = [
-    "SolveConfig", "SolveResult", "GroundState", "SAlphaResult",
+    "SolveConfig", "SolveResult", "GroundState", "SAlphaResult", "NewtonStats",
     "default_init", "solve_scalar_ground", "compute_S_alpha",
     "solve_autonomous", "solve_nonautonomous",
     "make_profile", "level_curves", "x_star_root",
@@ -67,6 +67,14 @@ class SolveConfig:
 
 
 @dataclass(frozen=True)
+class NewtonStats:
+    steps: int             # Newton steps taken (one Krylov solve each)
+    backtracks: int        # halvings of the Newton step in the line search
+    krylov_failures: int   # Krylov solves that returned info != 0
+    stop: str              # "tolerance", "line_search", "stagnation" or "budget"
+
+
+@dataclass(frozen=True)
 class SolveResult:
     field: Field
     lam: float
@@ -76,6 +84,7 @@ class SolveResult:
     iterations: int
     converged: bool
     trace: tuple  # rows (phase, iteration, level, grad_residual, poho_residual)
+    newton: NewtonStats | None  # None when refine is off
 
     @property
     def mass(self) -> float:
@@ -91,6 +100,7 @@ class GroundState:
     poho_residual: float   # scalar Pohozaev defect, normalized
     iterations: int
     converged: bool
+    newton: NewtonStats | None  # None when refine is off
 
 
 @dataclass(frozen=True)
@@ -207,8 +217,19 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
         if settled:
             break
     fld = Field(g, u)
+    newton = None
     if config.refine:
-        fld, _, _ = _newton_unconstrained(fld, exps, config)
+
+        def residual(vals, lam):
+            return _scalar_residual(Field(g, vals), exps), 0.0
+
+        def jacobian(vals, lam):
+            at = Field(g, vals)
+            return lambda v, dlam: (
+                fractional_laplacian_free(Field(g, v), exps.s).values + v
+                - hartree_jvp(at, v, exps.q, exps.alpha))
+
+        fld, newton = _newton(fld, None, residual, jacobian, exps.s, False, config)
     res_rel = _l2(_scalar_residual(fld, exps), dv) / _l2(fld.values, dv)
     a_kin = kinetic_energy_free(fld, exps.s)
     m = mass(fld)
@@ -220,49 +241,8 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
     action = 0.5 * a_kin + 0.5 * m - bq / (2.0 * exps.q)
     return GroundState(field=fld, norm2=math.sqrt(m), action=action,
                        residual=res_rel, poho_residual=poho,
-                       iterations=it, converged=res_rel < config.grad_tol)
-
-
-def _newton_unconstrained(u: Field, exps: ExponentSet, config: SolveConfig):
-    """Newton-Krylov for (-D)^s U + U - N(U) = 0 (no constraint)."""
-    g = u.grid
-    dv = g.dx
-    nn = g.points
-    sym = g.k_abs() ** (2.0 * exps.s) + 1.0
-
-    def resid(vals):
-        return _scalar_residual(Field(g, vals), exps)
-
-    vals = u.values.copy()
-    r0 = resid(vals)
-    best = _l2(r0, dv) / _l2(vals, dv)
-    for _ in range(config.newton_max):
-        fld = Field(g, vals)
-
-        def jvp(v):
-            return (fractional_laplacian_free(Field(g, v), exps.s).values + v
-                    - hartree_jvp(fld, v, exps.q, exps.alpha))
-
-        def prec(v):
-            return np.fft.ifft(np.fft.fft(v) / sym).real
-
-        op = LinearOperator((nn, nn), matvec=jvp)
-        pre = LinearOperator((nn, nn), matvec=prec)
-        dz, _ = lgmres(op, -resid(vals), M=pre, rtol=1e-10, atol=0.0, maxiter=200)
-        step = 1.0
-        base = _l2(resid(vals), dv)
-        for _ in range(10):
-            trial = vals + step * dz
-            if _l2(resid(trial), dv) < base:
-                vals = trial
-                break
-            step *= 0.5
-        else:
-            break
-        best = _l2(resid(vals), dv) / _l2(vals, dv)
-        if best < config.newton_tol:
-            break
-    return Field(g, vals), best, 0
+                       iterations=it, converged=res_rel < config.grad_tol,
+                       newton=newton)
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +278,26 @@ def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
 
 
 # ---------------------------------------------------------------------------
-# Newton-Krylov for the coupled constrained system
+# Newton-Krylov
 # ---------------------------------------------------------------------------
 
-def _newton_constrained(u: Field, lam: float, exps: ExponentSet, v_arr,
-                        a: float, config: SolveConfig) -> Field:
-    """Solve G(u) - lam u = 0, (mass - a)/2 = 0 for (u, lam); v_arr is a
-    normalized potential (see normalize_potential)."""
+def _newton(u: Field, lam: float | None, residual, jacobian, s: float,
+            sampled: bool, config: SolveConfig):
+    """Newton-Krylov with backtracking for residual(vals, lam) = 0 from u.
+
+    residual(vals, lam) returns the field residual and the mass-row value;
+    jacobian(vals, lam) returns the field row (v, dlam) -> J (v, dlam) at
+    that point.  With lam None there is no lambda unknown and no mass row
+    (the mass-row value is then 0.0); otherwise the system is bordered by
+    the row <u, v>.  Krylov solves are preconditioned by
+    (|k|^{2s} + 1 + |lam|)^{-1}.  Returns the field and its NewtonStats.
+    """
     g = u.grid
     dv = g.dx
     nn = g.points
-    sym = g.k_abs() ** (2.0 * exps.s) + 1.0
-
-    def full_residual(vals, lam_v):
-        ev = energy(Field(g, vals), exps, v_arr)
-        return ev.gradient - lam_v * vals, 0.5 * (ev.mass - a)
+    bordered = lam is not None
+    size = nn + 1 if bordered else nn
+    sym = g.k_abs() ** (2.0 * s) + 1.0
 
     def fnorm(r, c, vals):
         return math.sqrt((float(np.sum(r * r)) * dv + c * c)
@@ -321,8 +306,7 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, v_arr,
     # slowly varying sampled potentials leave the translation mode d_x u
     # almost in the Jacobian kernel: recenter sub-cell along it and deflate
     # it from the Krylov solve, otherwise Newton steps blow up along it
-    soft_translation = isinstance(v_arr, np.ndarray)
-    k_ax = g.k_axis() if soft_translation else None
+    k_ax = g.k_axis() if sampled else None
 
     def shift(vals, delta):
         return np.fft.ifft(np.fft.fft(vals) * np.exp(-1j * k_ax * delta)).real
@@ -331,14 +315,14 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, v_arr,
         span = 1.5 * g.dx
         best_d, best_fn = 0.0, fn
         for d in (-span, -span / 3.0, span / 3.0, span):
-            tr, tc = full_residual(shift(vals, d), lam_v)
+            tr, tc = residual(shift(vals, d), lam_v)
             fn_d = fnorm(tr, tc, vals)
             if fn_d < best_fn:
                 best_d, best_fn = d, fn_d
         for _ in range(5):  # refine by bisection around the best offset
             span *= 0.35
             for d in (best_d - span, best_d + span):
-                tr, tc = full_residual(shift(vals, d), lam_v)
+                tr, tc = residual(shift(vals, d), lam_v)
                 fn_d = fnorm(tr, tc, vals)
                 if fn_d < best_fn:
                     best_d, best_fn = d, fn_d
@@ -348,17 +332,18 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, v_arr,
 
     vals = u.values.copy()
     lam_v = lam
-    r, c = full_residual(vals, lam_v)
+    r, c = residual(vals, lam_v)
     fn = fnorm(r, c, vals)
-    stagnant = 0
-    for it_newton in range(config.newton_max):
-        if soft_translation and it_newton % 2 == 0:
+    steps = backtracks = failures = stagnant = 0
+    stop = "budget"
+    while steps < config.newton_max:
+        if sampled and steps % 2 == 0:
             vals, fn_r = recenter(vals, lam_v, fn)
             if fn_r < fn:
-                r, c = full_residual(vals, lam_v)
+                r, c = residual(vals, lam_v)
                 fn = fnorm(r, c, vals)
-        fld = Field(g, vals)
-        if soft_translation:
+        steps += 1
+        if sampled:
             tvec = np.fft.ifft(1j * k_ax * np.fft.fft(vals)).real
             tnorm = math.sqrt(float(np.sum(tvec * tvec)) * dv)
             tvec = tvec / max(tnorm, 1e-300)
@@ -369,57 +354,60 @@ def _newton_constrained(u: Field, lam: float, exps: ExponentSet, v_arr,
             def deflate(v):
                 return v
 
+        row = jacobian(vals, lam_v)
+        lam_abs = abs(lam_v) if bordered else 0.0
+
         def jvp(z):
             v = deflate(z[:nn])
-            dlam = z[nn]
-            vf = Field(g, v)
-            out = (fractional_laplacian_free(vf, exps.s).values
-                   - lam_v * v - dlam * vals
-                   - hartree_jvp(fld, v, exps.p, exps.alpha)
-                   - hartree_jvp(fld, v, exps.q, exps.alpha))
-            out = out + v_arr * v
-            out = deflate(out) + (z[:nn] - v)
-            bottom = float(np.sum(vals * v)) * dv
-            return np.concatenate([out, [bottom]])
+            out = deflate(row(v, z[nn] if bordered else 0.0)) + (z[:nn] - v)
+            if not bordered:
+                return out
+            return np.concatenate([out, [float(np.sum(vals * v)) * dv]])
 
         def prec(z):
-            out = np.fft.ifft(np.fft.fft(z[:nn]) / (sym + abs(lam_v))).real
-            return np.concatenate([out, [z[nn]]])
+            out = np.fft.ifft(np.fft.fft(z[:nn]) / (sym + lam_abs)).real
+            return np.concatenate([out, [z[nn]]]) if bordered else out
 
-        op = LinearOperator((nn + 1, nn + 1), matvec=jvp)
-        pre = LinearOperator((nn + 1, nn + 1), matvec=prec)
-        rhs = -np.concatenate([deflate(r), [c]])
-        dz, _ = lgmres(op, rhs, M=pre, rtol=1e-8, atol=0.0, maxiter=300)
+        op = LinearOperator((size, size), matvec=jvp)
+        pre = LinearOperator((size, size), matvec=prec)
+        rhs = -np.concatenate([deflate(r), [c]]) if bordered else -r
+        dz, info = lgmres(op, rhs, M=pre, rtol=1e-8, atol=0.0, maxiter=300)
+        # a step whose Krylov solve did not converge is still tried
+        failures += int(info != 0)
         dz_field = deflate(dz[:nn])
         accepted = False
         step_len = 1.0
         for _ in range(12):
             tv = vals + step_len * dz_field
-            tl = lam_v + step_len * dz[nn]
-            tr, tc = full_residual(tv, tl)
+            tl = lam_v + step_len * dz[nn] if bordered else None
+            tr, tc = residual(tv, tl)
             if fnorm(tr, tc, tv) < fn:
                 vals, lam_v, r, c = tv, tl, tr, tc
                 fn = fnorm(r, c, vals)
                 accepted = True
                 break
             step_len *= 0.5
-        if not accepted and not soft_translation:
+            backtracks += 1
+        if not accepted and not sampled:
+            stop = "line_search"
             break
-        if not accepted and soft_translation:
+        if not accepted and sampled:
             vals2, fn2 = recenter(vals, lam_v, fn)
             if fn2 >= fn * (1.0 - 1e-3):
                 stagnant += 1
                 if stagnant >= 3:
+                    stop = "stagnation"
                     break
             else:
                 stagnant = 0
             if fn2 < fn:
                 vals = vals2
-                r, c = full_residual(vals, lam_v)
+                r, c = residual(vals, lam_v)
                 fn = fnorm(r, c, vals)
         if fn < config.newton_tol:
+            stop = "tolerance"
             break
-    return Field(g, vals)
+    return Field(g, vals), NewtonStats(steps, backtracks, failures, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +494,26 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
             break  # stalled this close to criticality: Newton finishes
     # Newton endgame on the true coupled system
     ev = energy(u, exps, potential)
+    newton = None
     if config.refine and config.max_iter >= 1:
-        u = project_mass(_newton_constrained(u, ev.lam, exps, potential, a, config), a)
+
+        def residual(vals, lam):
+            ev = energy(Field(grid, vals), exps, potential)
+            return ev.gradient - lam * vals, 0.5 * (ev.mass - a)
+
+        def jacobian(vals, lam):
+            fld = Field(grid, vals)
+
+            def row(v, dlam):
+                out = (fractional_laplacian_free(Field(grid, v), exps.s).values
+                       - lam * v - dlam * vals
+                       - hartree_jvp(fld, v, exps.p, exps.alpha)
+                       - hartree_jvp(fld, v, exps.q, exps.alpha))
+                return out + potential * v
+            return row
+
+        u, newton = _newton(u, ev.lam, residual, jacobian, exps.s, sampled, config)
+        u = project_mass(u, a)
         ev = energy(u, exps, potential)
         trace.append(("newton", it + 1, ev.total, ev.grad_residual,
                       ev.poho_residual))
@@ -519,7 +525,8 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
     return SolveResult(field=u, lam=ev.lam, level=ev.total,
                        poho_residual=ev.poho_residual,
                        grad_residual=ev.grad_residual, iterations=it,
-                       converged=converged, trace=tuple(trace))
+                       converged=converged, trace=tuple(trace),
+                       newton=newton)
 
 
 def solve_autonomous(exps: ExponentSet, mu: float, a: float, grid,

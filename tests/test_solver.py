@@ -1,5 +1,7 @@
 """Solver module: scalar ground state, constants, constrained solves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from choqlab.energy import energy, hartree_energy
 from choqlab.errors import NoConvergence, OutOfBox, OutOfRange
 from choqlab.harness import passes, sharp_tightness
 from choqlab.params import mass_threshold, s_alpha_reference
+from choqlab import solver
 from choqlab.solver import (SolveConfig, compute_S_alpha, make_profile,
                             solve_autonomous, solve_nonautonomous,
                             solve_scalar_ground, x_star_root)
@@ -26,6 +29,7 @@ def test_scalar_ground_certificates(scalar_ground):
     assert gs.poho_residual < 1e-3                    # scaling identity defect
     # Petviashvili stops on its own increment, not on the budget
     assert gs.iterations < SolveConfig().max_iter
+    assert gs.newton.stop == "tolerance"
 
 
 def test_scalar_ground_norm_reproducible(exps, scalar_ground):
@@ -80,6 +84,26 @@ def test_autonomous_certificates(exps, autonomous_mu0, desk_config):
     assert res.lam < 0.0                               # lambda < mu = 0
     assert res.mass == pytest.approx(DESK_MASS, rel=1e-12)
     assert np.all(res.field.values > -1e-8)
+    assert res.newton.stop == "tolerance"
+    assert res.newton.krylov_failures == 0
+
+
+def test_newton_budget_stop(exps, grid_unit, desk_config):
+    config = dataclasses.replace(desk_config, newton_max=1)
+    res = solve_autonomous(exps, 0.0, DESK_MASS, grid_unit, config=config)
+    assert res.newton.stop == "budget"
+    assert res.newton.steps == 1
+
+
+def test_krylov_failure_is_counted(exps, grid_unit, desk_config, monkeypatch):
+    # a Krylov solve that reports failure and returns no step: the step is
+    # still tried, every halving is rejected and the line search stops
+    monkeypatch.setattr(solver, "lgmres",
+                        lambda op, b, **kw: (np.zeros_like(b), 1))
+    res = solve_autonomous(exps, 0.5, DESK_MASS, grid_unit, config=desk_config)
+    assert res.newton.krylov_failures >= 1
+    assert res.newton.stop == "line_search"
+    assert res.newton.steps == 1 and res.newton.backtracks == 12
 
 
 def test_descent_trace_monotone(exps, autonomous_mu0):
