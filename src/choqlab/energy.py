@@ -141,11 +141,17 @@ def hartree_nonlinearity(u: Field, r: float, alpha: float) -> np.ndarray:
     return pot * _odd_power(u.values, r - 1.0)
 
 
-def hartree_jvp(u: Field, v: np.ndarray, r: float, alpha: float) -> np.ndarray:
-    """Directional derivative of hartree_nonlinearity at u in direction v."""
+def hartree_jvp(u: Field, v: np.ndarray, r: float, alpha: float,
+                pot: np.ndarray | None = None) -> np.ndarray:
+    """Directional derivative of hartree_nonlinearity at u in direction v.
+
+    pot is I_alpha*|u|^r when the caller already holds it (fixed through a
+    Newton step); the derivative then costs one Riesz convolution, not two.
+    """
     au_r1 = _odd_power(u.values, r - 1.0)
-    rho = _abs_power(u.values, r)
-    pot = riesz_potential(Field(u.grid, rho), alpha).values
+    if pot is None:
+        rho = _abs_power(u.values, r)
+        pot = riesz_potential(Field(u.grid, rho), alpha).values
     inner = riesz_potential(Field(u.grid, r * au_r1 * v), alpha).values
     return inner * au_r1 + pot * (r - 1.0) * _abs_power(u.values, r - 2.0) * v
 
@@ -170,7 +176,9 @@ class Evaluation:
 
     A, B_p, B_q and Int V|u|^2 determine the energy, the multiplier and the
     Pohozaev value; the Hartree potentials I_alpha*|u|^r behind B_r are kept
-    for the Euler-Lagrange gradient, which is built on first use.  (Not
+    for the Euler-Lagrange gradient and for the Newton operator at u.  A(u)
+    (and with it tau and the energy) and the gradient are built on first
+    use: the Newton residual reads only the gradient and the mass.  (Not
     functools.cached_property: before Python 3.12 it holds one lock for every
     instance, which serializes the harness's worker threads.)
     """
@@ -181,8 +189,8 @@ class Evaluation:
         self.field = u
         self.exps = exps
         self._v = normalize_potential(potential, u.grid)
+        self._trunc = trunc
         self.mass = mass(u)
-        self.kinetic = kinetic_energy_free(u, exps.s)     # A(u)
         if isinstance(self._v, np.ndarray):               # Int V(eps x)|u|^2
             self.potential = float(np.sum(self._v * u.values * u.values)) * dv
         else:                                             # mu * mass
@@ -193,14 +201,30 @@ class Evaluation:
         self._pot_q = riesz_potential(Field(u.grid, rho_q), exps.alpha).values
         self.hartree_p = float(np.sum(self._pot_p * rho_p)) * dv   # B_p(u)
         self.hartree_q = float(np.sum(self._pot_q * rho_q)) * dv   # B_q(u)
-        if trunc is None:                                 # tau(||u||_{H^s})
-            self.tau_factor = 1.0
-        else:
-            self.tau_factor = tau_eval(trunc, math.sqrt(self.kinetic + self.mass))
-        self.total = (0.5 * self.kinetic + 0.5 * self.potential
-                      - self.tau_factor * self.hartree_p / (2.0 * exps.p)
-                      - self.hartree_q / (2.0 * exps.q))
+        self._kinetic = None
         self._gradient = None
+
+    @property
+    def kinetic(self) -> float:
+        """A(u), the squared fractional seminorm."""
+        if self._kinetic is None:
+            self._kinetic = kinetic_energy_free(self.field, self.exps.s)
+        return self._kinetic
+
+    @property
+    def tau_factor(self) -> float:
+        """tau(||u||_{H^s}), 1 without a truncation."""
+        if self._trunc is None:
+            return 1.0
+        return tau_eval(self._trunc, math.sqrt(self.kinetic + self.mass))
+
+    @property
+    def total(self) -> float:
+        """J(u), the (optionally truncated) energy."""
+        e = self.exps
+        return (0.5 * self.kinetic + 0.5 * self.potential
+                - self.tau_factor * self.hartree_p / (2.0 * e.p)
+                - self.hartree_q / (2.0 * e.q))
 
     @property
     def lam(self) -> float:

@@ -27,13 +27,14 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import AliasRisk, NoConvergence, OutOfRange, TruncationActive
-from .energy import (Truncation, energy, hartree_energy, hartree_jvp,
-                     hartree_nonlinearity, normalize_potential)
+from .energy import (Truncation, _abs_power, _odd_power, energy,
+                     hartree_energy, hartree_jvp, hartree_nonlinearity,
+                     normalize_potential)
 from .fiber import extract_profile, fiber_maximizer, ray_level
 from .params import ExponentSet
 from .spectral import (Field, band_limit, dilate, fractional_laplacian_free,
                        hs_norm_free, kinetic_energy_free, mass, project_mass,
-                       translate)
+                       riesz_potential, translate)
 
 __all__ = [
     "SolveConfig", "SolveResult", "GroundState", "SAlphaResult", "NewtonStats",
@@ -60,10 +61,13 @@ class SolveConfig:
     alias_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.poho_tol <= 0 or self.step <= 0:
+        if (self.grad_tol <= 0 or self.poho_tol <= 0 or self.step <= 0
+                or self.newton_tol <= 0 or self.switch_tol <= 0):
             raise OutOfRange("tolerances and step must be positive")
-        if self.max_iter < 0:
-            raise OutOfRange("max_iter must be >= 0")
+        if self.max_iter < 0 or self.newton_max < 0:
+            raise OutOfRange("max_iter and newton_max must be >= 0")
+        if self.alias_tol < 0:
+            raise OutOfRange("alias_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -168,9 +172,19 @@ def _despeckle(u: Field) -> Field:
 # Scalar ground state (Petviashvili + Newton)
 # ---------------------------------------------------------------------------
 
-def _scalar_residual(u: Field, exps: ExponentSet) -> np.ndarray:
-    return (fractional_laplacian_free(u, exps.s).values + u.values
-            - hartree_nonlinearity(u, exps.q, exps.alpha))
+def _scalar_system(u: Field, exps: ExponentSet):
+    """Residual of (-D)^s U + U - (I_a*|U|^q)|U|^{q-2}U at u, the (absent)
+    mass-row value 0.0 and the Jacobian row (v, dlam) -> J v, which holds
+    I_a*|u|^q fixed."""
+    pot = riesz_potential(Field(u.grid, _abs_power(u.values, exps.q)),
+                          exps.alpha).values
+    res = (fractional_laplacian_free(u, exps.s).values + u.values
+           - pot * _odd_power(u.values, exps.q - 1.0))
+
+    def row(v, dlam):
+        return (fractional_laplacian_free(Field(u.grid, v), exps.s).values + v
+                - hartree_jvp(u, v, exps.q, exps.alpha, pot))
+    return res, 0.0, row
 
 
 def _symmetrize_even(values: np.ndarray) -> np.ndarray:
@@ -219,18 +233,10 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
     fld = Field(g, u)
     newton = None
     if config.refine:
-
-        def residual(vals, lam):
-            return _scalar_residual(Field(g, vals), exps), 0.0
-
-        def jacobian(vals, lam):
-            at = Field(g, vals)
-            return lambda v, dlam: (
-                fractional_laplacian_free(Field(g, v), exps.s).values + v
-                - hartree_jvp(at, v, exps.q, exps.alpha))
-
-        fld, newton = _newton(fld, None, residual, jacobian, exps.s, False, config)
-    res_rel = _l2(_scalar_residual(fld, exps), dv) / _l2(fld.values, dv)
+        fld, newton = _newton(fld, None,
+                              lambda vals, lam: _scalar_system(Field(g, vals), exps),
+                              exps.s, False, config)
+    res_rel = _l2(_scalar_system(fld, exps)[0], dv) / _l2(fld.values, dv)
     a_kin = kinetic_energy_free(fld, exps.s)
     m = mass(fld)
     bq = hartree_energy(fld, exps.q, exps.alpha)
@@ -281,15 +287,15 @@ def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
 # Newton-Krylov
 # ---------------------------------------------------------------------------
 
-def _newton(u: Field, lam: float | None, residual, jacobian, s: float,
+def _newton(u: Field, lam: float | None, residual, s: float,
             sampled: bool, config: SolveConfig):
     """Newton-Krylov with backtracking for residual(vals, lam) = 0 from u.
 
-    residual(vals, lam) returns the field residual and the mass-row value;
-    jacobian(vals, lam) returns the field row (v, dlam) -> J (v, dlam) at
-    that point.  With lam None there is no lambda unknown and no mass row
-    (the mass-row value is then 0.0); otherwise the system is bordered by
-    the row <u, v>.  Krylov solves are preconditioned by
+    residual(vals, lam) returns the field residual, the mass-row value and
+    the field row (v, dlam) -> J (v, dlam) of the Jacobian at that point;
+    the row serves every Krylov matvec of the step taken from it.  With lam
+    None there is no lambda unknown and no mass row (the mass-row value is
+    then 0.0); otherwise the system is bordered by the row <u, v>.  Krylov solves are preconditioned by
     (|k|^{2s} + 1 + |lam|)^{-1}.  Returns the field and its NewtonStats.
     """
     g = u.grid
@@ -315,14 +321,14 @@ def _newton(u: Field, lam: float | None, residual, jacobian, s: float,
         span = 1.5 * g.dx
         best_d, best_fn = 0.0, fn
         for d in (-span, -span / 3.0, span / 3.0, span):
-            tr, tc = residual(shift(vals, d), lam_v)
+            tr, tc, _ = residual(shift(vals, d), lam_v)
             fn_d = fnorm(tr, tc, vals)
             if fn_d < best_fn:
                 best_d, best_fn = d, fn_d
         for _ in range(5):  # refine by bisection around the best offset
             span *= 0.35
             for d in (best_d - span, best_d + span):
-                tr, tc = residual(shift(vals, d), lam_v)
+                tr, tc, _ = residual(shift(vals, d), lam_v)
                 fn_d = fnorm(tr, tc, vals)
                 if fn_d < best_fn:
                     best_d, best_fn = d, fn_d
@@ -332,7 +338,7 @@ def _newton(u: Field, lam: float | None, residual, jacobian, s: float,
 
     vals = u.values.copy()
     lam_v = lam
-    r, c = residual(vals, lam_v)
+    r, c, row = residual(vals, lam_v)
     fn = fnorm(r, c, vals)
     steps = backtracks = failures = stagnant = 0
     stop = "budget"
@@ -340,7 +346,7 @@ def _newton(u: Field, lam: float | None, residual, jacobian, s: float,
         if sampled and steps % 2 == 0:
             vals, fn_r = recenter(vals, lam_v, fn)
             if fn_r < fn:
-                r, c = residual(vals, lam_v)
+                r, c, row = residual(vals, lam_v)
                 fn = fnorm(r, c, vals)
         steps += 1
         if sampled:
@@ -354,7 +360,6 @@ def _newton(u: Field, lam: float | None, residual, jacobian, s: float,
             def deflate(v):
                 return v
 
-        row = jacobian(vals, lam_v)
         lam_abs = abs(lam_v) if bordered else 0.0
 
         def jvp(z):
@@ -380,9 +385,9 @@ def _newton(u: Field, lam: float | None, residual, jacobian, s: float,
         for _ in range(12):
             tv = vals + step_len * dz_field
             tl = lam_v + step_len * dz[nn] if bordered else None
-            tr, tc = residual(tv, tl)
+            tr, tc, trow = residual(tv, tl)
             if fnorm(tr, tc, tv) < fn:
-                vals, lam_v, r, c = tv, tl, tr, tc
+                vals, lam_v, r, c, row = tv, tl, tr, tc, trow
                 fn = fnorm(r, c, vals)
                 accepted = True
                 break
@@ -402,7 +407,7 @@ def _newton(u: Field, lam: float | None, residual, jacobian, s: float,
                 stagnant = 0
             if fn2 < fn:
                 vals = vals2
-                r, c = residual(vals, lam_v)
+                r, c, row = residual(vals, lam_v)
                 fn = fnorm(r, c, vals)
         if fn < config.newton_tol:
             stop = "tolerance"
@@ -413,6 +418,22 @@ def _newton(u: Field, lam: float | None, residual, jacobian, s: float,
 # ---------------------------------------------------------------------------
 # Autonomous and non-autonomous solves
 # ---------------------------------------------------------------------------
+
+def _constrained_system(ev, lam: float, a: float):
+    """Residual G(u) - lam u and mass row (mass(u) - a)/2 at the field of ev,
+    and the Jacobian row (v, dlam) -> J (v, dlam) of that system, which
+    reuses the Hartree potentials ev already holds."""
+    fld, exps, potential = ev.field, ev.exps, ev._v
+    vals = fld.values
+
+    def row(v, dlam):
+        out = (fractional_laplacian_free(Field(fld.grid, v), exps.s).values
+               - lam * v - dlam * vals
+               - hartree_jvp(fld, v, exps.p, exps.alpha, ev._pot_p)
+               - hartree_jvp(fld, v, exps.q, exps.alpha, ev._pot_q))
+        return out + potential * v
+    return ev.gradient - lam * vals, 0.5 * (ev.mass - a), row
+
 
 def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
                      config: SolveConfig, center_cells: int = 0,
@@ -498,21 +519,10 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
     if config.refine and config.max_iter >= 1:
 
         def residual(vals, lam):
-            ev = energy(Field(grid, vals), exps, potential)
-            return ev.gradient - lam * vals, 0.5 * (ev.mass - a)
+            return _constrained_system(energy(Field(grid, vals), exps, potential),
+                                       lam, a)
 
-        def jacobian(vals, lam):
-            fld = Field(grid, vals)
-
-            def row(v, dlam):
-                out = (fractional_laplacian_free(Field(grid, v), exps.s).values
-                       - lam * v - dlam * vals
-                       - hartree_jvp(fld, v, exps.p, exps.alpha)
-                       - hartree_jvp(fld, v, exps.q, exps.alpha))
-                return out + potential * v
-            return row
-
-        u, newton = _newton(u, ev.lam, residual, jacobian, exps.s, sampled, config)
+        u, newton = _newton(u, ev.lam, residual, exps.s, sampled, config)
         u = project_mass(u, a)
         ev = energy(u, exps, potential)
         trace.append(("newton", it + 1, ev.total, ev.grad_residual,

@@ -1,0 +1,45 @@
+"""The bindings the benchmark's tracer relies on.
+
+perfbench/run.py wraps choqlab's public functions from outside and fails
+its self-test when a function it expects is never called; these tests
+catch a rename or a signature change before the benchmark does."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from choqlab import solver
+from choqlab.solver import SolveConfig, solve_nonautonomous
+from conftest import DESK_MASS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_kernels_trace_self_test():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "kernels",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    record = json.loads(out.stdout.strip().splitlines()[-1])
+    assert record["correct"] is True, out.stdout
+    assert record["failed"] == 0
+
+
+def test_sampled_newton_reaches_hartree_jvp(exps, grid_unit, monkeypatch):
+    # the tracer counts the Newton matvec through solver.hartree_jvp
+    calls = []
+    original = solver.hartree_jvp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "hartree_jvp", counted)
+    x = grid_unit.axis()
+    potential = 0.2 - 0.1 * np.exp(-(x / 8.0) ** 2)
+    config = SolveConfig(grad_tol=1e-6, poho_tol=0.1, max_iter=5, newton_max=2)
+    solve_nonautonomous(exps, potential, DESK_MASS, grid_unit, config=config)
+    assert len(calls) > 0

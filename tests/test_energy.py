@@ -1,9 +1,12 @@
 """Energy functionals, truncation, Euler-Lagrange pieces, Pohozaev."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choqlab.energy import (Truncation, energy, hartree_cross, hartree_energy,
                             hartree_jvp, tau_eval, tau_prime,
@@ -174,6 +177,53 @@ def test_hartree_jvp_finite_difference(grid_unit, rng, exps):
               - hartree_nonlinearity(dn, r, exps.alpha)) / (2 * h)
         jv = hartree_jvp(u, direction, r, exps.alpha)
         assert np.max(np.abs(jv - fd)) < 1e-5 * np.max(np.abs(fd))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from(("p", "q")))
+def test_frozen_hartree_jvp_is_bit_identical(exps, seed, which):
+    # the potential an Evaluation holds gives the array the jvp would
+    # compute for itself, bit for bit
+    rng = np.random.default_rng(seed)
+    grid = Grid(1, 48.0, 512)
+    u = make_positive_field(grid, rng)
+    v = make_positive_field(grid, rng).values
+    ev = energy(u, exps, 0.0)
+    r, held = (exps.p, ev._pot_p) if which == "p" else (exps.q, ev._pot_q)
+    assert np.array_equal(hartree_jvp(u, v, r, exps.alpha, held),
+                          hartree_jvp(u, v, r, exps.alpha))
+
+
+def test_kinetic_energy_is_lazy(grid_unit, rng, exps, monkeypatch):
+    energy_module = importlib.import_module("choqlab.energy")
+    calls = []
+
+    def counted(u, s):
+        calls.append(1)
+        return kinetic_energy_free(u, s)
+
+    monkeypatch.setattr(energy_module, "kinetic_energy_free", counted)
+    u = make_positive_field(grid_unit, rng)
+    a_kin = kinetic_energy_free(u, exps.s)
+    m = mass(u)
+    radius = math.sqrt(a_kin + m)
+    trunc = Truncation(0.5 * radius, 2.0 * radius)   # tau inside its bridge
+    ev = energy(u, exps, 0.3, trunc)
+    assert ev.gradient.shape == grid_unit.shape and ev.mass == m
+    assert len(calls) == 0
+    values = (ev.total, ev.lam, ev.pohozaev, ev.poho_residual)
+    assert len(calls) == 1
+    bp, bq, pot = ev.hartree_p, ev.hartree_q, ev.potential
+    tau = tau_eval(trunc, math.sqrt(a_kin + m))
+    pohozaev = (2.0 * exps.s * a_kin - (exps.delta_p / exps.p) * bp
+                - (exps.delta_q / exps.q) * bq)
+    eager = (0.5 * a_kin + 0.5 * pot - tau * bp / (2.0 * exps.p) - bq / (2.0 * exps.q),
+             (a_kin + pot - bp - bq) / m,
+             pohozaev,
+             abs(pohozaev) / (2.0 * exps.s * a_kin))
+    assert values == eager
+    assert (ev.kinetic, ev.tau_factor) == (a_kin, tau)
+    assert len(calls) == 1
 
 
 def test_pohozaev_zero_and_sign_change(grid_unit, rng, exps):

@@ -14,7 +14,7 @@ from choqlab.solver import (SolveConfig, compute_S_alpha, make_profile,
                             solve_autonomous, solve_nonautonomous,
                             solve_scalar_ground, x_star_root)
 from choqlab.spectral import Field, Grid, band_limit, kinetic_energy_free, mass
-from conftest import DESK_MASS
+from conftest import DESK_MASS, make_positive_field
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +86,39 @@ def test_autonomous_certificates(exps, autonomous_mu0, desk_config):
     assert np.all(res.field.values > -1e-8)
     assert res.newton.stop == "tolerance"
     assert res.newton.krylov_failures == 0
+
+
+def test_solve_config_rejects_bad_settings():
+    for bad in (dict(newton_max=-1), dict(newton_tol=0.0), dict(newton_tol=-1e-10),
+                dict(switch_tol=0.0), dict(switch_tol=-3e-4), dict(alias_tol=-1.0)):
+        with pytest.raises(OutOfRange):
+            SolveConfig(**bad)
+    # the boundary values stay valid
+    SolveConfig(newton_max=0, alias_tol=0.0)
+
+
+def test_constrained_row_finite_difference(exps, grid_unit, rng):
+    # the Newton row against central differences of the residual: zeta
+    # term, V, -lambda, both Hartree terms and the dlambda column
+    g = grid_unit
+    u = make_positive_field(g, rng)
+    v = make_positive_field(g, rng).values - 0.5 * u.values
+    pot = 0.2 + 0.1 * np.cos(g.axis() / 5.0)
+    lam, dlam, a = -0.12, 0.7, mass(u)
+    h = 1e-6
+
+    def residual(vals, lam_v):
+        return solver._constrained_system(energy(Field(g, vals), exps, pot),
+                                          lam_v, a)
+
+    _, _, row = residual(u.values, lam)
+    up, cp, _ = residual(u.values + h * v, lam + h * dlam)
+    dn, cn, _ = residual(u.values - h * v, lam - h * dlam)
+    fd = (up - dn) / (2 * h)
+    jv = row(v, dlam)
+    assert np.max(np.abs(jv - fd)) < 1e-5 * np.max(np.abs(fd))
+    mass_row = float(np.sum(u.values * v)) * g.dx
+    assert (cp - cn) / (2 * h) == pytest.approx(mass_row, rel=1e-5)
 
 
 def test_newton_budget_stop(exps, grid_unit, desk_config):
