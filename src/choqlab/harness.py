@@ -28,8 +28,8 @@ from .params import (ExponentSet, riesz_normalization, s_alpha_reference,
                      sharp_constant, validate_regime)
 from .potentials import PotentialSpec, detect_M, dist_to_set
 from .spectral import (Field, Grid, band_limit, dilate, fractional_laplacian,
-                       kinetic_energy, mass, random_field, riesz_potential,
-                       smooth_cutoff)
+                       half_sum, kinetic_energy, mass, random_field,
+                       riesz_potential, smooth_cutoff)
 from .solver import (SolveConfig, make_profile, solve_autonomous,
                      solve_nonautonomous, solve_scalar_ground)
 
@@ -295,14 +295,14 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
 
 def _hs_distance(u: Field, v: Field, s: float, aligned: bool) -> float:
     """Relative H^s distance, optionally minimized over integer-cell shifts."""
-    uh = np.fft.fft(u.values)
-    vh = np.fft.fft(v.values)
-    w = 1.0 + u.grid.k_abs() ** (2.0 * s)
+    uh = np.fft.rfft(u.values)
+    vh = np.fft.rfft(v.values)
+    w = 1.0 + u.grid.k_half() ** (2.0 * s)
     scale = u.grid.dx / u.grid.points
-    nu = float(np.sum(w * (uh.real ** 2 + uh.imag ** 2))) * scale
-    nv = float(np.sum(w * (vh.real ** 2 + vh.imag ** 2))) * scale
-    # ifft carries 1/n: the lag-correlation needs the bare dx
-    corr = np.fft.ifft(w * np.conj(uh) * vh).real * u.grid.dx
+    nu = half_sum(w * (uh.real ** 2 + uh.imag ** 2)) * scale
+    nv = half_sum(w * (vh.real ** 2 + vh.imag ** 2)) * scale
+    # irfft carries 1/n: the lag-correlation needs the bare dx
+    corr = np.fft.irfft(w * np.conj(uh) * vh, u.grid.points) * u.grid.dx
     best = float(np.max(corr)) if aligned else float(corr[0])
     d2 = max(nu + nv - 2.0 * best, 0.0)
     return math.sqrt(d2) / math.sqrt(max(nu, nv))

@@ -209,20 +209,20 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
     g = grid
     r = g.radius()
     u = init.values.copy() if init is not None else np.exp(-0.5 * r * r)
-    sym = g.k_abs() ** (2.0 * exps.s) + 1.0
+    sym = g.k_half() ** (2.0 * exps.s) + 1.0
     gamma_st = (2.0 * exps.q - 1.0) / (2.0 * exps.q - 2.0)
     dv = g.dx
     it = 0
     for it in range(1, config.max_iter + 1):
         nonlin = hartree_nonlinearity(Field(g, u), exps.q, exps.alpha)
         # torus inverse of (-D)^s + 1 as the Petviashvili propagator
-        lin_u = np.fft.ifft(sym * np.fft.fft(u)).real
+        lin_u = np.fft.irfft(sym * np.fft.rfft(u), g.points)
         num = float(np.sum(u * lin_u)) * dv
         den = float(np.sum(u * nonlin)) * dv
         if den <= 0.0:
             raise NoConvergence("Petviashvili pairing lost positivity", [])
         m_fac = num / den
-        u_new = np.fft.ifft(np.fft.fft(nonlin) / sym).real * m_fac ** gamma_st
+        u_new = np.fft.irfft(np.fft.rfft(nonlin) / sym, g.points) * m_fac ** gamma_st
         u_new = _symmetrize_even(u_new)
         # the torus fixed point is not a free-space solution, so stop on the
         # iteration's own increment; Newton removes the torus defect
@@ -295,15 +295,16 @@ def _newton(u: Field, lam: float | None, residual, s: float,
     the field row (v, dlam) -> J (v, dlam) of the Jacobian at that point;
     the row serves every Krylov matvec of the step taken from it.  With lam
     None there is no lambda unknown and no mass row (the mass-row value is
-    then 0.0); otherwise the system is bordered by the row <u, v>.  Krylov solves are preconditioned by
-    (|k|^{2s} + 1 + |lam|)^{-1}.  Returns the field and its NewtonStats.
+    then 0.0); otherwise the system is bordered by the row <u, v>.  Krylov
+    solves are preconditioned by (|k|^{2s} + 1 + |lam|)^{-1}.  Returns the
+    field and its NewtonStats.
     """
     g = u.grid
     dv = g.dx
     nn = g.points
     bordered = lam is not None
     size = nn + 1 if bordered else nn
-    sym = g.k_abs() ** (2.0 * s) + 1.0
+    sym = g.k_half() ** (2.0 * s) + 1.0
 
     def fnorm(r, c, vals):
         return math.sqrt((float(np.sum(r * r)) * dv + c * c)
@@ -312,10 +313,10 @@ def _newton(u: Field, lam: float | None, residual, s: float,
     # slowly varying sampled potentials leave the translation mode d_x u
     # almost in the Jacobian kernel: recenter sub-cell along it and deflate
     # it from the Krylov solve, otherwise Newton steps blow up along it
-    k_ax = g.k_axis() if sampled else None
+    k_ax = g.k_half() if sampled else None
 
     def shift(vals, delta):
-        return np.fft.ifft(np.fft.fft(vals) * np.exp(-1j * k_ax * delta)).real
+        return np.fft.irfft(np.fft.rfft(vals) * np.exp(-1j * k_ax * delta), nn)
 
     def recenter(vals, lam_v, fn):
         span = 1.5 * g.dx
@@ -350,7 +351,7 @@ def _newton(u: Field, lam: float | None, residual, s: float,
                 fn = fnorm(r, c, vals)
         steps += 1
         if sampled:
-            tvec = np.fft.ifft(1j * k_ax * np.fft.fft(vals)).real
+            tvec = np.fft.irfft(1j * k_ax * np.fft.rfft(vals), nn)
             tnorm = math.sqrt(float(np.sum(tvec * tvec)) * dv)
             tvec = tvec / max(tnorm, 1e-300)
 
@@ -370,7 +371,7 @@ def _newton(u: Field, lam: float | None, residual, s: float,
             return np.concatenate([out, [float(np.sum(vals * v)) * dv]])
 
         def prec(z):
-            out = np.fft.ifft(np.fft.fft(z[:nn]) / (sym + lam_abs)).real
+            out = np.fft.irfft(np.fft.rfft(z[:nn]) / (sym + lam_abs), nn)
             return np.concatenate([out, [z[nn]]]) if bordered else out
 
         op = LinearOperator((size, size), matvec=jvp)
@@ -451,7 +452,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
     it = 0
     stall = 0
     best_level = np.inf
-    sym = grid.k_abs() ** (2.0 * exps.s) + 1.0
+    sym = grid.k_half() ** (2.0 * exps.s) + 1.0
     for it in range(1, config.max_iter + 1):
         # (i) rescale onto the Pohozaev set (dilation about the carrier cell)
         prof = extract_profile(u, exps, mu_eff)
@@ -482,7 +483,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
             stall = 0
         best_level = min(best_level, level)
         d = ev.gradient - ev.lam * u.values
-        dp = np.fft.ifft(np.fft.fft(d) / (sym + abs(ev.lam))).real
+        dp = np.fft.irfft(np.fft.rfft(d) / (sym + abs(ev.lam)), grid.points)
         dp -= (float(np.sum(dp * u.values)) * dv / a) * u.values
         slope = float(np.sum(d * dp)) * dv  # positive: M^{-1} is SPD
         if slope <= 0.0:

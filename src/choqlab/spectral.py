@@ -32,10 +32,12 @@ from .errors import AliasRisk, GridMismatch, NonFinite, OutOfRange, ZeroField
 from .params import riesz_normalization
 
 # glibc serves blocks above its mmap threshold (128 KB at start-up) by mmap
-# and unmaps them on free, so the 128-256 KB transform temporaries of an
-# n=2^13 solve fault in fresh pages every time and numpy FFTs run about 2x
-# slower.  Freeing one mmapped block raises the threshold to that block's
-# size (see mallopt(3)); afterwards the temporaries are reused from the heap.
+# and unmaps them on free, so each call faults its temporaries in afresh.
+# Freeing one mmapped block raises the threshold to that block's size (see
+# mallopt(3)), so temporaries up to 16 MB are reused from the heap.  This
+# serves the 1-8 MB ones at n=2^17..2^19 (riesz_potential faults ~2,000
+# pages per call at 2^17 without it, none with it); the 64-128 KB ones at
+# n=2^13 fault no pages either way.
 _threshold_block = np.empty(1 << 21)   # 16 MB, never touched
 del _threshold_block
 
@@ -89,12 +91,9 @@ class Grid:
         """|x| on the grid."""
         return np.abs(self.axis())
 
-    def k_axis(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
-
-    def k_abs(self) -> np.ndarray:
-        """|k| in fft order."""
-        return np.abs(self.k_axis())
+    def k_half(self) -> np.ndarray:
+        """|k| = 2 pi m / L on the rfft half lattice m = 0..n/2."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.points, d=self.dx)
 
 
 class Field:
@@ -146,13 +145,18 @@ def translate(u: Field, cells: int) -> Field:
 # Fractional Laplacian and kinetic energy
 # ---------------------------------------------------------------------------
 
+def half_sum(w: np.ndarray) -> float:
+    """Whole-lattice sum of an even spectrum held on its rfft half: bins
+    between 0 and Nyquist count twice (weights 1, 2, ..., 2, 1)."""
+    return 2.0 * float(np.sum(w)) - float(w[0]) - float(w[-1])
+
+
 def fractional_laplacian(u: Field, s: float) -> Field:
     """(-Delta)^s u via the torus multiplier |k|^{2s}; zero mode -> 0."""
     if not (0.0 < s <= 1.0):
         raise OutOfRange(f"s={s} outside (0, 1]")
-    symbol = u.grid.k_abs() ** (2.0 * s)
-    out = np.fft.ifft(symbol * np.fft.fft(u.values)).real
-    return Field(u.grid, out)
+    symbol = u.grid.k_half() ** (2.0 * s)
+    return Field(u.grid, np.fft.irfft(symbol * np.fft.rfft(u.values), u.grid.points))
 
 
 def kinetic_energy(u: Field, s: float) -> float:
@@ -160,10 +164,9 @@ def kinetic_energy(u: Field, s: float) -> float:
     matching the quadrature of u * (-Delta)^s u."""
     if not (0.0 < s <= 1.0):
         raise OutOfRange(f"s={s} outside (0, 1]")
-    uh = np.fft.fft(u.values)
-    symbol = u.grid.k_abs() ** (2.0 * s)
-    scale = u.grid.dx / u.grid.points
-    return float(np.sum(symbol * (uh.real ** 2 + uh.imag ** 2))) * scale
+    uh = np.fft.rfft(u.values)
+    symbol = u.grid.k_half() ** (2.0 * s)
+    return half_sum(symbol * (uh.real ** 2 + uh.imag ** 2)) * u.grid.dx / u.grid.points
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +186,6 @@ def kinetic_energy(u: Field, s: float) -> float:
 # dilation law to ~1e-10, which the fiber-map machinery requires.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
 def _kinetic_zeta_kernel(n: int, L: float, s: float) -> np.ndarray:
     """c_K * L^{-1-2s} [zeta(1+2s,1-y/L)+zeta(1+2s,1+y/L)] on padded lags."""
     from scipy.special import zeta as hurwitz_zeta
@@ -201,37 +203,35 @@ def _kinetic_zeta_kernel(n: int, L: float, s: float) -> np.ndarray:
     # by the quarter box vanish there anyway, and tapering keeps the endpoint
     # singularity from ringing into the padded window of the operator form
     kern *= smooth_cutoff(np.abs(y), 0.9 * L, 0.99 * L)
-    kern.setflags(write=False)
     return kern
 
 
-def _autocorrelation_padded(values: np.ndarray, dx: float) -> np.ndarray:
-    """Linear autocorrelation R(y_d) = dx sum_j u_j u_{j+d} on the padded circle."""
-    n = values.size
-    up = np.zeros(2 * n)
-    up[:n] = values
-    f = np.fft.fft(up)
-    return np.fft.ifft(f.real ** 2 + f.imag ** 2).real * dx
+@lru_cache(maxsize=32)
+def _kinetic_zeta_spectrum(n: int, L: float, s: float) -> np.ndarray:
+    """rfft of the zeta kernel (n+1 values).  The kernel is real and even in
+    the lag, so its spectrum is real; the imaginary part dropped is rounding."""
+    out = np.fft.rfft(_kinetic_zeta_kernel(n, L, s)).real
+    out.setflags(write=False)
+    return out
 
 
 def kinetic_energy_free(u: Field, s: float) -> float:
-    """Whole-space A(u): Parseval sum plus the zeta cusp correction."""
-    base = kinetic_energy(u, s)
-    kern = _kinetic_zeta_kernel(u.grid.points, u.grid.extent, s)
-    r_auto = _autocorrelation_padded(u.values, u.grid.dx)
-    return base + float(np.sum(r_auto * kern)) * u.grid.dx
+    """Whole-space A(u): Parseval sum plus the zeta cusp correction, the
+    padded autocorrelation paired with the kernel by Parseval on the 2n circle."""
+    n, dx = u.grid.points, u.grid.dx
+    f = np.fft.rfft(u.values, 2 * n)
+    spec = _kinetic_zeta_spectrum(n, u.grid.extent, s)
+    corr = half_sum(spec * (f.real ** 2 + f.imag ** 2)) * dx * dx / (2 * n)
+    return kinetic_energy(u, s) + corr
 
 
 def fractional_laplacian_free(u: Field, s: float) -> Field:
     """Variational derivative of kinetic_energy_free/2: the torus operator
     plus the smooth convolution with the zeta kernel."""
-    base = fractional_laplacian(u, s)
     n = u.grid.points
-    kern = _kinetic_zeta_kernel(n, u.grid.extent, s)
-    up = np.zeros(2 * n)
-    up[:n] = u.values
-    conv = np.fft.ifft(np.fft.fft(kern) * np.fft.fft(up)).real[:n]
-    return Field(u.grid, base.values + u.grid.dx * conv)
+    spec = _kinetic_zeta_spectrum(n, u.grid.extent, s)
+    conv = np.fft.irfft(spec * np.fft.rfft(u.values, 2 * n), 2 * n)[:n]
+    return Field(u.grid, fractional_laplacian(u, s).values + u.grid.dx * conv)
 
 
 def hs_norm_free(u: Field, s: float) -> float:
@@ -329,10 +329,8 @@ def riesz_potential(rho: Field, alpha: float) -> Field:
     if not (0.0 < alpha < 1.0):
         raise OutOfRange(f"alpha={alpha} outside (0, 1)")
     n = grid.points
-    mult = _freespace_multiplier_1d(2 * n, grid.extent, alpha)
-    padded = np.zeros(2 * n)
-    padded[:n] = rho.values
-    pot = np.fft.ifft(np.fft.fft(padded) * mult).real[:n]
+    mult = _freespace_multiplier_1d(2 * n, grid.extent, alpha)[:n + 1]
+    pot = np.fft.irfft(np.fft.rfft(rho.values, 2 * n) * mult, 2 * n)[:n]
     return Field(grid, pot)
 
 
@@ -451,9 +449,9 @@ def band_limit(u: Field, keep_frac: float = 0.25) -> Field:
     hygiene filter for dilation chains on solver outputs.
     """
     n = u.grid.points
-    uh = np.fft.fft(u.values)
-    keep = np.abs(np.fft.fftfreq(n) * n) < keep_frac * n
-    return Field(u.grid, np.fft.ifft(np.where(keep, uh, 0.0)).real)
+    uh = np.fft.rfft(u.values)
+    uh[np.arange(n // 2 + 1) >= keep_frac * n] = 0.0
+    return Field(u.grid, np.fft.irfft(uh, n))
 
 
 def boundary_decay(u: Field) -> float:

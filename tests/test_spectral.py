@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from choqlab.energy import _abs_power, _odd_power, hartree_jvp
 from choqlab.errors import AliasRisk, NonFinite, OutOfRange, ZeroField
 from choqlab.harness import dilate_gaussian_error, passes
+from choqlab.params import validate_regime
+from choqlab.solver import SolveConfig, solve_scalar_ground
 from choqlab.spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                               fractional_laplacian, fractional_laplacian_free,
                               kinetic_energy, kinetic_energy_free,
                               mass, project_mass, random_field,
                               riesz_oracle_1d, riesz_potential, translate)
 from choqlab.spectral import (_ASYMP_SWITCH, _freespace_multiplier_1d,
-                              _kinetic_zeta_kernel)
+                              _kinetic_zeta_kernel, _kinetic_zeta_spectrum)
 from conftest import make_positive_field
 
 S = 0.4
@@ -67,7 +72,7 @@ def test_fractional_laplacian_eigenfunction():
 def test_fractional_laplacian_s1_matches_spectral_laplacian(grid_small, rng):
     u = make_positive_field(grid_small, rng)
     lap = fractional_laplacian(u, 1.0).values
-    k = grid_small.k_axis()
+    k = 2.0 * np.pi * np.fft.fftfreq(grid_small.points, d=grid_small.dx)
     direct = np.fft.ifft(k ** 2 * np.fft.fft(u.values)).real
     assert np.max(np.abs(lap - direct)) < 1e-10 * np.max(np.abs(direct))
 
@@ -271,3 +276,113 @@ def test_operations_deterministic(grid_unit, rng):
     c = dilate(u, 1.3).values
     d = dilate(u, 1.3).values
     assert np.array_equal(c, d)
+
+
+# complex-FFT references: the full-lattice formulas every operator used
+# before it moved to real transforms
+
+def _k_full(g):
+    return np.abs(2.0 * np.pi * np.fft.fftfreq(g.points, d=g.dx))
+
+
+def _fl_ref(u, s):
+    return np.fft.ifft(_k_full(u.grid) ** (2.0 * s) * np.fft.fft(u.values)).real
+
+
+def _ke_ref(u, s):
+    uh = np.fft.fft(u.values)
+    w = _k_full(u.grid) ** (2.0 * s) * (uh.real ** 2 + uh.imag ** 2)
+    return float(np.sum(w)) * u.grid.dx / u.grid.points
+
+
+def _padded(values):
+    up = np.zeros(2 * values.size)
+    up[:values.size] = values
+    return up
+
+
+def _riesz_ref(values, g, alpha):
+    mult = _freespace_multiplier_1d(2 * g.points, g.extent, alpha)
+    return np.fft.ifft(np.fft.fft(_padded(values)) * mult).real[:g.points]
+
+
+def _kef_ref(u, s):
+    kern = _kinetic_zeta_kernel(u.grid.points, u.grid.extent, s)
+    f = np.fft.fft(_padded(u.values))
+    r_auto = np.fft.ifft(f.real ** 2 + f.imag ** 2).real * u.grid.dx
+    return _ke_ref(u, s) + float(np.sum(r_auto * kern)) * u.grid.dx
+
+
+def _flf_ref(u, s):
+    n = u.grid.points
+    kern = _kinetic_zeta_kernel(n, u.grid.extent, s)
+    conv = np.fft.ifft(np.fft.fft(kern) * np.fft.fft(_padded(u.values))).real[:n]
+    return _fl_ref(u, s) + u.grid.dx * conv
+
+
+def _band_ref(u, keep_frac):
+    n = u.grid.points
+    keep = np.abs(np.fft.fftfreq(n) * n) < keep_frac * n
+    return np.fft.ifft(np.where(keep, np.fft.fft(u.values), 0.0)).real
+
+
+def _jvp_ref(u, v, r, alpha):
+    au_r1 = _odd_power(u.values, r - 1.0)
+    pot = _riesz_ref(_abs_power(u.values, r), u.grid, alpha)
+    inner = _riesz_ref(r * au_r1 * v, u.grid, alpha)
+    return inner * au_r1 + pot * (r - 1.0) * _abs_power(u.values, r - 2.0) * v
+
+
+def _rel(a, b):
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((256, 1024, 4096)),
+       r=st.sampled_from((3.0, 7.5)), keep_frac=st.floats(0.05, 0.6))
+def test_real_transforms_match_complex_references(seed, n, r, keep_frac):
+    rng = np.random.default_rng(seed)
+    g = Grid(1, 48.0, n)
+    u = random_field(g, rng)
+    v = random_field(g, rng).values
+    for got, ref in (
+            (fractional_laplacian(u, S).values, _fl_ref(u, S)),
+            (kinetic_energy(u, S), _ke_ref(u, S)),
+            (riesz_potential(u, ALPHA).values, _riesz_ref(u.values, g, ALPHA)),
+            (kinetic_energy_free(u, S), _kef_ref(u, S)),
+            (fractional_laplacian_free(u, S).values, _flf_ref(u, S)),
+            (band_limit(u, keep_frac).values, _band_ref(u, keep_frac)),
+            (hartree_jvp(u, v, r, ALPHA), _jvp_ref(u, v, r, ALPHA))):
+        assert _rel(got, ref) < 1e-13
+
+
+@pytest.mark.parametrize("n, s", [(2048, S), (2048, 0.1), (4096, 0.45)])
+def test_zeta_spectrum_is_the_real_half_of_the_kernel_fft(n, s):
+    full = np.fft.fft(_kinetic_zeta_kernel(n, 48.0, s))[:n + 1]
+    spec = _kinetic_zeta_spectrum(n, 48.0, s)
+    assert spec.shape == (n + 1,)
+    assert np.max(np.abs(spec - full.real)) < 1e-14 * np.max(np.abs(full.real))
+    # the kernel is real and even, so the imaginary part is rounding
+    assert np.max(np.abs(full.imag)) < 1e-15 * np.max(np.abs(full.real))
+
+
+def test_operators_need_no_complex_transform(monkeypatch):
+    exps = validate_regime(1, S, ALPHA, 3.0)
+    g = Grid(1, 48.0, 1024)
+    u = random_field(g, np.random.default_rng(7))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex FFT on real data")
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    fractional_laplacian(u, S)
+    kinetic_energy(u, S)
+    riesz_potential(u, ALPHA)
+    kinetic_energy_free(u, S)
+    fractional_laplacian_free(u, S)
+    band_limit(u)
+    hartree_jvp(u, u.values, exps.p, ALPHA)
+    # Petviashvili, then Newton: neither resamples with dilate
+    gs = solve_scalar_ground(exps, Grid(1, 96.0, 1024), SolveConfig(refine=True))
+    assert gs.converged and gs.newton.stop == "tolerance"
