@@ -75,7 +75,7 @@ class NewtonStats:
     steps: int             # Newton steps taken (one Krylov solve each)
     backtracks: int        # halvings of the Newton step in the line search
     krylov_failures: int   # Krylov solves that returned info != 0
-    stop: str              # "tolerance", "line_search", "stagnation" or "budget"
+    stop: str              # "tolerance", "line_search" or "budget"
 
 
 @dataclass(frozen=True)
@@ -296,8 +296,11 @@ def _newton(u: Field, lam: float | None, residual, s: float,
     the row serves every Krylov matvec of the step taken from it.  With lam
     None there is no lambda unknown and no mass row (the mass-row value is
     then 0.0); otherwise the system is bordered by the row <u, v>.  Krylov
-    solves are preconditioned by (|k|^{2s} + 1 + |lam|)^{-1}.  Returns the
-    field and its NewtonStats.
+    solves are preconditioned by (|k|^{2s} + 1 + |lam|)^{-1}.  When sampled,
+    the field step dz splits into beta*t along t = d_x u, beta = <t, dz>/<t, t>,
+    and the rest; a trial of length h adds h*(dz - beta*t) and then translates
+    by h*beta exactly.  A step that no halving accepts stops the solve.
+    Returns the field and its NewtonStats.
     """
     g = u.grid
     dv = g.dx
@@ -310,65 +313,30 @@ def _newton(u: Field, lam: float | None, residual, s: float,
         return math.sqrt((float(np.sum(r * r)) * dv + c * c)
                          / max(float(np.sum(vals * vals)) * dv, 1e-300))
 
-    # slowly varying sampled potentials leave the translation mode d_x u
-    # almost in the Jacobian kernel: recenter sub-cell along it and deflate
-    # it from the Krylov solve, otherwise Newton steps blow up along it
-    k_ax = g.k_half() if sampled else None
+    # slowly varying sampled potentials leave the translation mode t = d_x u
+    # almost in the Jacobian kernel, so steps along it are long, and the
+    # linear translation u - delta*t is only O(delta^2) accurate: the line
+    # search rejects such steps unless that part is an exact shift
+    k_ax = g.k_half()
 
     def shift(vals, delta):
         return np.fft.irfft(np.fft.rfft(vals) * np.exp(-1j * k_ax * delta), nn)
-
-    def recenter(vals, lam_v, fn):
-        span = 1.5 * g.dx
-        best_d, best_fn = 0.0, fn
-        for d in (-span, -span / 3.0, span / 3.0, span):
-            tr, tc, _ = residual(shift(vals, d), lam_v)
-            fn_d = fnorm(tr, tc, vals)
-            if fn_d < best_fn:
-                best_d, best_fn = d, fn_d
-        for _ in range(5):  # refine by bisection around the best offset
-            span *= 0.35
-            for d in (best_d - span, best_d + span):
-                tr, tc, _ = residual(shift(vals, d), lam_v)
-                fn_d = fnorm(tr, tc, vals)
-                if fn_d < best_fn:
-                    best_d, best_fn = d, fn_d
-        if best_d != 0.0:
-            return shift(vals, best_d), best_fn
-        return vals, fn
 
     vals = u.values.copy()
     lam_v = lam
     r, c, row = residual(vals, lam_v)
     fn = fnorm(r, c, vals)
-    steps = backtracks = failures = stagnant = 0
+    steps = backtracks = failures = 0
     stop = "budget"
     while steps < config.newton_max:
-        if sampled and steps % 2 == 0:
-            vals, fn_r = recenter(vals, lam_v, fn)
-            if fn_r < fn:
-                r, c, row = residual(vals, lam_v)
-                fn = fnorm(r, c, vals)
         steps += 1
-        if sampled:
-            tvec = np.fft.irfft(1j * k_ax * np.fft.rfft(vals), nn)
-            tnorm = math.sqrt(float(np.sum(tvec * tvec)) * dv)
-            tvec = tvec / max(tnorm, 1e-300)
-
-            def deflate(v):
-                return v - (float(np.sum(tvec * v)) * dv) * tvec
-        else:
-            def deflate(v):
-                return v
-
         lam_abs = abs(lam_v) if bordered else 0.0
 
         def jvp(z):
-            v = deflate(z[:nn])
-            out = deflate(row(v, z[nn] if bordered else 0.0)) + (z[:nn] - v)
+            out = row(z[:nn], z[nn] if bordered else 0.0)
             if not bordered:
                 return out
-            return np.concatenate([out, [float(np.sum(vals * v)) * dv]])
+            return np.concatenate([out, [float(np.sum(vals * z[:nn])) * dv]])
 
         def prec(z):
             out = np.fft.irfft(np.fft.rfft(z[:nn]) / (sym + lam_abs), nn)
@@ -376,15 +344,22 @@ def _newton(u: Field, lam: float | None, residual, s: float,
 
         op = LinearOperator((size, size), matvec=jvp)
         pre = LinearOperator((size, size), matvec=prec)
-        rhs = -np.concatenate([deflate(r), [c]]) if bordered else -r
+        rhs = -np.concatenate([r, [c]]) if bordered else -r
         dz, info = lgmres(op, rhs, M=pre, rtol=1e-8, atol=0.0, maxiter=300)
         # a step whose Krylov solve did not converge is still tried
         failures += int(info != 0)
-        dz_field = deflate(dz[:nn])
+        dz_field, beta = dz[:nn], 0.0
+        if sampled:
+            tvec = np.fft.irfft(1j * k_ax * np.fft.rfft(vals), nn)
+            beta = (float(np.sum(tvec * dz_field))
+                    / max(float(np.sum(tvec * tvec)), 1e-300))
+            dz_field = dz_field - beta * tvec
         accepted = False
         step_len = 1.0
         for _ in range(12):
             tv = vals + step_len * dz_field
+            if sampled:
+                tv = shift(tv, -step_len * beta)
             tl = lam_v + step_len * dz[nn] if bordered else None
             tr, tc, trow = residual(tv, tl)
             if fnorm(tr, tc, tv) < fn:
@@ -394,22 +369,9 @@ def _newton(u: Field, lam: float | None, residual, s: float,
                 break
             step_len *= 0.5
             backtracks += 1
-        if not accepted and not sampled:
+        if not accepted:
             stop = "line_search"
             break
-        if not accepted and sampled:
-            vals2, fn2 = recenter(vals, lam_v, fn)
-            if fn2 >= fn * (1.0 - 1e-3):
-                stagnant += 1
-                if stagnant >= 3:
-                    stop = "stagnation"
-                    break
-            else:
-                stagnant = 0
-            if fn2 < fn:
-                vals = vals2
-                r, c, row = residual(vals, lam_v)
-                fn = fnorm(r, c, vals)
         if fn < config.newton_tol:
             stop = "tolerance"
             break

@@ -76,6 +76,16 @@ def test_verify_skips_solver_checks_without_budget(tmp_path, capsys):
     assert "iteration budget is zero" in capsys.readouterr().out
 
 
+def test_solve_sampled_potential(tmp_path, capsys):
+    # no --mu: the double-well potential sampled at eps, seeded at a well
+    rc = main(["--out", str(tmp_path), "--config", _write_cfg(tmp_path),
+               "solve", "--eps", "0.4"])
+    assert rc == 0
+    assert "newton_stop=tolerance" in capsys.readouterr().out
+    sidecar = (tmp_path / "nonautonomous_eps0.4.chqf.txt").read_text()
+    assert "newton.stop = 'tolerance'" in sidecar
+
+
 def _write_cfg(tmp_path, solver_extra=""):
     path = tmp_path / "exp.cfg"
     path.write_text("""

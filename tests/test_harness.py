@@ -209,20 +209,23 @@ def test_concentration_gates_on_convergence(monkeypatch):
     assert out["passed"] is False
 
 
-def test_concentration_survives_alias_risk():
-    # on this coarse grid the sampled-potential line search proposes trials
-    # too rough to dilate (AliasRisk at t ~ 1.06); each counts as a rejected
-    # trial, so every cell is solved and reported instead of the sweep aborting
+@pytest.mark.parametrize("points", [1024, 4096])
+def test_concentration_survives_alias_risk(points):
+    # on coarse grids the sampled-potential line search proposes trials too
+    # rough to dilate (AliasRisk at t ~ 1.06); each counts as a rejected
+    # trial, so every cell is solved and reported instead of the sweep
+    # aborting, and the Newton endgame still converges each cell
     import dataclasses
 
     from choqlab.harness import run_concentration
     from choqlab.spectral import Grid
 
-    cfg = dataclasses.replace(default_config(), grid=Grid(1, 240.0, 1024))
+    cfg = dataclasses.replace(default_config(), grid=Grid(1, 240.0, points))
     out = run_concentration(cfg)
     assert not out["skipped"]
     assert len(out["rows"]) == 6
     assert all(np.isfinite(row.level) for row in out["rows"])
+    assert all(row.converged for row in out["rows"])
 
 
 def test_config_solver_section_reads_every_field(tmp_path):
