@@ -94,7 +94,7 @@ def cmd_groundstate(args) -> int:
     gs = solve_scalar_ground(cfg.exps, Grid(1, 96.0, 4096), cfg.solver)
     print(f"scalar ground state: residual={gs.residual:.2e} "
           f"iterations={gs.iterations} converged={gs.converged} "
-          f"newton_stop={gs.newton.stop if gs.newton else 'off'}")
+          f"newton_stop={gs.newton.stop}")
     print(f"  ||U||_2 = {gs.norm2:.12g}  action = {gs.action:.12g} "
           f"scaling identity defect = {gs.poho_residual:.2e}")
     save_field(gs.field, _outpath(cfg, "scalar_ground.chqf"))
@@ -110,15 +110,14 @@ def cmd_solve(args) -> int:
         tag = f"autonomous_mu{args.mu:g}"
     else:
         v = cfg.potential.sample_on(cfg.grid, args.eps)
-        init, cells = None, 0
+        init = None
         wells = cfg.potential.well_points()
         if wells:
             auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid,
                                     config=cfg.solver)
-            init, y_act = make_profile(auto.field, wells[-1], args.eps, cfg.a)
-            cells = int(round((y_act / args.eps) / cfg.grid.dx))
+            init, _ = make_profile(auto.field, wells[-1], args.eps, cfg.a)
         res = solve_nonautonomous(cfg.exps, v, cfg.a, cfg.grid, init=init,
-                                  config=cfg.solver, center_cells=cells)
+                                  config=cfg.solver)
         tag = f"nonautonomous_eps{args.eps:g}"
     beta = barycenter(res.field, args.eps if args.mu is None else 1.0,
                       cfg.box_radius)
@@ -126,7 +125,7 @@ def cmd_solve(args) -> int:
     print(f"  grad_residual={res.grad_residual:.2e} "
           f"poho_residual={res.poho_residual:.2e} iterations={res.iterations} "
           f"converged={res.converged} "
-          f"newton_stop={res.newton.stop if res.newton else 'off'}")
+          f"newton_stop={res.newton.stop}")
     snap = _outpath(cfg, f"{tag}.chqf")
     save_field(res.field, snap)
     save_solve_sidecar(res, snap + ".txt", cfg.solver,

@@ -161,12 +161,8 @@ class ExperimentConfig:
             settings = {}
             for f in fields(SolveConfig):
                 default = _SOLVER_FILE_DEFAULTS.get(f.name, f.default)
-                if f.name not in sol:
-                    settings[f.name] = default
-                elif isinstance(default, bool):
-                    settings[f.name] = sol[f.name].lower() in ("1", "true", "yes")
-                else:
-                    settings[f.name] = type(default)(sol[f.name])
+                settings[f.name] = (type(default)(sol[f.name]) if f.name in sol
+                                    else default)
             solver = SolveConfig(**settings)
             out = cp["output"] if cp.has_section("output") else {}
             out_dir = out.get("dir", "out")
@@ -230,13 +226,9 @@ def write_report(rows, path, header=ReportRow.FIELDS) -> None:
 # ---------------------------------------------------------------------------
 
 def _solve_cell(cfg: ExperimentConfig, w_auto, eps: float, y: float):
-    g = cfg.grid
-    profile, y_actual = make_profile(w_auto, y, eps, cfg.a)
-    v_sampled = cfg.potential.sample_on(g, eps)
-    cells = int(round((y_actual / eps) / g.dx))
-    res = solve_nonautonomous(cfg.exps, v_sampled, cfg.a, g, init=profile,
-                              config=cfg.solver, center_cells=cells)
-    return res, profile, y_actual
+    profile, _ = make_profile(w_auto, y, eps, cfg.a)
+    return solve_nonautonomous(cfg.exps, cfg.potential.sample_on(cfg.grid, eps),
+                               cfg.a, cfg.grid, init=profile, config=cfg.solver)
 
 
 def run_concentration(cfg: ExperimentConfig, threads: int = 1):
@@ -257,9 +249,8 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
 
     def work(cell):
         eps, y = cell
-        res, _, y_act = _solve_cell(cfg, auto.field, eps, y)
-        beta = barycenter(res.field, eps, cfg.box_radius)
-        return cell, res, beta, y_act
+        res = _solve_cell(cfg, auto.field, eps, y)
+        return cell, res, barycenter(res.field, eps, cfg.box_radius)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -268,7 +259,7 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
         results = dict((c[0], c) for c in map(work, cells))
     max_dist = {}
     for cell in cells:
-        _, res, beta, y_act = results[cell]
+        _, res, beta = results[cell]
         d = dist_to_set(beta, m_points)
         eps = cell[0]
         max_dist[eps] = max(max_dist.get(eps, 0.0), d)
@@ -279,7 +270,7 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     gaps = {}
     for cell in cells:
         eps, y = cell
-        _, res, _, _ = results[cell]
+        _, res, _ = results[cell]
         gaps.setdefault(eps, []).append(abs(res.level - auto.level))
     gap_seq = [max(gaps[e]) for e in cfg.eps_list]
     monotone = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(len(dists) - 1))
@@ -328,7 +319,7 @@ def run_multiplicity(cfg: ExperimentConfig):
     auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
     rows, sols, betas = [], [], []
     for y in m_points:
-        res, _, y_act = _solve_cell(cfg, auto.field, eps, float(y))
+        res = _solve_cell(cfg, auto.field, eps, float(y))
         beta = barycenter(res.field, eps, cfg.box_radius)
         d = dist_to_set(beta, m_points)
         sols.append(res)

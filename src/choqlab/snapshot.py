@@ -78,9 +78,8 @@ def save_solve_sidecar(result, path, config=None, extra=None) -> None:
         f"converged = {result.converged}",
         f"mass = {result.mass!r}",
     ]
-    if result.newton is not None:
-        for f in fields(result.newton):
-            lines.append(f"newton.{f.name} = {getattr(result.newton, f.name)!r}")
+    for f in fields(result.newton):
+        lines.append(f"newton.{f.name} = {getattr(result.newton, f.name)!r}")
     if config is not None:
         for f in fields(config):
             lines.append(f"config.{f.name} = {getattr(config, f.name)!r}")

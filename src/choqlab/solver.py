@@ -27,9 +27,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import AliasRisk, NoConvergence, OutOfRange, TruncationActive
-from .energy import (Truncation, _abs_power, _odd_power, energy,
-                     hartree_energy, hartree_jvp, hartree_nonlinearity,
-                     normalize_potential)
+from .energy import (_abs_power, _odd_power, energy, hartree_energy,
+                     hartree_jvp, hartree_nonlinearity, normalize_potential)
 from .fiber import extract_profile, fiber_maximizer, ray_level
 from .params import ExponentSet
 from .spectral import (Field, band_limit, dilate, fractional_laplacian_free,
@@ -48,26 +47,23 @@ __all__ = [
 # Configuration and results
 # ---------------------------------------------------------------------------
 
+_STEP = 0.5          # initial descent step
+_SWITCH_TOL = 3e-4   # descent -> Newton handover residual
+_NEWTON_TOL = 1e-10  # relative residual that ends a Newton solve
+
+
 @dataclass(frozen=True)
 class SolveConfig:
-    step: float = 0.5          # initial descent step
     grad_tol: float = 1e-6     # relative residual ||G - lam u||_2 / ||u||_2
     poho_tol: float = 1e-6     # |P| / (2 s A)
     max_iter: int = 300        # composite descent iterations
-    refine: bool = True        # Newton refinement of the coupled system
-    newton_tol: float = 1e-10
-    newton_max: int = 40
-    switch_tol: float = 3e-4   # descent -> Newton handover residual
-    alias_tol: float = 1e-9
+    newton_max: int = 40       # Newton steps
 
     def __post_init__(self):
-        if (self.grad_tol <= 0 or self.poho_tol <= 0 or self.step <= 0
-                or self.newton_tol <= 0 or self.switch_tol <= 0):
-            raise OutOfRange("tolerances and step must be positive")
+        if self.grad_tol <= 0 or self.poho_tol <= 0:
+            raise OutOfRange("tolerances must be positive")
         if self.max_iter < 0 or self.newton_max < 0:
             raise OutOfRange("max_iter and newton_max must be >= 0")
-        if self.alias_tol < 0:
-            raise OutOfRange("alias_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ class SolveResult:
     iterations: int
     converged: bool
     trace: tuple  # rows (phase, iteration, level, grad_residual, poho_residual)
-    newton: NewtonStats | None  # None when refine is off
+    newton: NewtonStats
 
     @property
     def mass(self) -> float:
@@ -104,7 +100,7 @@ class GroundState:
     poho_residual: float   # scalar Pohozaev defect, normalized
     iterations: int
     converged: bool
-    newton: NewtonStats | None  # None when refine is off
+    newton: NewtonStats
 
 
 @dataclass(frozen=True)
@@ -115,10 +111,10 @@ class SAlphaResult:
     sensitivity: float     # (max - min) / min over the sweep
 
 
-def default_init(grid, a: float, width_frac: float = 1.0 / 16.0) -> Field:
+def default_init(grid, a: float) -> Field:
     """Gaussian bump of width L/16 at the origin, projected to S(a)."""
     r = grid.radius()
-    w = width_frac * grid.extent
+    w = grid.extent / 16.0
     return project_mass(Field(grid, np.exp(-0.5 * (r / w) ** 2)), a)
 
 
@@ -126,8 +122,7 @@ def _l2(values: np.ndarray, dv: float) -> float:
     return math.sqrt(float(np.sum(values * values)) * dv)
 
 
-def _dilate_composite(u: Field, t: float, alias_tol: float,
-                      center_cells: int = 0) -> Field:
+def _dilate_composite(u: Field, t: float, center_cells: int) -> Field:
     """Dilate by t about the carrier cell center_cells, in factors within
     [1/2, 2] to bound per-step aliasing; u itself when |log t| <= 1e-14."""
     if abs(math.log(t)) <= 1e-14:
@@ -135,23 +130,23 @@ def _dilate_composite(u: Field, t: float, alias_tol: float,
     out = translate(u, -center_cells) if center_cells else u
     remaining = t
     while remaining > 2.0:
-        out = dilate(out, 2.0, alias_tol)
+        out = dilate(out, 2.0)
         remaining /= 2.0
     while remaining < 0.5:
-        out = dilate(out, 0.5, alias_tol)
+        out = dilate(out, 0.5)
         remaining *= 2.0
     if remaining != 1.0:
-        out = dilate(out, remaining, alias_tol)
+        out = dilate(out, remaining)
     return translate(out, center_cells) if center_cells else out
 
 
 def _ray_level_sampled(u: Field, exps: ExponentSet, v_arr: np.ndarray,
-                       center_cells: int, alias_tol: float) -> float:
+                       center_cells: int) -> float:
     """Ray-reduced level for a sampled potential: the Hartree/kinetic part
     maximizes in closed form, the potential term is evaluated at the
     maximizer (one dilation about the carrier cell)."""
     fm = fiber_maximizer(extract_profile(u, exps, 0.0))
-    ut = _dilate_composite(u, fm.t_star, alias_tol, center_cells)
+    ut = _dilate_composite(u, fm.t_star, center_cells)
     pv = float(np.sum(v_arr * ut.values * ut.values)) * u.grid.dx
     return fm.value + 0.5 * pv
 
@@ -230,12 +225,9 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
         u = u_new
         if settled:
             break
-    fld = Field(g, u)
-    newton = None
-    if config.refine:
-        fld, newton = _newton(fld, None,
-                              lambda vals, lam: _scalar_system(Field(g, vals), exps),
-                              exps.s, False, config)
+    fld, newton = _newton(Field(g, u), None,
+                          lambda vals, lam: _scalar_system(Field(g, vals), exps),
+                          exps.s, False, config.newton_max)
     res_rel = _l2(_scalar_system(fld, exps)[0], dv) / _l2(fld.values, dv)
     a_kin = kinetic_energy_free(fld, exps.s)
     m = mass(fld)
@@ -288,7 +280,7 @@ def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
 # ---------------------------------------------------------------------------
 
 def _newton(u: Field, lam: float | None, residual, s: float,
-            sampled: bool, config: SolveConfig):
+            sampled: bool, newton_max: int):
     """Newton-Krylov with backtracking for residual(vals, lam) = 0 from u.
 
     residual(vals, lam) returns the field residual, the mass-row value and
@@ -328,7 +320,7 @@ def _newton(u: Field, lam: float | None, residual, s: float,
     fn = fnorm(r, c, vals)
     steps = backtracks = failures = 0
     stop = "budget"
-    while steps < config.newton_max:
+    while steps < newton_max:
         steps += 1
         lam_abs = abs(lam_v) if bordered else 0.0
 
@@ -372,7 +364,7 @@ def _newton(u: Field, lam: float | None, residual, s: float,
         if not accepted:
             stop = "line_search"
             break
-        if fn < config.newton_tol:
+        if fn < _NEWTON_TOL:
             stop = "tolerance"
             break
     return Field(g, vals), NewtonStats(steps, backtracks, failures, stop)
@@ -399,18 +391,22 @@ def _constrained_system(ev, lam: float, a: float):
 
 
 def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
-                     config: SolveConfig, center_cells: int = 0,
-                     mu_eff: float = 0.0) -> SolveResult:
+                     config: SolveConfig) -> SolveResult:
     """Alternate fiber rescaling and projected descent, then Newton.
 
     potential is normalized (see normalize_potential): a float mu or the
-    sampled V(eps x) as an ndarray."""
+    sampled V(eps x) as an ndarray.  A sampled solve leaves the potential
+    out of the fiber profile and dilates about the seed's carrier cell,
+    its peak's offset from the grid center."""
     sampled = isinstance(potential, np.ndarray)
+    mu_eff = 0.0 if sampled else potential
+    center_cells = (int(np.argmax(np.abs(init.values))) - grid.points // 2
+                    if sampled else 0)
     dv = grid.dx
     u = project_mass(init, a)
     trace = []
-    trunc = None
-    eta = config.step
+    r0 = None
+    eta = _STEP
     it = 0
     stall = 0
     best_level = np.inf
@@ -419,20 +415,19 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
         # (i) rescale onto the Pohozaev set (dilation about the carrier cell)
         prof = extract_profile(u, exps, mu_eff)
         fm = fiber_maximizer(prof)
-        rescaled = _dilate_composite(u, fm.t_star, config.alias_tol, center_cells)
+        rescaled = _dilate_composite(u, fm.t_star, center_cells)
         if rescaled is not u:
             u = project_mass(_despeckle(rescaled), a)
-        if trunc is None:
-            radius = hs_norm_free(u, exps.s)
-            trunc = Truncation(4.0 * radius, 8.0 * radius)
+        if r0 is None:
+            # the truncation radius R0: the solution must stay inside it
+            r0 = 4.0 * hs_norm_free(u, exps.s)
         # (ii) preconditioned projected gradient step, Armijo on the
         # ray-reduced level (the raw step is stiff: |k|^{2s} amplifies
         # high-k noise, so descend in the (|k|^{2s}+1+|lam|)^{-1} metric)
         ev = energy(u, exps, potential)
         level = ev.total
-        grad_res = ev.grad_residual
-        trace.append(("descent", it, level, grad_res, ev.poho_residual))
-        if grad_res < config.switch_tol or grad_res < config.grad_tol:
+        trace.append(("descent", it, level, ev.grad_residual, ev.poho_residual))
+        if ev.grad_residual < _SWITCH_TOL:
             break
         # the rescale/resample noise floor is ~1e-10 of the level: once the
         # per-step decrease sinks below it, descent treads water and the
@@ -463,7 +458,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
             else:
                 try:
                     r_trial = _ray_level_sampled(trial, exps, potential,
-                                                 center_cells, config.alias_tol)
+                                                 center_cells)
                 except AliasRisk:
                     # too rough to rescale: reject the trial like an
                     # Armijo failure and try a shorter step
@@ -477,24 +472,23 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
         if not accepted:
             break  # stalled this close to criticality: Newton finishes
     # Newton endgame on the true coupled system
+
+    def residual(vals, lam):
+        return _constrained_system(energy(Field(grid, vals), exps, potential),
+                                   lam, a)
+
+    u, newton = _newton(u, energy(u, exps, potential).lam, residual, exps.s,
+                        sampled, config.newton_max)
+    u = project_mass(u, a)
     ev = energy(u, exps, potential)
-    newton = None
-    if config.refine and config.max_iter >= 1:
-
-        def residual(vals, lam):
-            return _constrained_system(energy(Field(grid, vals), exps, potential),
-                                       lam, a)
-
-        u, newton = _newton(u, ev.lam, residual, exps.s, sampled, config)
-        u = project_mass(u, a)
-        ev = energy(u, exps, potential)
-        trace.append(("newton", it + 1, ev.total, ev.grad_residual,
-                      ev.poho_residual))
+    trace.append(("newton", it + 1, ev.total, ev.grad_residual,
+                  ev.poho_residual))
     converged = bool(ev.grad_residual < config.grad_tol
                      and ev.poho_residual < config.poho_tol)
-    if trunc is not None and hs_norm_free(u, exps.s) >= trunc.R0:
+    hs_norm = hs_norm_free(u, exps.s)
+    if hs_norm >= r0:
         raise TruncationActive(
-            f"converged H^s norm {hs_norm_free(u, exps.s):.4g} reached R0={trunc.R0:.4g}")
+            f"converged H^s norm {hs_norm:.4g} reached R0={r0:.4g}")
     return SolveResult(field=u, lam=ev.lam, level=ev.total,
                        poho_residual=ev.poho_residual,
                        grad_residual=ev.grad_residual, iterations=it,
@@ -516,17 +510,17 @@ def solve_autonomous(exps: ExponentSet, mu: float, a: float, grid,
     if config.max_iter < 1:
         raise NoConvergence("iteration budget is zero", [])
     init = init if init is not None else default_init(grid, a)
-    return _composite_solve(exps, float(mu), a, grid, init, config, mu_eff=mu)
+    return _composite_solve(exps, float(mu), a, grid, init, config)
 
 
 def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
                         init: Field | None = None,
-                        config: SolveConfig | None = None,
-                        center_cells: int = 0) -> SolveResult:
+                        config: SolveConfig | None = None) -> SolveResult:
     """Critical point of the non-autonomous functional with sampled V(eps x).
 
     Fiber rescaling freezes the (slowly varying) potential term and dilates
-    about the carrier cell; the Newton endgame solves the exact system.
+    about the carrier cell of init (the cell of its peak); the Newton
+    endgame solves the exact system.
     """
     config = config or SolveConfig()
     if config.max_iter < 1:
@@ -535,18 +529,14 @@ def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
     v = normalize_potential(potential, grid)
     if isinstance(v, np.ndarray) and float(np.ptp(v)) == 0.0:
         v = float(v[0])
-    if isinstance(v, float):
-        return _composite_solve(exps, v, a, grid, init, config, mu_eff=v)
-    return _composite_solve(exps, v, a, grid, init, config,
-                            center_cells=center_cells, mu_eff=0.0)
+    return _composite_solve(exps, v, a, grid, init, config)
 
 
 # ---------------------------------------------------------------------------
 # Concentration profiles
 # ---------------------------------------------------------------------------
 
-def make_profile(w: Field, y: float, eps: float, a: float,
-                 cutoff_radius: float | None = None):
+def make_profile(w: Field, y: float, eps: float, a: float):
     """Cut the autonomous ground state at radius R_eps = eps^{-1/2},
     translate to the well position y/eps (snapped to the grid), and
     renormalize to S(a).  Returns (field, actual_center_in_slow_coords).
@@ -555,7 +545,7 @@ def make_profile(w: Field, y: float, eps: float, a: float,
     g = w.grid
     if eps <= 0.0:
         raise OutOfRange(f"eps must be positive, got {eps}")
-    r_eps = cutoff_radius if cutoff_radius is not None else eps ** -0.5
+    r_eps = eps ** -0.5
     y = float(y)
     cells = int(np.rint((y / eps) / g.dx))
     shift = cells * g.dx

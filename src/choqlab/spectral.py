@@ -379,10 +379,14 @@ def _dilate_resample(vals: np.ndarray, t: float, n: int) -> np.ndarray:
     return out + nyq * np.cos(np.pi * x_rel) / n
 
 
-def dilate(u: Field, t: float, alias_tol: float = 1e-9) -> Field:
+# largest share of the spectral energy a dilation may push past Nyquist
+ALIAS_TOL = 1e-9
+
+
+def dilate(u: Field, t: float) -> Field:
     """Spectral interpolation of t^{1/2} u(t x) onto the same grid.
 
-    Raises AliasRisk when more than alias_tol of the spectral energy would
+    Raises AliasRisk when more than ALIAS_TOL of the spectral energy would
     be pushed past Nyquist (t > 1); content at scaled-down frequencies is
     always representable (t < 1), but the field must have decayed before
     the boundary for the widened support to stay in the box.
@@ -399,7 +403,7 @@ def dilate(u: Field, t: float, alias_tol: float = 1e-9) -> Field:
         total = float(np.sum(power))
         if total > 0.0:
             frac = float(np.sum(power[mask])) / total
-            if frac > alias_tol:
+            if frac > ALIAS_TOL:
                 raise AliasRisk(t, frac)
     vals = _dilate_resample(u.values.astype(np.complex128), t, n)
     # t ** 0.5, not math.sqrt(t): the two differ in the last bit for some t

@@ -244,14 +244,16 @@ a = 1.5
 kind = constant
 """
     path = tmp_path / "solver.cfg"
-    path.write_text(base + "[solver]\nnewton_max = 60\nnewton_tol = 1e-9\n"
-                    "switch_tol = 1e-3\nalias_tol = 1e-8\nrefine = no\n")
+    path.write_text(base + "[solver]\nnewton_max = 60\nmax_iter = 0\n")
     sol = ExperimentConfig.from_file(path).solver
-    assert (sol.newton_max, sol.newton_tol, sol.switch_tol, sol.alias_tol,
-            sol.refine) == (60, 1e-9, 1e-3, 1e-8, False)
+    assert (sol.newton_max, sol.max_iter) == (60, 0)
     # missing keys keep the file defaults
-    assert (sol.step, sol.grad_tol, sol.poho_tol, sol.max_iter) == (
-        0.5, 1e-6, 0.05, 300)
+    assert (sol.grad_tol, sol.poho_tol) == (1e-6, 0.05)
+    # the former settings are constants now: naming one is an error
+    for key in ("step", "refine", "newton_tol", "switch_tol", "alias_tol"):
+        path.write_text(base + f"[solver]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_file(path)
     # a key no field reads is an error, in any section
     path.write_text(base + "[solver]\nnewton_mx = 60\n")
     with pytest.raises(ConfigError, match="newton_mx"):
@@ -266,11 +268,18 @@ def test_readme_config_is_the_default(tmp_path):
     import dataclasses
     from pathlib import Path
 
+    from choqlab.solver import SolveConfig
+
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     path = tmp_path / "readme.cfg"
     path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
     cfg = ExperimentConfig.from_file(path)
     ref = default_config()
+    # the block names every solver setting
+    solver_block = path.read_text().split("[solver]\n", 1)[1].split("[", 1)[0]
+    assert ([line.split("=")[0].strip() for line in solver_block.splitlines()
+             if line.strip()]
+            == [f.name for f in dataclasses.fields(SolveConfig)])
     for f in dataclasses.fields(ref.solver):
         assert getattr(cfg.solver, f.name) == getattr(ref.solver, f.name), f.name
     for f in dataclasses.fields(ref):

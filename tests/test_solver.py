@@ -89,12 +89,12 @@ def test_autonomous_certificates(exps, autonomous_mu0, desk_config):
 
 
 def test_solve_config_rejects_bad_settings():
-    for bad in (dict(newton_max=-1), dict(newton_tol=0.0), dict(newton_tol=-1e-10),
-                dict(switch_tol=0.0), dict(switch_tol=-3e-4), dict(alias_tol=-1.0)):
+    for bad in (dict(newton_max=-1), dict(max_iter=-1), dict(grad_tol=0.0),
+                dict(poho_tol=-0.1)):
         with pytest.raises(OutOfRange):
             SolveConfig(**bad)
     # the boundary values stay valid
-    SolveConfig(newton_max=0, alias_tol=0.0)
+    SolveConfig(newton_max=0, max_iter=0)
 
 
 def test_constrained_row_finite_difference(exps, grid_unit, rng):

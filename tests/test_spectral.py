@@ -384,5 +384,5 @@ def test_operators_need_no_complex_transform(monkeypatch):
     band_limit(u)
     hartree_jvp(u, u.values, exps.p, ALPHA)
     # Petviashvili, then Newton: neither resamples with dilate
-    gs = solve_scalar_ground(exps, Grid(1, 96.0, 1024), SolveConfig(refine=True))
+    gs = solve_scalar_ground(exps, Grid(1, 96.0, 1024), SolveConfig())
     assert gs.converged and gs.newton.stop == "tolerance"
