@@ -390,8 +390,8 @@ def _constrained_system(ev, lam: float, a: float):
     return ev.gradient - lam * vals, 0.5 * (ev.mass - a), row
 
 
-def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
-                     config: SolveConfig) -> SolveResult:
+def _composite_solve(exps: ExponentSet, potential, a: float, grid,
+                     init: Field | None, config: SolveConfig) -> SolveResult:
     """Alternate fiber rescaling and projected descent, then Newton.
 
     potential is normalized (see normalize_potential): a float mu or the
@@ -400,6 +400,10 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid, init: Field,
     its peak's offset from the grid center."""
     sampled = isinstance(potential, np.ndarray)
     mu_eff = 0.0 if sampled else potential
+    # a caller's seed may be a raw Newton field: despeckle it like every
+    # descent iterate, so that a t <= 2 dilation of it is alias-free
+    # (default_init is smooth already)
+    init = default_init(grid, a) if init is None else _despeckle(init)
     center_cells = (int(np.argmax(np.abs(init.values))) - grid.points // 2
                     if sampled else 0)
     dv = grid.dx
@@ -509,7 +513,6 @@ def solve_autonomous(exps: ExponentSet, mu: float, a: float, grid,
         raise OutOfRange(f"mass must be positive, got {a}")
     if config.max_iter < 1:
         raise NoConvergence("iteration budget is zero", [])
-    init = init if init is not None else default_init(grid, a)
     return _composite_solve(exps, float(mu), a, grid, init, config)
 
 
@@ -525,7 +528,6 @@ def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
     config = config or SolveConfig()
     if config.max_iter < 1:
         raise NoConvergence("iteration budget is zero", [])
-    init = init if init is not None else default_init(grid, a)
     v = normalize_potential(potential, grid)
     if isinstance(v, np.ndarray) and float(np.ptp(v)) == 0.0:
         v = float(v[0])

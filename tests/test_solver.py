@@ -88,6 +88,18 @@ def test_autonomous_certificates(exps, autonomous_mu0, desk_config):
     assert res.newton.krylov_failures == 0
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_warm_start_from_converged_field(exps, grid_solver, autonomous_mu0,
+                                         desk_config, mu):
+    # a converged field carries Newton content above half Nyquist; the
+    # solve despeckles its seed, so the first rescale does not alias
+    res = solve_autonomous(exps, mu, DESK_MASS, grid_solver,
+                           init=autonomous_mu0.field, config=desk_config)
+    assert res.converged and res.newton.stop == "tolerance"
+    assert res.level == pytest.approx(autonomous_mu0.level + mu * DESK_MASS / 2,
+                                      rel=1e-8)
+
+
 def test_solve_config_rejects_bad_settings():
     for bad in (dict(newton_max=-1), dict(max_iter=-1), dict(grad_tol=0.0),
                 dict(poho_tol=-0.1)):
