@@ -48,8 +48,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _STEP = 0.5          # initial descent step
-_SWITCH_TOL = 3e-4   # descent -> Newton handover residual
 _NEWTON_TOL = 1e-10  # relative residual that ends a Newton solve
+# descent -> Newton handover residual; it lies above every grad_tol in use,
+# so it also ends a descent that has converged
+_SWITCH_TOL = 3e-4
 
 
 @dataclass(frozen=True)
@@ -291,7 +293,8 @@ def _newton(u: Field, lam: float | None, residual, s: float,
     solves are preconditioned by (|k|^{2s} + 1 + |lam|)^{-1}.  When sampled,
     the field step dz splits into beta*t along t = d_x u, beta = <t, dz>/<t, t>,
     and the rest; a trial of length h adds h*(dz - beta*t) and then translates
-    by h*beta exactly.  A step that no halving accepts stops the solve.
+    by h*beta exactly.  A step that no halving accepts stops the solve, and
+    so do a relative residual below _NEWTON_TOL and newton_max steps.
     Returns the field and its NewtonStats.
     """
     g = u.grid
