@@ -32,7 +32,7 @@ __all__ = [
     "Truncation", "Evaluation",
     "tau_eval", "tau_prime", "smooth_cutoff",
     "hartree_energy", "hartree_cross", "hartree_nonlinearity", "hartree_jvp",
-    "normalize_potential", "energy",
+    "jvp_factors", "normalize_potential", "energy",
     "truncated_profile_pohozaev", "truncated_profile_value",
 ]
 
@@ -141,19 +141,31 @@ def hartree_nonlinearity(u: Field, r: float, alpha: float) -> np.ndarray:
     return pot * _odd_power(u.values, r - 1.0)
 
 
+def jvp_factors(values: np.ndarray, r: float, pot: np.ndarray):
+    """The base-point arrays of hartree_jvp at u with I_alpha*|u|^r = pot:
+    sign(u)|u|^{r-1} and pot (r-1)|u|^{r-2}.  Both are fixed through a
+    Newton step, so its matvecs can share them."""
+    return (_odd_power(values, r - 1.0),
+            pot * (r - 1.0) * _abs_power(values, r - 2.0))
+
+
 def hartree_jvp(u: Field, v: np.ndarray, r: float, alpha: float,
-                pot: np.ndarray | None = None) -> np.ndarray:
+                factors: tuple | None = None) -> np.ndarray:
     """Directional derivative of hartree_nonlinearity at u in direction v.
 
-    pot is I_alpha*|u|^r when the caller already holds it (fixed through a
-    Newton step); the derivative then costs one Riesz convolution, not two.
+    factors is jvp_factors(u.values, r, I_alpha*|u|^r) when the caller holds
+    it (fixed through a Newton step); the derivative then costs one Riesz
+    convolution and no powers of u, with the same bits.
     """
-    au_r1 = _odd_power(u.values, r - 1.0)
-    if pot is None:
+    if factors is None:
+        au_r1 = _odd_power(u.values, r - 1.0)
         rho = _abs_power(u.values, r)
         pot = riesz_potential(Field(u.grid, rho), alpha).values
+        inner = riesz_potential(Field(u.grid, r * au_r1 * v), alpha).values
+        return inner * au_r1 + pot * (r - 1.0) * _abs_power(u.values, r - 2.0) * v
+    au_r1, diag = factors
     inner = riesz_potential(Field(u.grid, r * au_r1 * v), alpha).values
-    return inner * au_r1 + pot * (r - 1.0) * _abs_power(u.values, r - 2.0) * v
+    return inner * au_r1 + diag * v
 
 
 # ---------------------------------------------------------------------------

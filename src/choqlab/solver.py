@@ -28,7 +28,8 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import AliasRisk, NoConvergence, OutOfRange, TruncationActive
 from .energy import (_abs_power, _odd_power, energy, hartree_energy,
-                     hartree_jvp, hartree_nonlinearity, normalize_potential)
+                     hartree_jvp, hartree_nonlinearity, jvp_factors,
+                     normalize_potential)
 from .fiber import extract_profile, fiber_maximizer, ray_level
 from .params import ExponentSet
 from .spectral import (Field, band_limit, dilate, fractional_laplacian_free,
@@ -172,15 +173,19 @@ def _despeckle(u: Field) -> Field:
 def _scalar_system(u: Field, exps: ExponentSet):
     """Residual of (-D)^s U + U - (I_a*|U|^q)|U|^{q-2}U at u, the (absent)
     mass-row value 0.0 and the Jacobian row (v, dlam) -> J v, which holds
-    I_a*|u|^q fixed."""
+    I_a*|u|^q and the powers of u fixed."""
     pot = riesz_potential(Field(u.grid, _abs_power(u.values, exps.q)),
                           exps.alpha).values
     res = (fractional_laplacian_free(u, exps.s).values + u.values
            - pot * _odd_power(u.values, exps.q - 1.0))
+    fac = None
 
     def row(v, dlam):
+        nonlocal fac
+        if fac is None:  # on the first matvec: a rejected trial needs none
+            fac = jvp_factors(u.values, exps.q, pot)
         return (fractional_laplacian_free(Field(u.grid, v), exps.s).values + v
-                - hartree_jvp(u, v, exps.q, exps.alpha, pot))
+                - hartree_jvp(u, v, exps.q, exps.alpha, fac))
     return res, 0.0, row
 
 
@@ -380,15 +385,21 @@ def _newton(u: Field, lam: float | None, residual, s: float,
 def _constrained_system(ev, lam: float, a: float):
     """Residual G(u) - lam u and mass row (mass(u) - a)/2 at the field of ev,
     and the Jacobian row (v, dlam) -> J (v, dlam) of that system, which
-    reuses the Hartree potentials ev already holds."""
+    reuses the Hartree potentials ev already holds and computes the powers
+    of u once for all of its matvecs."""
     fld, exps, potential = ev.field, ev.exps, ev._v
     vals = fld.values
+    fac = None
 
     def row(v, dlam):
+        nonlocal fac
+        if fac is None:  # on the first matvec: a rejected trial needs none
+            fac = (jvp_factors(vals, exps.p, ev._pot_p),
+                   jvp_factors(vals, exps.q, ev._pot_q))
         out = (fractional_laplacian_free(Field(fld.grid, v), exps.s).values
                - lam * v - dlam * vals
-               - hartree_jvp(fld, v, exps.p, exps.alpha, ev._pot_p)
-               - hartree_jvp(fld, v, exps.q, exps.alpha, ev._pot_q))
+               - hartree_jvp(fld, v, exps.p, exps.alpha, fac[0])
+               - hartree_jvp(fld, v, exps.q, exps.alpha, fac[1]))
         return out + potential * v
     return ev.gradient - lam * vals, 0.5 * (ev.mass - a), row
 
