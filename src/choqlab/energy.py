@@ -2,18 +2,19 @@
 
 The working functional on the mass sphere is
 
-    J(u) = A(u)/2 + (1/2) Int V |u|^2
-           - tau(||u||_{H^s}) B_p(u)/(2p) - B_q(u)/(2q),
+    J(u) = A(u)/2 + (1/2) Int V |u|^2 - B_p(u)/(2p) - B_q(u)/(2q),
 
-with A(u) the squared fractional seminorm, B_r(u) the Hartree energy
-Int (I_alpha * |u|^r)|u|^r, and tau a smooth radial cutoff that switches
-the critical term off at large H^s norm.  In the autonomous case V == mu
-the potential term is mu*mass/2.  Along the mass-preserving dilation ray
-the derivative of the truncated energy factors through the truncated
-Pohozaev functional:  d/dt J_T(u_t) = (t^{2s-1}/2) P_T(u_t).
+with A(u) the squared fractional seminorm and B_r(u) the Hartree energy
+Int (I_alpha * |u|^r)|u|^r.  In the autonomous case V == mu the potential
+term is mu*mass/2.  energy() evaluates a field once: its Evaluation carries
+the energy terms, the Lagrange multiplier, the Pohozaev value and the
+Euler-Lagrange gradient.
 
-energy() evaluates a field once: its Evaluation carries the energy terms,
-the Lagrange multiplier, the Pohozaev value and the Euler-Lagrange gradient.
+The truncated functional J_T multiplies B_p by tau(||u||_{H^s}), a smooth
+radial cutoff that switches the critical term off at large H^s norm.  It
+is evaluated along the mass-preserving dilation ray only, where its
+derivative factors through the truncated Pohozaev functional:
+d/dt J_T(u_t) = (t^{2s-1}/2) P_T(u_t).
 """
 
 from __future__ import annotations
@@ -189,19 +190,16 @@ class Evaluation:
     A, B_p, B_q and Int V|u|^2 determine the energy, the multiplier and the
     Pohozaev value; the Hartree potentials I_alpha*|u|^r behind B_r are kept
     for the Euler-Lagrange gradient and for the Newton operator at u.  A(u)
-    (and with it tau and the energy) and the gradient are built on first
-    use: the Newton residual reads only the gradient and the mass.  (Not
+    (and with it the energy) and the gradient are built on first use: the Newton residual reads only the gradient and the mass.  (Not
     functools.cached_property: before Python 3.12 it holds one lock for every
     instance, which serializes the harness's worker threads.)
     """
 
-    def __init__(self, u: Field, exps: ExponentSet, potential,
-                 trunc: Truncation | None = None):
+    def __init__(self, u: Field, exps: ExponentSet, potential):
         dv = u.grid.dx
         self.field = u
         self.exps = exps
         self._v = normalize_potential(potential, u.grid)
-        self._trunc = trunc
         self.mass = mass(u)
         if isinstance(self._v, np.ndarray):               # Int V(eps x)|u|^2
             self.potential = float(np.sum(self._v * u.values * u.values)) * dv
@@ -224,18 +222,11 @@ class Evaluation:
         return self._kinetic
 
     @property
-    def tau_factor(self) -> float:
-        """tau(||u||_{H^s}), 1 without a truncation."""
-        if self._trunc is None:
-            return 1.0
-        return tau_eval(self._trunc, math.sqrt(self.kinetic + self.mass))
-
-    @property
     def total(self) -> float:
-        """J(u), the (optionally truncated) energy."""
+        """J(u), the untruncated energy."""
         e = self.exps
         return (0.5 * self.kinetic + 0.5 * self.potential
-                - self.tau_factor * self.hartree_p / (2.0 * e.p)
+                - self.hartree_p / (2.0 * e.p)
                 - self.hartree_q / (2.0 * e.q))
 
     @property
@@ -283,11 +274,10 @@ class Evaluation:
         return math.sqrt(float(np.sum(d * d)) * self.field.grid.dx / self.mass)
 
 
-def energy(u: Field, exps: ExponentSet, potential=0.0,
-           trunc: Truncation | None = None) -> Evaluation:
-    """Evaluate u once: energy breakdown of the (optionally truncated)
-    functional, multiplier, Pohozaev value and gradient."""
-    return Evaluation(u, exps, potential, trunc)
+def energy(u: Field, exps: ExponentSet, potential=0.0) -> Evaluation:
+    """Evaluate u once: energy breakdown of the untruncated functional,
+    multiplier, Pohozaev value and gradient."""
+    return Evaluation(u, exps, potential)
 
 
 # ---------------------------------------------------------------------------

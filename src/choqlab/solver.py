@@ -26,15 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .errors import AliasRisk, NoConvergence, OutOfRange, TruncationActive
+from .errors import (AliasRisk, NoConvergence, OutOfBox, OutOfRange,
+                     TruncationActive)
 from .energy import (_abs_power, _odd_power, energy, hartree_energy,
                      hartree_jvp, hartree_nonlinearity, jvp_factors,
                      normalize_potential)
 from .fiber import extract_profile, fiber_maximizer, ray_level
 from .params import ExponentSet
-from .spectral import (Field, band_limit, dilate, fractional_laplacian_free,
-                       hs_norm_free, kinetic_energy_free, mass, project_mass,
-                       riesz_potential, translate)
+from .spectral import (Field, band_limit, dilate, edge_shell,
+                       fractional_laplacian_free, hs_norm_free,
+                       kinetic_energy_free, mass, project_mass,
+                       riesz_potential, smooth_cutoff, translate)
 
 __all__ = [
     "SolveConfig", "SolveResult", "GroundState", "SAlphaResult", "NewtonStats",
@@ -50,6 +52,13 @@ __all__ = [
 
 _STEP = 0.5          # initial descent step
 _NEWTON_TOL = 1e-10  # relative residual that ends a Newton solve
+# Eisenstat-Walker forcing terms (choice 2), the relative tolerance of each
+# Newton step's Krylov solve: _ETA_MAX on the first step, then
+# eta = _ETA_GAMMA (fn/fn_prev)^2, at least _ETA_GAMMA eta_prev^2 when that
+# exceeds 0.1, within [max(_ETA_MIN, 0.5 _NEWTON_TOL/fn), _ETA_MAX]
+_ETA_MAX = 0.5
+_ETA_GAMMA = 0.9
+_ETA_MIN = 1e-8
 # descent -> Newton handover residual; it lies above every grad_tol in use,
 # so it also ends a descent that has converged
 _SWITCH_TOL = 3e-4
@@ -295,7 +304,9 @@ def _newton(u: Field, lam: float | None, residual, s: float,
     the row serves every Krylov matvec of the step taken from it.  With lam
     None there is no lambda unknown and no mass row (the mass-row value is
     then 0.0); otherwise the system is bordered by the row <u, v>.  Krylov
-    solves are preconditioned by (|k|^{2s} + 1 + |lam|)^{-1}.  When sampled,
+    solves are preconditioned by (|k|^{2s} + 1 + |lam|)^{-1} and inexact:
+    their relative tolerance is the Eisenstat-Walker forcing term (choice 2,
+    see _ETA_MAX), loose while the residual falls slowly.  When sampled,
     the field step dz splits into beta*t along t = d_x u, beta = <t, dz>/<t, t>,
     and the rest; a trial of length h adds h*(dz - beta*t) and then translates
     by h*beta exactly.  A step that no halving accepts stops the solve, and
@@ -326,11 +337,20 @@ def _newton(u: Field, lam: float | None, residual, s: float,
     lam_v = lam
     r, c, row = residual(vals, lam_v)
     fn = fnorm(r, c, vals)
+    fn_prev, eta = None, _ETA_MAX
     steps = backtracks = failures = 0
     stop = "budget"
     while steps < newton_max:
         steps += 1
         lam_abs = abs(lam_v) if bordered else 0.0
+        if fn_prev is not None:
+            # a solve loose while the residual falls slowly, tighter as it
+            # falls fast, never tighter than the stop rule needs
+            guard = _ETA_GAMMA * eta * eta
+            eta = _ETA_GAMMA * (fn / fn_prev) ** 2
+            if guard > 0.1:
+                eta = max(eta, guard)
+            eta = max(min(eta, _ETA_MAX), _ETA_MIN, 0.5 * _NEWTON_TOL / fn)
 
         def jvp(z):
             out = row(z[:nn], z[nn] if bordered else 0.0)
@@ -345,7 +365,7 @@ def _newton(u: Field, lam: float | None, residual, s: float,
         op = LinearOperator((size, size), matvec=jvp)
         pre = LinearOperator((size, size), matvec=prec)
         rhs = -np.concatenate([r, [c]]) if bordered else -r
-        dz, info = lgmres(op, rhs, M=pre, rtol=1e-8, atol=0.0, maxiter=300)
+        dz, info = lgmres(op, rhs, M=pre, rtol=eta, atol=0.0, maxiter=300)
         # a step whose Krylov solve did not converge is still tried
         failures += int(info != 0)
         dz_field, beta = dz[:nn], 0.0
@@ -364,7 +384,7 @@ def _newton(u: Field, lam: float | None, residual, s: float,
             tr, tc, trow = residual(tv, tl)
             if fnorm(tr, tc, tv) < fn:
                 vals, lam_v, r, c, row = tv, tl, tr, tc, trow
-                fn = fnorm(r, c, vals)
+                fn_prev, fn = fn, fnorm(r, c, vals)
                 accepted = True
                 break
             step_len *= 0.5
@@ -556,8 +576,9 @@ def make_profile(w: Field, y: float, eps: float, a: float):
     """Cut the autonomous ground state at radius R_eps = eps^{-1/2},
     translate to the well position y/eps (snapped to the grid), and
     renormalize to S(a).  Returns (field, actual_center_in_slow_coords).
+    The support must stay out of the outer 1/16 shell of the box, where
+    boundary_decay reads the decay that the free-space operators assume.
     """
-    from .energy import smooth_cutoff
     g = w.grid
     if eps <= 0.0:
         raise OutOfRange(f"eps must be positive, got {eps}")
@@ -565,11 +586,11 @@ def make_profile(w: Field, y: float, eps: float, a: float):
     y = float(y)
     cells = int(np.rint((y / eps) / g.dx))
     shift = cells * g.dx
-    if abs(shift) + 2.0 * r_eps > 0.5 * g.extent - 2.0 * g.dx:
-        from .errors import OutOfBox
+    inner = 0.5 * g.extent - edge_shell(g) * g.dx
+    if abs(shift) + 2.0 * r_eps > inner:
         raise OutOfBox(
             f"profile at y/eps={y / eps} with support radius {2 * r_eps:.3g} "
-            f"exits the box of half-width {0.5 * g.extent:.3g}")
+            f"enters the outer 1/16 shell of the box (|x| > {inner:.3g})")
     chi = smooth_cutoff(g.radius(), r_eps, 2.0 * r_eps)
     cut = Field(g, w.values * chi)
     out = project_mass(translate(cut, cells), a)

@@ -45,7 +45,8 @@ __all__ = [
     "Grid", "Field",
     "fractional_laplacian", "kinetic_energy",
     "riesz_potential", "dilate", "translate",
-    "mass", "project_mass", "random_field", "boundary_decay", "smooth_cutoff",
+    "mass", "project_mass", "random_field", "boundary_decay", "edge_shell",
+    "smooth_cutoff",
     "band_limit",
 ]
 
@@ -458,6 +459,11 @@ def band_limit(u: Field, keep_frac: float = 0.25) -> Field:
     return Field(u.grid, np.fft.irfft(uh, n))
 
 
+def edge_shell(grid: Grid) -> int:
+    """Width in cells of the outer 1/16 shell at each end of the box."""
+    return max(1, grid.points // 16)
+
+
 def boundary_decay(u: Field) -> float:
     """max |u| over the outer 1/16 shell of the box, relative to max |u|.
 
@@ -465,7 +471,7 @@ def boundary_decay(u: Field) -> float:
     free-space Hartree evaluation and of dilation.
     """
     n = u.grid.points
-    w = max(1, n // 16)
+    w = edge_shell(u.grid)
     amax = float(np.max(np.abs(u.values)))
     if amax == 0.0:
         return 0.0

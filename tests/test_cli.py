@@ -86,6 +86,17 @@ def test_solve_sampled_potential(tmp_path, capsys):
     assert "newton.stop = 'tolerance'" in sidecar
 
 
+def test_solve_rejects_seed_at_box_edge(tmp_path, capsys):
+    # eps 0.2 puts the well at y/eps = 40: the seed's support reaches
+    # x = 44.5, inside the outer 1/16 shell (|x| > 42) of the 96 box
+    rc = main(["--out", str(tmp_path), "--config", _write_cfg(tmp_path),
+               "solve", "--eps", "0.2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "OutOfBox" in err and "outer 1/16 shell" in err
+    assert not (tmp_path / "nonautonomous_eps0.2.chqf").exists()
+
+
 def _write_cfg(tmp_path, solver_extra=""):
     path = tmp_path / "exp.cfg"
     path.write_text("""

@@ -108,7 +108,7 @@ def test_energy_breakdown_reassembly(grid_unit, rng, exps):
     u = make_positive_field(grid_unit, rng)
     br = energy(u, exps, potential=0.7)
     reassembled = (0.5 * br.kinetic + 0.5 * br.potential
-                   - br.tau_factor * br.hartree_p / (2 * exps.p)
+                   - br.hartree_p / (2 * exps.p)
                    - br.hartree_q / (2 * exps.q))
     assert br.total == reassembled  # bitwise formula identity
     assert br.kinetic >= 0.0 and br.hartree_p >= 0.0 and br.hartree_q >= 0.0
@@ -125,17 +125,19 @@ def test_energy_mu_shift(grid_unit, rng, exps):
 
 
 def test_energy_truncation_regions(grid_unit, rng, exps):
+    # the truncated fiber value at t = 1 against the evaluator's energy
     u = make_positive_field(grid_unit, rng)
     from choqlab.spectral import hs_norm_free
     r = hs_norm_free(u, exps.s)
+    br = energy(u, exps, 0.0)
+    pieces = (br.kinetic, br.hartree_p, br.hartree_q, br.mass, 0.0, exps)
     # tau == 1: truncated and untruncated totals agree exactly
     wide = Truncation(2.0 * r, 4.0 * r)
-    assert energy(u, exps, 0.0, wide).total == energy(u, exps, 0.0).total
+    assert truncated_profile_value(*pieces, wide, 1.0) == br.total
     # tau == 0: no critical Hartree contribution in the total
     tight = Truncation(r / 4.0, r / 2.0)
-    br = energy(u, exps, 0.0, tight)
-    assert br.tau_factor == 0.0
-    assert br.total == pytest.approx(
+    assert tau_eval(tight, r) == 0.0
+    assert truncated_profile_value(*pieces, tight, 1.0) == pytest.approx(
         0.5 * br.kinetic - br.hartree_q / (2 * exps.q), rel=1e-14)
 
 
@@ -208,23 +210,20 @@ def test_kinetic_energy_is_lazy(grid_unit, rng, exps, monkeypatch):
     u = make_positive_field(grid_unit, rng)
     a_kin = kinetic_energy_free(u, exps.s)
     m = mass(u)
-    radius = math.sqrt(a_kin + m)
-    trunc = Truncation(0.5 * radius, 2.0 * radius)   # tau inside its bridge
-    ev = energy(u, exps, 0.3, trunc)
+    ev = energy(u, exps, 0.3)
     assert ev.gradient.shape == grid_unit.shape and ev.mass == m
     assert len(calls) == 0
     values = (ev.total, ev.lam, ev.pohozaev, ev.poho_residual)
     assert len(calls) == 1
     bp, bq, pot = ev.hartree_p, ev.hartree_q, ev.potential
-    tau = tau_eval(trunc, math.sqrt(a_kin + m))
     pohozaev = (2.0 * exps.s * a_kin - (exps.delta_p / exps.p) * bp
                 - (exps.delta_q / exps.q) * bq)
-    eager = (0.5 * a_kin + 0.5 * pot - tau * bp / (2.0 * exps.p) - bq / (2.0 * exps.q),
+    eager = (0.5 * a_kin + 0.5 * pot - bp / (2.0 * exps.p) - bq / (2.0 * exps.q),
              (a_kin + pot - bp - bq) / m,
              pohozaev,
              abs(pohozaev) / (2.0 * exps.s * a_kin))
     assert values == eager
-    assert (ev.kinetic, ev.tau_factor) == (a_kin, tau)
+    assert ev.kinetic == a_kin
     assert len(calls) == 1
 
 

@@ -151,6 +151,26 @@ def test_krylov_failure_is_counted(exps, grid_unit, desk_config, monkeypatch):
     assert res.newton.steps == 1 and res.newton.backtracks == 12
 
 
+def test_krylov_forcing_terms(exps, grid_solver, desk_config, monkeypatch):
+    # Eisenstat-Walker: the first Krylov solve is loose, later ones follow
+    # the fall of the residual, and none is tighter than 1e-8; the solve
+    # still meets the Newton stop rule
+    rtols = []
+    original = solver.lgmres
+
+    def recorded(op, b, **kw):
+        rtols.append(kw["rtol"])
+        return original(op, b, **kw)
+
+    monkeypatch.setattr(solver, "lgmres", recorded)
+    res = solve_autonomous(exps, 0.0, DESK_MASS, grid_solver, config=desk_config)
+    assert rtols[0] == solver._ETA_MAX
+    assert all(1e-8 <= t <= solver._ETA_MAX for t in rtols)
+    assert len(set(rtols)) > 1
+    assert res.newton.stop == "tolerance"
+    assert res.grad_residual < 1e-10
+
+
 def test_descent_trace_monotone(exps, autonomous_mu0):
     # monotone up to the rescale/resample noise floor that triggers the
     # handover to Newton
