@@ -143,9 +143,9 @@ def hartree_nonlinearity(u: Field, r: float, alpha: float) -> np.ndarray:
 
 
 def jvp_factors(values: np.ndarray, r: float, pot: np.ndarray):
-    """The base-point arrays of hartree_jvp at u with I_alpha*|u|^r = pot:
-    sign(u)|u|^{r-1} and pot (r-1)|u|^{r-2}.  Both are fixed through a
-    Newton step, so its matvecs can share them."""
+    """The base-point arrays of hartree_jvp at u = values, given
+    pot = I_alpha*|u|^r: sign(u)|u|^{r-1} and pot (r-1)|u|^{r-2}.  Both are
+    fixed through a Newton step, so its matvecs can share them."""
     return (_odd_power(values, r - 1.0),
             pot * (r - 1.0) * _abs_power(values, r - 2.0))
 
@@ -190,7 +190,8 @@ class Evaluation:
     A, B_p, B_q and Int V|u|^2 determine the energy, the multiplier and the
     Pohozaev value; the Hartree potentials I_alpha*|u|^r behind B_r are kept
     for the Euler-Lagrange gradient and for the Newton operator at u.  A(u)
-    (and with it the energy) and the gradient are built on first use: the Newton residual reads only the gradient and the mass.  (Not
+    (and with it the energy) and the gradient are built on first use: the
+    Newton residual reads only the gradient and the mass.  (Not
     functools.cached_property: before Python 3.12 it holds one lock for every
     instance, which serializes the harness's worker threads.)
     """
