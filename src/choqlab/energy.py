@@ -159,11 +159,9 @@ def hartree_jvp(u: Field, v: np.ndarray, r: float, alpha: float,
     convolution and no powers of u, with the same bits.
     """
     if factors is None:
-        au_r1 = _odd_power(u.values, r - 1.0)
-        rho = _abs_power(u.values, r)
-        pot = riesz_potential(Field(u.grid, rho), alpha).values
-        inner = riesz_potential(Field(u.grid, r * au_r1 * v), alpha).values
-        return inner * au_r1 + pot * (r - 1.0) * _abs_power(u.values, r - 2.0) * v
+        pot = riesz_potential(Field(u.grid, _abs_power(u.values, r)), alpha).values
+        factors = jvp_factors(u.values, r, pot)
+        del pot  # only the factors stay alive through the inner convolution
     au_r1, diag = factors
     inner = riesz_potential(Field(u.grid, r * au_r1 * v), alpha).values
     return inner * au_r1 + diag * v

@@ -55,7 +55,9 @@ _NEWTON_TOL = 1e-10  # relative residual that ends a Newton solve
 # Eisenstat-Walker forcing terms (choice 2), the relative tolerance of each
 # Newton step's Krylov solve: _ETA_MAX on the first step, then
 # eta = _ETA_GAMMA (fn/fn_prev)^2, at least _ETA_GAMMA eta_prev^2 when that
-# exceeds 0.1, within [max(_ETA_MIN, 0.5 _NEWTON_TOL/fn), _ETA_MAX]
+# exceeds 0.1, within [max(_ETA_MIN, 0.5 _NEWTON_TOL/fn), _ETA_MAX].  lgmres
+# measures eta against the plain norm of [r, c], while fn weights r by dx and
+# the mass row c by 1: the floor fits the stop rule only while c is negligible
 _ETA_MAX = 0.5
 _ETA_GAMMA = 0.9
 _ETA_MIN = 1e-8
