@@ -47,10 +47,6 @@ class ZeroField(ChoqlabError):
 class NoConvergence(ChoqlabError):
     """Iteration budget exhausted before tolerances were met."""
 
-    def __init__(self, message, trace=None):
-        self.trace = trace if trace is not None else []
-        super().__init__(message)
-
 
 class TruncationActive(ChoqlabError):
     """Converged iterate has H^s norm >= R0: truncation radii are misconfigured."""

@@ -10,7 +10,9 @@ reduces to O(1) arithmetic in the profile (A, B_p, B_q, a):
 Psi is strictly decreasing with Psi(0+) = 2sA > 0, so phi has a unique
 interior maximizer t*, characterized by P(u_{t*}) = 0 (the Pohozaev set).
 The ray-reduced level R(u) = phi(t*) is the quantity whose infimum over
-the sphere is the mountain-pass value.
+the sphere is the mountain-pass value.  ray_level also takes a potential V
+sampled on the grid: it freezes the potential term at u, so the ray level
+is max_t phi_0(t) + (1/2) Int V|u|^2, which for a constant V == mu is R(u).
 """
 
 from __future__ import annotations
@@ -114,9 +116,15 @@ def fiber_maximizer(prof: FiberProfile, rel_tol: float = 1e-12) -> FiberMax:
                     psi_bracket=(hi - lo) / t_star)
 
 
-def ray_level(u: Field, exps: ExponentSet, mu: float = 0.0) -> float:
-    """R(u) = max_t phi(t): the ray-reduced level minimized by the solver."""
-    return fiber_maximizer(extract_profile(u, exps, mu)).value
+def ray_level(u: Field, exps: ExponentSet, potential=0.0) -> float:
+    """max_t phi_0(t) + (1/2) Int V|u|^2: the ray-reduced level minimized by
+    the solver, with the potential term frozen at u.  potential is a float
+    mu or a sampled V on the grid, as in energy(); for a constant mu the
+    frozen term mu a/2 is exact along the ray, so this is R(u)."""
+    ev = energy(u, exps, potential)
+    prof = FiberProfile(A=ev.kinetic, B_p=ev.hartree_p, B_q=ev.hartree_q,
+                        a=ev.mass, mu=0.0, exps=exps)
+    return fiber_maximizer(prof).value + 0.5 * ev.potential
 
 
 def pure_q_maximizer(prof: FiberProfile) -> float:

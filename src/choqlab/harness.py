@@ -36,10 +36,15 @@ from .solver import (SolveConfig, make_profile, solve_autonomous,
 __all__ = [
     "ExperimentConfig", "ReportRow", "barycenter", "default_config",
     "run_concentration", "run_multiplicity", "run_verify",
-    "write_report", "CHECK_FIELDS", "SCHEMA_VERSION", "CHECKS", "passes",
+    "write_report", "CHECK_FIELDS", "SCHEMA_VERSION", "CHECKS", "SEPARATION",
+    "passes",
 ]
 
 SCHEMA_VERSION = "choqlab-report v1"
+
+# relative H^s distance two multiplicity solutions must exceed to count as
+# distinct
+SEPARATION = 0.1
 
 # header of the verification battery's report (verify.csv)
 CHECK_FIELDS = ("check", "status", "measured", "tolerance")
@@ -116,7 +121,6 @@ class ExperimentConfig:
     solver: SolveConfig
     out_dir: str
     seed: int
-    separation: float = 0.1
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -254,24 +258,18 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict((c[0], c) for c in pool.map(work, cells))
+            results = list(pool.map(work, cells))   # in cell order
     else:
-        results = dict((c[0], c) for c in map(work, cells))
-    max_dist = {}
-    for cell in cells:
-        _, res, beta = results[cell]
+        results = list(map(work, cells))
+    max_dist, gaps = {}, {}
+    for (eps, _), res, beta in results:
         d = dist_to_set(beta, m_points)
-        eps = cell[0]
         max_dist[eps] = max(max_dist.get(eps, 0.0), d)
+        gaps.setdefault(eps, []).append(abs(res.level - auto.level))
         rows.append(ReportRow("concentration", eps, cfg.a, 0.0, res.level,
                               res.lam, res.poho_residual, res.grad_residual,
                               float(beta[0]), d, res.iterations, res.converged))
     dists = [max_dist[e] for e in cfg.eps_list]
-    gaps = {}
-    for cell in cells:
-        eps, y = cell
-        _, res, _ = results[cell]
-        gaps.setdefault(eps, []).append(abs(res.level - auto.level))
     gap_seq = [max(gaps[e]) for e in cfg.eps_list]
     monotone = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(len(dists) - 1))
     converged = all(row.converged for row in rows)
@@ -335,12 +333,11 @@ def run_multiplicity(cfg: ExperimentConfig):
     well_dists = [abs(betas[k] - m_points[near[k]]) for k in range(2)]
     distinct_wells = near[0] != near[1] and all(d <= cfg.delta for d in well_dists)
     level_gap = abs(sols[0].level - sols[1].level) / (1.0 + abs(sols[0].level))
-    if sep <= cfg.separation or (near[0] == near[1]
-                                 and sep_aligned <= cfg.separation):
+    if sep <= SEPARATION or (near[0] == near[1] and sep_aligned <= SEPARATION):
         raise Indistinct(
-            f"solutions collapsed: H^s separation {sep:.3g} <= {cfg.separation} "
+            f"solutions collapsed: H^s separation {sep:.3g} <= {SEPARATION} "
             f"(aligned {sep_aligned:.3g}, wells {near})")
-    passed = (distinct_wells and sep > cfg.separation
+    passed = (distinct_wells and sep > SEPARATION
               and all(s.lam < 0.0 for s in sols)
               and sols[0].converged and sols[1].converged)
     return dict(rows=rows, separation=sep, separation_aligned=sep_aligned,

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .errors import (AliasRisk, NoConvergence, OutOfBox, OutOfRange,
-                     TruncationActive)
+from .errors import NoConvergence, OutOfBox, OutOfRange, TruncationActive
 from .energy import (_abs_power, _odd_power, energy, hartree_energy,
                      hartree_jvp, hartree_nonlinearity, jvp_factors,
                      normalize_potential)
@@ -154,17 +153,6 @@ def _dilate_composite(u: Field, t: float, center_cells: int) -> Field:
     return translate(out, center_cells) if center_cells else out
 
 
-def _ray_level_sampled(u: Field, exps: ExponentSet, v_arr: np.ndarray,
-                       center_cells: int) -> float:
-    """Ray-reduced level for a sampled potential: the Hartree/kinetic part
-    maximizes in closed form, the potential term is evaluated at the
-    maximizer (one dilation about the carrier cell)."""
-    fm = fiber_maximizer(extract_profile(u, exps, 0.0))
-    ut = _dilate_composite(u, fm.t_star, center_cells)
-    pv = float(np.sum(v_arr * ut.values * ut.values)) * u.grid.dx
-    return fm.value + 0.5 * pv
-
-
 def _despeckle(u: Field) -> Field:
     """Descent-loop hygiene: zero content above half Nyquist.
 
@@ -218,7 +206,7 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
     if not (exps.p_lower < exps.q < exps.p):
         raise OutOfRange("scalar problem needs q strictly inside (p_lower, p)")
     if config.max_iter < 1:
-        raise NoConvergence("iteration budget is zero", [])
+        raise NoConvergence("iteration budget is zero")
     g = grid
     r = g.radius()
     u = init.values.copy() if init is not None else np.exp(-0.5 * r * r)
@@ -233,7 +221,7 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
         num = float(np.sum(u * lin_u)) * dv
         den = float(np.sum(u * nonlin)) * dv
         if den <= 0.0:
-            raise NoConvergence("Petviashvili pairing lost positivity", [])
+            raise NoConvergence("Petviashvili pairing lost positivity")
         m_fac = num / den
         u_new = np.fft.irfft(np.fft.rfft(nonlin) / sym, g.points) * m_fac ** gamma_st
         u_new = _symmetrize_even(u_new)
@@ -245,7 +233,7 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
             break
     fld, newton = _newton(Field(g, u), None,
                           lambda vals, lam: _scalar_system(Field(g, vals), exps),
-                          exps.s, False, config.newton_max)
+                          exps.s, config.newton_max)
     res_rel = _l2(_scalar_system(fld, exps)[0], dv) / _l2(fld.values, dv)
     a_kin = kinetic_energy_free(fld, exps.s)
     m = mass(fld)
@@ -297,8 +285,7 @@ def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
 # Newton-Krylov
 # ---------------------------------------------------------------------------
 
-def _newton(u: Field, lam: float | None, residual, s: float,
-            sampled: bool, newton_max: int):
+def _newton(u: Field, lam: float | None, residual, s: float, newton_max: int):
     """Newton-Krylov with backtracking for residual(vals, lam) = 0 from u.
 
     residual(vals, lam) returns the field residual, the mass-row value and
@@ -308,11 +295,12 @@ def _newton(u: Field, lam: float | None, residual, s: float,
     then 0.0); otherwise the system is bordered by the row <u, v>.  Krylov
     solves are preconditioned by (|k|^{2s} + 1 + |lam|)^{-1} and inexact:
     their relative tolerance is the Eisenstat-Walker forcing term (choice 2,
-    see _ETA_MAX), loose while the residual falls slowly.  When sampled,
-    the field step dz splits into beta*t along t = d_x u, beta = <t, dz>/<t, t>,
-    and the rest; a trial of length h adds h*(dz - beta*t) and then translates
-    by h*beta exactly.  A step that no halving accepts stops the solve, and
-    so do a relative residual below _NEWTON_TOL and newton_max steps.
+    see _ETA_MAX), loose while the residual falls slowly.  Every field step
+    dz splits into beta*t along the translation mode t = d_x u,
+    beta = <t, dz>/<t, t>, and the rest; a trial of length h adds
+    h*(dz - beta*t) and then translates by h*beta exactly.  A step that no
+    halving accepts stops the solve, and so do a relative residual below
+    _NEWTON_TOL and newton_max steps.
     Returns the field and its NewtonStats.
     """
     g = u.grid
@@ -326,10 +314,11 @@ def _newton(u: Field, lam: float | None, residual, s: float,
         return math.sqrt((float(np.sum(r * r)) * dv + c * c)
                          / max(float(np.sum(vals * vals)) * dv, 1e-300))
 
-    # slowly varying sampled potentials leave the translation mode t = d_x u
-    # almost in the Jacobian kernel, so steps along it are long, and the
-    # linear translation u - delta*t is only O(delta^2) accurate: the line
-    # search rejects such steps unless that part is an exact shift
+    # near a solution the translation mode t = d_x u is a null mode of the
+    # Jacobian when the potential is constant, and nearly one when it varies
+    # slowly, so steps along it can be long, while the linear translation
+    # u - delta*t is only O(delta^2) accurate: the line search rejects such
+    # steps unless that part is an exact shift
     k_ax = g.k_half()
 
     def shift(vals, delta):
@@ -370,18 +359,14 @@ def _newton(u: Field, lam: float | None, residual, s: float,
         dz, info = lgmres(op, rhs, M=pre, rtol=eta, atol=0.0, maxiter=300)
         # a step whose Krylov solve did not converge is still tried
         failures += int(info != 0)
-        dz_field, beta = dz[:nn], 0.0
-        if sampled:
-            tvec = np.fft.irfft(1j * k_ax * np.fft.rfft(vals), nn)
-            beta = (float(np.sum(tvec * dz_field))
-                    / max(float(np.sum(tvec * tvec)), 1e-300))
-            dz_field = dz_field - beta * tvec
+        tvec = np.fft.irfft(1j * k_ax * np.fft.rfft(vals), nn)
+        beta = (float(np.sum(tvec * dz[:nn]))
+                / max(float(np.sum(tvec * tvec)), 1e-300))
+        dz_field = dz[:nn] - beta * tvec
         accepted = False
         step_len = 1.0
         for _ in range(12):
-            tv = vals + step_len * dz_field
-            if sampled:
-                tv = shift(tv, -step_len * beta)
+            tv = shift(vals + step_len * dz_field, -step_len * beta)
             tl = lam_v + step_len * dz[nn] if bordered else None
             tr, tc, trow = residual(tv, tl)
             if fnorm(tr, tc, tv) < fn:
@@ -430,18 +415,16 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
                      init: Field | None, config: SolveConfig) -> SolveResult:
     """Alternate fiber rescaling and projected descent, then Newton.
 
-    potential is normalized (see normalize_potential): a float mu or the
-    sampled V(eps x) as an ndarray.  A sampled solve leaves the potential
-    out of the fiber profile and dilates about the seed's carrier cell,
-    its peak's offset from the grid center."""
-    sampled = isinstance(potential, np.ndarray)
-    mu_eff = 0.0 if sampled else potential
+    potential is normalized (see normalize_potential): a float mu or
+    V(eps x) on the grid as an ndarray.  The potential term stays out of the
+    fiber: the rescale dilates about the seed's carrier cell, its peak's
+    offset from the grid center, and the line search scores a trial by
+    ray_level, with the potential term frozen at the trial."""
     # a caller's seed may be a raw Newton field: despeckle it like every
     # descent iterate, so that a t <= 2 dilation of it is alias-free
     # (default_init is smooth already)
     init = default_init(grid, a) if init is None else _despeckle(init)
-    center_cells = (int(np.argmax(np.abs(init.values))) - grid.points // 2
-                    if sampled else 0)
+    center_cells = int(np.argmax(np.abs(init.values))) - grid.points // 2
     dv = grid.dx
     u = project_mass(init, a)
     trace = []
@@ -453,8 +436,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     sym = grid.k_half() ** (2.0 * exps.s) + 1.0
     for it in range(1, config.max_iter + 1):
         # (i) rescale onto the Pohozaev set (dilation about the carrier cell)
-        prof = extract_profile(u, exps, mu_eff)
-        fm = fiber_maximizer(prof)
+        fm = fiber_maximizer(extract_profile(u, exps))
         rescaled = _dilate_composite(u, fm.t_star, center_cells)
         if rescaled is not u:
             u = project_mass(_despeckle(rescaled), a)
@@ -485,26 +467,14 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
         slope = float(np.sum(d * dp)) * dv  # positive: M^{-1} is SPD
         if slope <= 0.0:
             break
-        # a sampled u is on the Pohozaev frame already: its level is R(u)
-        r_base = level if sampled else fm.value
         # preconditioned steps are only linearly stable for eta = O(1);
         # larger eta can lower R while pumping high-k modes geometrically
         eta = min(eta * 1.5, 1.2)
         accepted = False
         while eta >= 1e-14:
             trial = project_mass(Field(grid, u.values - eta * dp), a)
-            if not sampled:
-                r_trial = ray_level(trial, exps, mu_eff)
-            else:
-                try:
-                    r_trial = _ray_level_sampled(trial, exps, potential,
-                                                 center_cells)
-                except AliasRisk:
-                    # too rough to rescale: reject the trial like an
-                    # Armijo failure and try a shorter step
-                    eta *= 0.5
-                    continue
-            if r_trial <= r_base - 1e-4 * eta * slope:
+            # u is on the Pohozaev set already: its level is its ray level
+            if ray_level(trial, exps, potential) <= level - 1e-4 * eta * slope:
                 u = project_mass(_despeckle(trial), a)
                 accepted = True
                 break
@@ -518,7 +488,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
                                    lam, a)
 
     u, newton = _newton(u, energy(u, exps, potential).lam, residual, exps.s,
-                        sampled, config.newton_max)
+                        config.newton_max)
     u = project_mass(u, a)
     ev = energy(u, exps, potential)
     trace.append(("newton", it + 1, ev.total, ev.grad_residual,
@@ -548,22 +518,23 @@ def solve_autonomous(exps: ExponentSet, mu: float, a: float, grid,
     if a <= 0.0:
         raise OutOfRange(f"mass must be positive, got {a}")
     if config.max_iter < 1:
-        raise NoConvergence("iteration budget is zero", [])
+        raise NoConvergence("iteration budget is zero")
     return _composite_solve(exps, float(mu), a, grid, init, config)
 
 
 def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
                         init: Field | None = None,
                         config: SolveConfig | None = None) -> SolveResult:
-    """Critical point of the non-autonomous functional with sampled V(eps x).
+    """Critical point of the non-autonomous functional with V(eps x) on the grid.
 
-    Fiber rescaling freezes the (slowly varying) potential term and dilates
-    about the carrier cell of init (the cell of its peak); the Newton
-    endgame solves the exact system.
+    The fiber rescale and the line search's ray level freeze the potential
+    term, and the rescale dilates about the carrier cell of init (the cell
+    of its peak); the Newton endgame solves the exact system.  A constant
+    array is solved as the float mu it holds.
     """
     config = config or SolveConfig()
     if config.max_iter < 1:
-        raise NoConvergence("iteration budget is zero", [])
+        raise NoConvergence("iteration budget is zero")
     v = normalize_potential(potential, grid)
     if isinstance(v, np.ndarray) and float(np.ptp(v)) == 0.0:
         v = float(v[0])

@@ -22,13 +22,13 @@ import pytest
 
 from choqlab.energy import energy, hartree_energy
 from choqlab.fiber import FiberProfile
-from choqlab.harness import (ReportRow, affine_level_defect, default_config,
-                             fiber_consistency_error, interpolation_slacks,
-                             oracle_density, passes, psi_sign_change_defect,
-                             rerun_defect, riesz_oracle_error,
-                             run_concentration, run_multiplicity,
-                             sharp_tightness, truncated_ray_error,
-                             write_report)
+from choqlab.harness import (SEPARATION, ReportRow, affine_level_defect,
+                             default_config, fiber_consistency_error,
+                             interpolation_slacks, oracle_density, passes,
+                             psi_sign_change_defect, rerun_defect,
+                             riesz_oracle_error, run_concentration,
+                             run_multiplicity, sharp_tightness,
+                             truncated_ray_error, write_report)
 from choqlab.params import s_alpha_reference
 from choqlab.snapshot import load_field, save_field
 from choqlab.solver import SolveConfig, make_profile, solve_autonomous
@@ -222,14 +222,14 @@ def test_criterion_11_concentration_multiplicity(cfg, concentration, multiplicit
     conc_ok = concentration["passed"] and concentration["monotone"]
     m = multiplicity
     wells_ok = m["passed"]
-    sep_ok = m["separation"] > cfg.separation
+    sep_ok = m["separation"] > SEPARATION
     level_ok = m["level_gap"] <= 1e-4
     lam_ok = all(l < 0.0 for l in m["lams"])
     ok = conc_ok and wells_ok and sep_ok and level_ok and lam_ok
     assert _line(11, "concentration + multiplicity", ok,
                  f"dists {['%.4f' % d for d in concentration['dists']]} "
-                 f"monotone; separation {m['separation']:.3f} > 0.1; level gap "
-                 f"{m['level_gap']:.2e} <= 1e-4; lambdas {m['lams']}")
+                 f"monotone; separation {m['separation']:.3f} > {SEPARATION}; "
+                 f"level gap {m['level_gap']:.2e} <= 1e-4; lambdas {m['lams']}")
 
 
 def test_criterion_12_determinism_io(cfg, tmp_path):

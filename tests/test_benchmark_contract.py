@@ -29,17 +29,24 @@ def test_kernels_trace_self_test():
 
 
 def test_sampled_newton_reaches_hartree_jvp(exps, grid_unit, monkeypatch):
-    # the tracer counts the Newton matvec through solver.hartree_jvp
-    calls = []
-    original = solver.hartree_jvp
+    # the tracer counts the Newton matvec through solver.hartree_jvp, and the
+    # concentration workload expects the rescale's dilate, extract_profile
+    # and fiber_maximizer among its calls
+    names = ("hartree_jvp", "dilate", "extract_profile", "fiber_maximizer")
+    calls = dict.fromkeys(names, 0)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(solver, name)
 
-    monkeypatch.setattr(solver, "hartree_jvp", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(solver, name, counting(name))
     x = grid_unit.axis()
     potential = 0.2 - 0.1 * np.exp(-(x / 8.0) ** 2)
     config = SolveConfig(grad_tol=1e-6, poho_tol=0.1, max_iter=5, newton_max=2)
     solve_nonautonomous(exps, potential, DESK_MASS, grid_unit, config=config)
-    assert len(calls) > 0
+    assert all(calls.values()), calls

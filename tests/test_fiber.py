@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from choqlab.energy import energy
 from choqlab.errors import NoPositivePart, OutOfRange, ZeroField
+from choqlab.harness import default_config
 from choqlab.fiber import (FiberProfile, extract_profile, fiber_maximizer,
                            fiber_value, psi, pure_p_maximizer, pure_q_maximizer,
                            ray_level)
@@ -124,13 +125,25 @@ def test_maximizer_scaling_equivariance(grid_unit, rng, exps):
 
 def test_ray_level_properties(grid_unit, rng, exps):
     u = make_positive_field(grid_unit, rng)
-    r0 = ray_level(u, exps, mu=0.0)
+    r0 = ray_level(u, exps, potential=0.0)
     assert r0 >= energy(u, exps, 0.0).total - 1e-12
     assert ray_level(dilate(u, 1.3), exps, 0.0) == pytest.approx(r0, rel=1e-7)
     # R(u) - mu a / 2 is independent of mu
     a = mass(u)
-    r_mu = ray_level(u, exps, mu=0.9)
+    r_mu = ray_level(u, exps, potential=0.9)
     assert r_mu - 0.9 * a / 2.0 == pytest.approx(r0, rel=1e-12)
+
+
+def test_ray_level_takes_a_sampled_potential(grid_unit, rng, exps):
+    # a constant array is the float mu; a varying V is frozen at u
+    u = make_positive_field(grid_unit, rng)
+    flat = np.full(grid_unit.shape, 0.9)
+    assert ray_level(u, exps, flat) == pytest.approx(ray_level(u, exps, 0.9),
+                                                     rel=1e-13)
+    v = default_config().potential.sample_on(grid_unit, 0.4)
+    frozen = 0.5 * float(np.sum(v * u.values ** 2)) * grid_unit.dx
+    expected = fiber_maximizer(extract_profile(u, exps)).value + frozen
+    assert ray_level(u, exps, v) == pytest.approx(expected, rel=1e-13)
 
 
 def test_affine_in_mu_exact(exps):

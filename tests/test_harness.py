@@ -211,10 +211,10 @@ def test_concentration_gates_on_convergence(monkeypatch):
 
 @pytest.mark.parametrize("points", [1024, 4096])
 def test_concentration_survives_alias_risk(points):
-    # on coarse grids the sampled-potential line search proposes trials too
-    # rough to dilate (AliasRisk at t ~ 1.06); each counts as a rejected
-    # trial, so every cell is solved and reported instead of the sweep
-    # aborting, and the Newton endgame still converges each cell
+    # on coarse grids the descent's trials are rough; the line search scores
+    # them without dilating (V frozen at the trial), and only a rescale of an
+    # accepted iterate dilates, so no cell meets AliasRisk: every cell is
+    # solved and reported, and the Newton endgame converges each of them
     import dataclasses
 
     from choqlab.harness import run_concentration

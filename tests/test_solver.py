@@ -7,7 +7,7 @@ import pytest
 
 from choqlab.energy import energy, hartree_energy
 from choqlab.errors import NoConvergence, OutOfBox, OutOfRange
-from choqlab.harness import passes, sharp_tightness
+from choqlab.harness import default_config, passes, sharp_tightness
 from choqlab.params import mass_threshold, s_alpha_reference
 from choqlab import solver
 from choqlab.solver import (SolveConfig, compute_S_alpha, make_profile,
@@ -237,6 +237,26 @@ def test_make_profile_contract(exps, autonomous_mu0):
         assert center == pytest.approx(y, abs=eps * w.grid.dx)
     with pytest.raises(OutOfBox):
         make_profile(w, 8.0, 0.1, DESK_MASS)  # y/eps = 80 exits this box
+
+
+def test_sampled_line_search_dilates_no_trial(exps, grid_solver, autonomous_mu0,
+                                             desk_config, monkeypatch):
+    # the line search freezes V at each trial, so the only dilations are the
+    # rescales, at most one per descent iteration
+    calls = []
+    original = solver.dilate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "dilate", counted)
+    prof, _ = make_profile(autonomous_mu0.field, 8.0, 0.4, DESK_MASS)
+    v = default_config().potential.sample_on(grid_solver, 0.4)
+    res = solve_nonautonomous(exps, v, DESK_MASS, grid_solver, init=prof,
+                              config=desk_config)
+    assert len(calls) <= res.iterations
+    assert res.converged
 
 
 def test_x_star_root(exps, c_alpha_q):
