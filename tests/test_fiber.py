@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from choqlab.energy import energy
 from choqlab.errors import NoPositivePart, OutOfRange, ZeroField
-from choqlab.harness import default_config
 from choqlab.fiber import (FiberProfile, extract_profile, fiber_maximizer,
                            fiber_value, psi, pure_p_maximizer, pure_q_maximizer,
                            ray_level)
+from choqlab.harness import default_config
 from choqlab.params import validate_regime
 from choqlab.spectral import Field, dilate, mass
 from conftest import make_positive_field
