@@ -29,6 +29,8 @@ __all__ = [
     "extract_profile", "fiber_value", "psi", "fiber_maximizer", "ray_level",
 ]
 
+_BRACKET_TOL = 1e-12  # relative bracket width that ends the Psi bisection
+
 
 @dataclass(frozen=True)
 class FiberProfile:
@@ -85,7 +87,7 @@ def psi(prof: FiberProfile, t: float) -> float:
             - (e.delta_q / e.q) * t ** (e.delta_q - 2.0 * e.s) * prof.B_q)
 
 
-def fiber_maximizer(prof: FiberProfile, rel_tol: float = 1e-12) -> FiberMax:
+def fiber_maximizer(prof: FiberProfile) -> FiberMax:
     """Unique root of Psi by bracketing + bisection.
 
     Psi(0+) = 2sA > 0 and both Hartree exponents exceed 2s, so doubling the
@@ -105,7 +107,7 @@ def fiber_maximizer(prof: FiberProfile, rel_tol: float = 1e-12) -> FiberMax:
         hi *= 2.0
     else:
         raise ChoqlabError("internal error: Psi stayed positive up to huge t")
-    while (hi - lo) > rel_tol * 0.5 * (hi + lo):
+    while (hi - lo) > _BRACKET_TOL * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
         if psi(prof, mid) > 0.0:
             lo = mid

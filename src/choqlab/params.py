@@ -59,10 +59,6 @@ class ExponentSet:
     theta_q: float    # 2*sigma*(p - q*gamma_q) - p (may be negative)
     k_q_coeff: float  # |2 - 2q*gamma_q| * p / (q(2p - 2))
 
-    def delta(self, r: float) -> float:
-        """Dilation exponent N*r - (N + alpha) of B_r."""
-        return self.N * r - (self.N + self.alpha)
-
     def k_q(self, c_alpha_q: float) -> float:
         """Full constant K_q given the sharp interpolation constant."""
         if c_alpha_q <= 0.0:

@@ -60,9 +60,10 @@ _NEWTON_TOL = 1e-10  # relative residual that ends a Newton solve
 _ETA_MAX = 0.5
 _ETA_GAMMA = 0.9
 _ETA_MIN = 1e-8
-# descent -> Newton handover residual; it lies above every grad_tol in use,
-# so it also ends a descent that has converged
-_SWITCH_TOL = 3e-4
+# the descent only globalizes the Newton endgame: it hands over at the first
+# iteration whose rescaled level lies below the previous one by less than
+# _HANDOVER of itself (a level that rises hands over too)
+_HANDOVER = 1e-5
 
 
 @dataclass(frozen=True)
@@ -298,9 +299,10 @@ def _newton(u: Field, lam: float | None, residual, s: float, newton_max: int):
     see _ETA_MAX), loose while the residual falls slowly.  Every field step
     dz splits into beta*t along the translation mode t = d_x u,
     beta = <t, dz>/<t, t>, and the rest; a trial of length h adds
-    h*(dz - beta*t) and then translates by h*beta exactly.  A step that no
-    halving accepts stops the solve, and so do a relative residual below
-    _NEWTON_TOL and newton_max steps.
+    h*(dz - beta*t) and then translates by h*beta exactly, and is accepted
+    when it lowers the residual norm by at least the fraction 1e-4*h.  A step
+    that no halving accepts stops the solve, and so do a relative residual
+    below _NEWTON_TOL and newton_max steps.
     Returns the field and its NewtonStats.
     """
     g = u.grid
@@ -369,7 +371,8 @@ def _newton(u: Field, lam: float | None, residual, s: float, newton_max: int):
             tv = shift(vals + step_len * dz_field, -step_len * beta)
             tl = lam_v + step_len * dz[nn] if bordered else None
             tr, tc, trow = residual(tv, tl)
-            if fnorm(tr, tc, tv) < fn:
+            # sufficient decrease: a trial that only rounds fn down fails
+            if fnorm(tr, tc, tv) <= (1.0 - 1e-4 * step_len) * fn:
                 vals, lam_v, r, c, row = tv, tl, tr, tc, trow
                 fn_prev, fn = fn, fnorm(r, c, vals)
                 accepted = True
@@ -419,7 +422,9 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     V(eps x) on the grid as an ndarray.  The potential term stays out of the
     fiber: the rescale dilates about the seed's carrier cell, its peak's
     offset from the grid center, and the line search scores a trial by
-    ray_level, with the potential term frozen at the trial."""
+    ray_level, with the potential term frozen at the trial.  The descent hands
+    over to Newton on the _HANDOVER rule, a failed Armijo search, a
+    non-descent direction or after max_iter iterations."""
     # a caller's seed may be a raw Newton field: despeckle it like every
     # descent iterate, so that a t <= 2 dilation of it is alias-free
     # (default_init is smooth already)
@@ -431,8 +436,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     r0 = None
     eta = _STEP
     it = 0
-    stall = 0
-    best_level = np.inf
+    prev_level = math.inf
     sym = grid.k_half() ** (2.0 * exps.s) + 1.0
     for it in range(1, config.max_iter + 1):
         # (i) rescale onto the Pohozaev set (dilation about the carrier cell)
@@ -449,18 +453,9 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
         ev = energy(u, exps, potential)
         level = ev.total
         trace.append(("descent", it, level, ev.grad_residual, ev.poho_residual))
-        if ev.grad_residual < _SWITCH_TOL:
+        if prev_level - level < _HANDOVER * abs(level):
             break
-        # the rescale/resample noise floor is ~1e-10 of the level: once the
-        # per-step decrease sinks below it, descent treads water and the
-        # Newton endgame takes over
-        if level > best_level - 1e-11 * (1.0 + abs(best_level)):
-            stall += 1
-            if stall >= 6:
-                break
-        else:
-            stall = 0
-        best_level = min(best_level, level)
+        prev_level = level
         d = ev.gradient - ev.lam * u.values
         dp = np.fft.irfft(np.fft.rfft(d) / (sym + abs(ev.lam)), grid.points)
         dp -= (float(np.sum(dp * u.values)) * dv / a) * u.values

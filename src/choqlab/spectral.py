@@ -209,9 +209,10 @@ def _kinetic_zeta_kernel(n: int, L: float, s: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _kinetic_zeta_spectrum(n: int, L: float, s: float) -> np.ndarray:
-    """rfft of the zeta kernel (n+1 values).  The kernel is real and even in
-    the lag, so its spectrum is real; the imaginary part dropped is rounding."""
-    out = np.fft.rfft(_kinetic_zeta_kernel(n, L, s)).real
+    """rfft of the zeta kernel (n+1 values), its real part copied so that the
+    complex transform is freed.  The kernel is real and even in the lag, so
+    its spectrum is real; the imaginary part dropped is rounding."""
+    out = np.fft.rfft(_kinetic_zeta_kernel(n, L, s)).real.copy()
     out.setflags(write=False)
     return out
 
@@ -301,7 +302,7 @@ def _sine_moment_tail_at_pi_m(m: np.ndarray, alpha: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _freespace_multiplier_1d(n_pad: int, L: float, alpha: float) -> np.ndarray:
-    """A_{1,alpha} * g_hat on the fft-ordered padded lattice (length n_pad)."""
+    """A_{1,alpha} * g_hat(m), m = 0..n_pad/2: the rfft half of the lattice."""
     a_const = riesz_normalization(1, alpha)
     half = n_pad // 2
     ghat = np.empty(half + 1)
@@ -316,8 +317,7 @@ def _freespace_multiplier_1d(n_pad: int, L: float, alpha: float) -> np.ndarray:
         w_big = g_inf - _sine_moment_tail_at_pi_m(m_big, alpha)
         ghat[m_big] = (2.0 * L ** alpha * (1.0 - alpha)
                        * (np.pi * m_big) ** (-alpha) * w_big)
-    m_abs = np.abs(np.fft.fftfreq(n_pad) * n_pad).astype(int)
-    out = a_const * ghat[m_abs]
+    out = a_const * ghat
     out.setflags(write=False)
     return out
 
@@ -330,7 +330,7 @@ def riesz_potential(rho: Field, alpha: float) -> Field:
     if not (0.0 < alpha < 1.0):
         raise OutOfRange(f"alpha={alpha} outside (0, 1)")
     n = grid.points
-    mult = _freespace_multiplier_1d(2 * n, grid.extent, alpha)[:n + 1]
+    mult = _freespace_multiplier_1d(2 * n, grid.extent, alpha)
     pot = np.fft.irfft(np.fft.rfft(rho.values, 2 * n) * mult, 2 * n)[:n]
     return Field(grid, pot)
 
@@ -356,9 +356,9 @@ def riesz_oracle_1d(rho: Field, alpha: float) -> np.ndarray:
 # Mass-preserving dilation
 # ---------------------------------------------------------------------------
 
-def _dilate_resample(vals: np.ndarray, t: float, n: int) -> np.ndarray:
-    """Resample the trig interpolant at t*x_j (complex out)."""
-    u_s = np.fft.fftshift(np.fft.fft(vals))
+def _dilate_resample(uh: np.ndarray, t: float, n: int) -> np.ndarray:
+    """Resample at t*x_j the trig interpolant whose fft is uh (complex out)."""
+    u_s = np.fft.fftshift(uh)
     m = np.arange(n) - n // 2
     # node offset phase: x_0 = -L/2 gives exp(-i pi m (t-1))
     phase_in = np.exp(-1j * np.pi * m * (t - 1.0))
@@ -397,8 +397,8 @@ def dilate(u: Field, t: float) -> Field:
     if t == 1.0:
         return u
     n = u.grid.points
+    uh = np.fft.fft(u.values)
     if t > 1.0:
-        uh = np.fft.fft(u.values)
         mask = np.abs(np.fft.fftfreq(n) * n) >= n / (2.0 * t)
         power = uh.real ** 2 + uh.imag ** 2
         total = float(np.sum(power))
@@ -406,7 +406,7 @@ def dilate(u: Field, t: float) -> Field:
             frac = float(np.sum(power[mask])) / total
             if frac > ALIAS_TOL:
                 raise AliasRisk(t, frac)
-    vals = _dilate_resample(u.values.astype(np.complex128), t, n)
+    vals = _dilate_resample(uh, t, n)
     # t ** 0.5, not math.sqrt(t): the two differ in the last bit for some t
     out = vals.real * t ** 0.5
     if t > 1.0:

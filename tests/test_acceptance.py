@@ -9,8 +9,8 @@ resolution floor near 8e-7: measured 1.99e-4 (L=384, n=2^14), 3.5e-5
 (768, 2^15), 6.3e-6 (1536, 2^16), 1.68e-6 (3072, 2^17), 9.1e-7
 (6144, 2^18).  Refining to dx 0.0117 breaks the floor: the default
 certificate grid (L=6144, n=2^19) measures |P|/(2sA) = 1.5e-7 and a
-closed-form multiplier defect of 4.6e-7 in about 80 s on 2 shared Xeon
-vCPUs, clearing both 1e-6 tolerances.  Set CHOQLAB_ACCEPTANCE_SMALL=1 for a 24 s certificate
+closed-form multiplier defect of 4.6e-7 in about 45 s on 2 shared Xeon
+vCPUs, clearing both 1e-6 tolerances.  Set CHOQLAB_ACCEPTANCE_SMALL=1 for a 7 s certificate
 solve on (3072, 2^17), where criterion 3 reads 1.7e-6 and
 criterion 4 reads 5.1e-6 (honest fails with the scaling law printed).
 """

@@ -172,11 +172,36 @@ def test_krylov_forcing_terms(exps, grid_solver, desk_config, monkeypatch):
 
 
 def test_descent_trace_monotone(exps, autonomous_mu0):
-    # monotone up to the rescale/resample noise floor that triggers the
-    # handover to Newton
+    # monotone up to the rescale/resample noise of the level; a level that
+    # rises ends the descent at once, so only the last row may sit above
+    # its predecessor
     levels = [row[2] for row in autonomous_mu0.trace if row[0] == "descent"]
     slack = 1e-8 * (1.0 + abs(levels[0]))
     assert all(levels[i + 1] <= levels[i] + slack for i in range(len(levels) - 1))
+
+
+def test_descent_hands_over_on_first_small_decrease(autonomous_mu0):
+    # every descent row lowers the level by at least _HANDOVER of itself
+    # except the last, which is the first to fall short and hands over
+    levels = [row[2] for row in autonomous_mu0.trace if row[0] == "descent"]
+    drops = [(levels[i] - levels[i + 1]) / abs(levels[i + 1])
+             for i in range(len(levels) - 1)]
+    assert len(drops) >= 2
+    assert all(d >= solver._HANDOVER for d in drops[:-1])
+    assert drops[-1] < solver._HANDOVER
+
+
+def test_descent_hands_over_on_coarse_grid():
+    # on the coarse (240, 1024) grid the eps 0.2 cell at y -8 creeps down
+    # by ~1e-9 of its level per iteration; the descent hands it to Newton
+    # long before the iteration budget
+    from choqlab.harness import _solve_cell
+
+    cfg = dataclasses.replace(default_config(), grid=Grid(1, 240.0, 1024))
+    auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
+    res = _solve_cell(cfg, auto.field, 0.2, -8.0)
+    assert res.iterations < cfg.solver.max_iter
+    assert res.converged
 
 
 def test_mu_shift_exactness(exps, grid_solver, autonomous_mu0, desk_config):
