@@ -8,12 +8,10 @@ from .params import (ExponentSet, MassThreshold, gamma_ts, hls_constant,
                      sharp_constant, sobolev_constant, validate_regime)
 from .spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                        fractional_laplacian, fractional_laplacian_free,
-                       hs_norm_free, kinetic_energy,
-                       kinetic_energy_free, mass, project_mass,
-                       random_field, riesz_potential, smooth_cutoff,
-                       translate)
-from .energy import (Evaluation, Truncation, energy, hartree_cross,
-                     hartree_energy, tau_eval, tau_prime)
+                       kinetic_energy, kinetic_energy_free, mass,
+                       project_mass, random_field, riesz_potential,
+                       smooth_cutoff, translate)
+from .energy import Evaluation, Truncation, energy, tau_eval, tau_prime
 from .fiber import (FiberMax, FiberProfile, extract_profile, fiber_maximizer,
                     fiber_value, psi, ray_level)
 from .solver import (GroundState, NewtonStats, SAlphaResult, SolveConfig,

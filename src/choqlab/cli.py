@@ -137,7 +137,7 @@ def cmd_solve(args) -> int:
 def cmd_fiber(args) -> int:
     cfg = _load_config(args)
     res = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
-    prof = extract_profile(res.field, cfg.exps, 0.0)
+    prof = extract_profile(res.field, cfg.exps)
     fm = fiber_maximizer(prof)
     path = _outpath(cfg, "fiber.csv")
     write_report([(t, fiber_value(prof, t), psi(prof, t))

@@ -27,12 +27,12 @@ import numpy as np
 from .errors import GridMismatch, OutOfRange, ZeroField
 from .params import ExponentSet
 from .spectral import (Field, fractional_laplacian_free, kinetic_energy_free,
-                       mass, riesz_potential, smooth_cutoff)
+                       mass, riesz_potential)
 
 __all__ = [
     "Truncation", "Evaluation",
-    "tau_eval", "tau_prime", "smooth_cutoff",
-    "hartree_energy", "hartree_cross", "hartree_nonlinearity", "hartree_jvp",
+    "tau_eval", "tau_prime",
+    "hartree_nonlinearity", "hartree_jvp",
     "jvp_factors", "normalize_potential", "energy",
     "truncated_profile_pohozaev", "truncated_profile_value",
 ]
@@ -114,25 +114,6 @@ def _abs_power(values: np.ndarray, r: float) -> np.ndarray:
 def _odd_power(values: np.ndarray, r: float) -> np.ndarray:
     """sign(u) |u|^r, clamped like _abs_power."""
     return np.sign(values) * _abs_power(values, r)
-
-
-def hartree_energy(u: Field, r: float, alpha: float) -> float:
-    """B_r(u) = Int (I_alpha * |u|^r) |u|^r, nonnegative."""
-    if r < 1.0:
-        raise OutOfRange(f"Hartree exponent must be >= 1, got {r}")
-    rho = _abs_power(u.values, r)
-    pot = riesz_potential(Field(u.grid, rho), alpha).values
-    return float(np.sum(pot * rho)) * u.grid.dx
-
-
-def hartree_cross(u: Field, v: Field, r: float, alpha: float) -> float:
-    """Mixed term Int (I_alpha * |u|^r) |v|^r of the bilinear Hartree form."""
-    if u.grid != v.grid:
-        raise GridMismatch("cross term requires a common grid")
-    rho_u = _abs_power(u.values, r)
-    rho_v = _abs_power(v.values, r)
-    pot = riesz_potential(Field(u.grid, rho_u), alpha).values
-    return float(np.sum(pot * rho_v)) * u.grid.dx
 
 
 def hartree_nonlinearity(u: Field, r: float, alpha: float) -> np.ndarray:
@@ -284,16 +265,17 @@ def energy(u: Field, exps: ExponentSet, potential=0.0) -> Evaluation:
 #
 # Along the ray u_t the truncated energy depends on u only through the
 # profile (A, B_p, B_q, a), with R(t) = sqrt(t^{2s} A + a):
-#     J_T(u_t) = t^{2s}A/2 + mu a/2 - tau(R) t^{dp} B_p/(2p) - t^{dq} B_q/(2q)
+#     J_T(u_t) = t^{2s}A/2 - tau(R) t^{dp} B_p/(2p) - t^{dq} B_q/(2q)
 # and the exact identity d/dt J_T(u_t) = (t^{2s-1}/2) P_T(u_t) holds with
-# the tau' correction multiplying only the critical part.
+# the tau' correction multiplying only the critical part.  A constant
+# potential adds mu a/2, which is constant along the ray.
 # ---------------------------------------------------------------------------
 
-def truncated_profile_value(A: float, bp: float, bq: float, a: float, mu: float,
+def truncated_profile_value(A: float, bp: float, bq: float, a: float,
                             exps: ExponentSet, trunc: Truncation, t: float) -> float:
     radius = math.sqrt(t ** (2.0 * exps.s) * A + a)
     tau = tau_eval(trunc, radius)
-    return (0.5 * t ** (2.0 * exps.s) * A + 0.5 * mu * a
+    return (0.5 * t ** (2.0 * exps.s) * A
             - tau * t ** exps.delta_p * bp / (2.0 * exps.p)
             - t ** exps.delta_q * bq / (2.0 * exps.q))
 

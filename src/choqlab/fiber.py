@@ -1,18 +1,21 @@
 """Fibering-map machinery along the mass-preserving dilation ray.
 
 For u on the mass sphere and u_t(x) = t^{N/2} u(tx), the autonomous energy
-reduces to O(1) arithmetic in the profile (A, B_p, B_q, a):
+without its potential term reduces to O(1) arithmetic in the profile
+(A, B_p, B_q, a):
 
-    phi(t) = t^{2s} A/2 + mu a/2 - t^{dp} B_p/(2p) - t^{dq} B_q/(2q),
-    Psi(t) = 2 phi'(t)/t^{2s-1}
-           = 2sA - (dp/p) t^{dp-2s} B_p - (dq/q) t^{dq-2s} B_q.
+    phi_0(t) = t^{2s} A/2 - t^{dp} B_p/(2p) - t^{dq} B_q/(2q),
+    Psi(t)   = 2 phi_0'(t)/t^{2s-1}
+             = 2sA - (dp/p) t^{dp-2s} B_p - (dq/q) t^{dq-2s} B_q.
 
-Psi is strictly decreasing with Psi(0+) = 2sA > 0, so phi has a unique
+Psi is strictly decreasing with Psi(0+) = 2sA > 0, so phi_0 has a unique
 interior maximizer t*, characterized by P(u_{t*}) = 0 (the Pohozaev set).
-The ray-reduced level R(u) = phi(t*) is the quantity whose infimum over
-the sphere is the mountain-pass value.  ray_level also takes a potential V
-sampled on the grid: it freezes the potential term at u, so the ray level
-is max_t phi_0(t) + (1/2) Int V|u|^2, which for a constant V == mu is R(u).
+A constant potential mu adds mu a/2 along the whole ray, so it moves no
+maximizer; a caller that needs J_mu(u_t) adds mu a/2 itself.  The
+ray-reduced level R(u) = phi_0(t*) + mu a/2 is the quantity whose infimum
+over the sphere is the mountain-pass value.  ray_level also takes a
+potential V sampled on the grid: it freezes the potential term at u, so the
+ray level is max_t phi_0(t) + (1/2) Int V|u|^2, which for V == mu is R(u).
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ class FiberProfile:
     B_p: float
     B_q: float
     a: float
-    mu: float
     exps: ExponentSet
 
     def __post_init__(self):
@@ -49,36 +51,36 @@ class FiberProfile:
         if self.B_p < 0.0 or self.B_q < 0.0:
             raise OutOfRange("Hartree coefficients must be nonnegative")
 
-    def with_mu(self, mu: float) -> "FiberProfile":
-        return FiberProfile(self.A, self.B_p, self.B_q, self.a, mu, self.exps)
-
 
 @dataclass(frozen=True)
 class FiberMax:
     t_star: float
     value: float
-    psi_bracket: float  # final relative bracket width of the Psi root
 
 
-def extract_profile(u: Field, exps: ExponentSet, mu: float = 0.0) -> FiberProfile:
-    """Compute (A, B_p, B_q, a) once; fiber evaluations are then O(1)."""
-    ev = energy(u, exps, mu)     # FiberProfile rejects the zero field
+def _profile(ev) -> FiberProfile:
+    # FiberProfile rejects the zero field
     return FiberProfile(A=ev.kinetic, B_p=ev.hartree_p, B_q=ev.hartree_q,
-                        a=ev.mass, mu=mu, exps=exps)
+                        a=ev.mass, exps=ev.exps)
+
+
+def extract_profile(u: Field, exps: ExponentSet) -> FiberProfile:
+    """Compute (A, B_p, B_q, a) once; fiber evaluations are then O(1)."""
+    return _profile(energy(u, exps))
 
 
 def fiber_value(prof: FiberProfile, t: float) -> float:
-    """phi(t): the untruncated autonomous energy of u_t."""
+    """phi_0(t): the untruncated energy of u_t without the potential term."""
     if t <= 0.0:
         raise OutOfRange(f"t must be positive, got {t}")
     e = prof.exps
-    return (0.5 * t ** (2.0 * e.s) * prof.A + 0.5 * prof.mu * prof.a
+    return (0.5 * t ** (2.0 * e.s) * prof.A
             - t ** e.delta_p * prof.B_p / (2.0 * e.p)
             - t ** e.delta_q * prof.B_q / (2.0 * e.q))
 
 
 def psi(prof: FiberProfile, t: float) -> float:
-    """Psi(t) = 2 phi'(t) / t^{2s-1}; strictly decreasing, unique zero."""
+    """Psi(t) = 2 phi_0'(t) / t^{2s-1}; strictly decreasing, unique zero."""
     if t <= 0.0:
         raise OutOfRange(f"t must be positive, got {t}")
     e = prof.exps
@@ -114,8 +116,7 @@ def fiber_maximizer(prof: FiberProfile) -> FiberMax:
         else:
             hi = mid
     t_star = 0.5 * (lo + hi)
-    return FiberMax(t_star=t_star, value=fiber_value(prof, t_star),
-                    psi_bracket=(hi - lo) / t_star)
+    return FiberMax(t_star=t_star, value=fiber_value(prof, t_star))
 
 
 def ray_level(u: Field, exps: ExponentSet, potential=0.0) -> float:
@@ -124,26 +125,5 @@ def ray_level(u: Field, exps: ExponentSet, potential=0.0) -> float:
     mu or a sampled V on the grid, as in energy(); for a constant mu the
     frozen term mu a/2 is exact along the ray, so this is R(u)."""
     ev = energy(u, exps, potential)
-    prof = FiberProfile(A=ev.kinetic, B_p=ev.hartree_p, B_q=ev.hartree_q,
-                        a=ev.mass, mu=0.0, exps=exps)
-    return fiber_maximizer(prof).value + 0.5 * ev.potential
+    return fiber_maximizer(_profile(ev)).value + 0.5 * ev.potential
 
-
-def pure_q_maximizer(prof: FiberProfile) -> float:
-    """Closed-form root when B_p = 0: t* = (2sqA/(dq Bq))^{1/(dq-2s)}."""
-    e = prof.exps
-    if prof.B_q <= 0.0:
-        raise OutOfRange("pure-q maximizer needs B_q > 0")
-    num = 2.0 * e.s * e.q * prof.A
-    den = e.delta_q * prof.B_q
-    return (num / den) ** (1.0 / (e.delta_q - 2.0 * e.s))
-
-
-def pure_p_maximizer(prof: FiberProfile) -> float:
-    """Closed-form root when B_q = 0: t* = (2spA/(dp Bp))^{1/(dp-2s)}."""
-    e = prof.exps
-    if prof.B_p <= 0.0:
-        raise OutOfRange("pure-p maximizer needs B_p > 0")
-    num = 2.0 * e.s * e.p * prof.A
-    den = e.delta_p * prof.B_p
-    return (num / den) ** (1.0 / (e.delta_p - 2.0 * e.s))

@@ -171,11 +171,9 @@ class ExperimentConfig:
             out = cp["output"] if cp.has_section("output") else {}
             out_dir = out.get("dir", "out")
             seed = int(out.get("seed", "12345"))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
+        except ConfigError:
+            raise
         except Exception as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"invalid config: {exc}") from exc
         return cls(exps=exps, grid=grid, a=a, potential=spec, eps_list=eps_list,
                    delta=delta, delta_target=delta_target, box_radius=box_radius,
@@ -242,8 +240,7 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     below delta_target."""
     if len(cfg.eps_list) < 3:
         raise ConfigError("concentration sweep needs >= 3 eps values")
-    m_points, _, degenerate = detect_M(cfg.potential, cfg.grid,
-                                       min(cfg.eps_list), cfg.delta)
+    m_points, degenerate = detect_M(cfg.potential, cfg.grid, min(cfg.eps_list))
     if degenerate:
         return dict(skipped=True, reason="degenerate potential: M is the whole grid",
                     rows=[], passed=False)
@@ -311,7 +308,7 @@ def run_multiplicity(cfg: ExperimentConfig):
     if cfg.potential.kind != "double_well":
         raise ConfigError("multiplicity experiment needs a double_well potential")
     eps = cfg.eps_list[-1]
-    m_points, _, _ = detect_M(cfg.potential, cfg.grid, eps, cfg.delta)
+    m_points, _ = detect_M(cfg.potential, cfg.grid, eps)
     if len(m_points) < 2 or abs(m_points[1] - m_points[0]) < 2.0 * cfg.delta:
         raise Indistinct("wells merged: M does not resolve two points at this delta")
     auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
@@ -419,12 +416,13 @@ def dilate_gaussian_error(gauss: Field, ts) -> float:
 
 
 def fiber_consistency_error(fields, exps: ExponentSet, mu: float, ts) -> float:
-    """Max relative gap between phi(t) of each field's profile and J(u_t)."""
+    """Max relative gap between phi_0(t) + mu a/2 of each field's profile
+    and J_mu(u_t)."""
     worst = 0.0
     for u in fields:
-        prof = extract_profile(u, exps, mu)
+        prof = extract_profile(u, exps)
         for t in ts:
-            fv = fiber_value(prof, t)
+            fv = fiber_value(prof, t) + 0.5 * mu * prof.a
             et = energy(dilate(u, t), exps, potential=mu).total
             worst = max(worst, abs(fv - et) / abs(fv))
     return worst
@@ -432,17 +430,16 @@ def fiber_consistency_error(fields, exps: ExponentSet, mu: float, ts) -> float:
 
 def truncated_ray_error(pairs, exps: ExponentSet) -> float:
     """Max relative gap over (u, t) pairs between the central difference of
-    the truncated fiber value (mu 0.3) and (t^(2s-1)/2) P_T."""
-    mu, h = 0.3, 1e-4
+    the truncated fiber value and (t^(2s-1)/2) P_T."""
+    h = 1e-4
     worst = 0.0
     for u, t in pairs:
-        prof = extract_profile(u, exps, mu)
+        prof = extract_profile(u, exps)
         radius1 = math.sqrt(prof.A + prof.a)
         trunc = Truncation(0.8 * radius1, 1.3 * radius1)
         pieces = (prof.A, prof.B_p, prof.B_q, prof.a)
-        fd = (truncated_profile_value(*pieces, mu, exps, trunc, t + h)
-              - truncated_profile_value(*pieces, mu, exps, trunc, t - h)) \
-            / (2 * h)
+        fd = (truncated_profile_value(*pieces, exps, trunc, t + h)
+              - truncated_profile_value(*pieces, exps, trunc, t - h)) / (2 * h)
         formula = 0.5 * t ** (2 * exps.s - 1) * truncated_profile_pohozaev(
             *pieces, exps, trunc, t)
         worst = max(worst, abs(fd - formula) / max(abs(formula), 1e-300))
@@ -537,7 +534,7 @@ def run_verify(cfg: ExperimentConfig, quick: bool = True):
     profiles = [FiberProfile(A=float(rng.uniform(0.1, 10.0)),
                              B_p=float(rng.uniform(0.0, 5.0)),
                              B_q=float(rng.uniform(1e-4, 5.0)),
-                             a=float(rng.uniform(0.1, 5.0)), mu=0.0, exps=exps)
+                             a=float(rng.uniform(0.1, 5.0)), exps=exps)
                 for _ in range(50 if quick else 100)]
     record("psi_unique_zero", psi_sign_change_defect(profiles))
 

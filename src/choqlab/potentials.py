@@ -12,11 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyM, OutOfRange
-from .spectral import Field, Grid
+from .spectral import Grid
 
 __all__ = ["PotentialSpec", "detect_M", "dist_to_set"]
 
-_BUILTIN_KINDS = ("constant", "single_well", "double_well", "sampled")
+_BUILTIN_KINDS = ("constant", "single_well", "double_well")
+
+# V below this counts as zero in the grid scan for M
+_ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -25,15 +28,13 @@ class PotentialSpec:
 
     kind "constant": V == v_inf everywhere (degenerate: M is empty unless
     v_inf == 0).  Wells: centers is a tuple of points, width the common
-    Gaussian well width.  kind "sampled": values taken from a Field in
-    slow coordinates on its own grid (nearest sample).
+    Gaussian well width.
     """
 
     kind: str
     centers: tuple = ()
     width: float = 0.3
     v_inf: float = 1.0
-    sample: Field | None = None
 
     def __post_init__(self):
         if self.kind not in _BUILTIN_KINDS:
@@ -45,20 +46,14 @@ class PotentialSpec:
                                  f"{len(self.centers)}")
             if self.width <= 0.0:
                 raise OutOfRange("well width must be positive")
-        if self.kind != "constant" and self.kind != "sampled" and self.v_inf <= 0.0:
-            raise OutOfRange("builtin potentials require v_inf > 0 (assumption V)")
-        if self.kind == "sampled" and self.sample is None:
-            raise OutOfRange("sampled potential needs a Field")
+        if self.kind != "constant" and self.v_inf <= 0.0:
+            raise OutOfRange("well potentials require v_inf > 0 (assumption V)")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """Evaluate V at slow-coordinate points z."""
         z = np.asarray(z, dtype=float)
         if self.kind == "constant":
             return np.full(z.shape, float(self.v_inf))
-        if self.kind == "sampled":
-            g = self.sample.grid
-            idx = np.rint((z + 0.5 * g.extent) / g.dx).astype(int) % g.points
-            return self.sample.values[idx]
         out = np.full_like(z, float(self.v_inf), dtype=float)
         for c in self.centers:
             out = out * (1.0 - np.exp(-(((z - c) / self.width) ** 2)))
@@ -74,27 +69,22 @@ class PotentialSpec:
         return ()
 
 
-def detect_M(pot: PotentialSpec, grid: Grid, eps: float, delta: float,
-             tol_m: float = 1e-10):
-    """Zero set M and its delta-neighborhood M_delta, in slow coordinates.
+def detect_M(pot: PotentialSpec, grid: Grid, eps: float):
+    """Zero set M in slow coordinates and whether it is degenerate.
 
-    For builtins the constructed centers are returned exactly; for sampled
-    potentials the grid scan V(eps x) < tol_m decides.  A constant zero
+    For wells the constructed centers are returned exactly; for a constant
+    potential the grid scan V(eps x) < _ZERO_TOL decides.  A constant zero
     potential makes every point qualify, which is flagged as degenerate.
     """
     z = eps * grid.axis()
-    vals = pot.sample_on(grid, eps)
-    mask = vals < tol_m
+    mask = pot.sample_on(grid, eps) < _ZERO_TOL
     if pot.kind in ("single_well", "double_well"):
         m_points = np.asarray(pot.well_points(), dtype=float)
     else:
         if not np.any(mask):
-            raise EmptyM(f"no grid point has V < {tol_m}")
+            raise EmptyM(f"no grid point has V < {_ZERO_TOL}")
         m_points = z[mask]
-    degenerate = bool(np.all(mask))
-    dists = np.abs(z[:, None] - np.asarray(m_points)[None, :]).min(axis=1)
-    m_delta = z[dists <= delta]
-    return m_points, m_delta, degenerate
+    return m_points, bool(np.all(mask))
 
 
 def dist_to_set(point, m_points) -> float:

@@ -27,14 +27,12 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import NoConvergence, OutOfBox, OutOfRange, TruncationActive
-from .energy import (_abs_power, _odd_power, energy, hartree_energy,
-                     hartree_jvp, hartree_nonlinearity, jvp_factors,
-                     normalize_potential)
+from .energy import (_abs_power, _odd_power, energy, hartree_jvp,
+                     hartree_nonlinearity, jvp_factors, normalize_potential)
 from .fiber import extract_profile, fiber_maximizer, ray_level
 from .params import ExponentSet
 from .spectral import (Field, band_limit, dilate, edge_shell,
-                       fractional_laplacian_free, hs_norm_free,
-                       kinetic_energy_free, mass, project_mass,
+                       fractional_laplacian_free, mass, project_mass,
                        riesz_potential, smooth_cutoff, translate)
 
 __all__ = [
@@ -236,9 +234,8 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
                           lambda vals, lam: _scalar_system(Field(g, vals), exps),
                           exps.s, config.newton_max)
     res_rel = _l2(_scalar_system(fld, exps)[0], dv) / _l2(fld.values, dv)
-    a_kin = kinetic_energy_free(fld, exps.s)
-    m = mass(fld)
-    bq = hartree_energy(fld, exps.q, exps.alpha)
+    ev = energy(fld, exps)
+    a_kin, m, bq = ev.kinetic, ev.mass, ev.hartree_q
     # scaling u(x/l) stationarity: (N-2s)/2 A + N/2 M = (N+alpha)/(2q) B_q
     poho = abs(0.5 * (exps.N - 2.0 * exps.s) * a_kin + 0.5 * exps.N * m
                - (exps.N + exps.alpha) / (2.0 * exps.q) * bq)
@@ -273,9 +270,8 @@ def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
     quotients = []
     for eps in eps_grid:
         prof = (eps / (eps * eps + r * r)) ** (0.5 * (exps.N - 2.0 * exps.s))
-        u = Field(g, prof * envelope)
-        bp = hartree_energy(u, exps.p, exps.alpha)
-        quotients.append(kinetic_energy_free(u, exps.s) / bp ** (1.0 / exps.p))
+        ev = energy(Field(g, prof * envelope), exps)
+        quotients.append(ev.kinetic / ev.hartree_p ** (1.0 / exps.p))
     quotients = tuple(quotients)
     value = min(quotients)
     return SAlphaResult(value=value, eps_grid=tuple(eps_grid), quotients=quotients,
@@ -424,7 +420,11 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     offset from the grid center, and the line search scores a trial by
     ray_level, with the potential term frozen at the trial.  The descent hands
     over to Newton on the _HANDOVER rule, a failed Armijo search, a
-    non-descent direction or after max_iter iterations."""
+    non-descent direction or after max_iter iterations.  The truncation
+    radius R0 is four times the H^s norm of the first rescaled iterate; a
+    converged field whose H^s norm reaches it raises TruncationActive."""
+    if config.max_iter < 1:
+        raise NoConvergence("iteration budget is zero")
     # a caller's seed may be a raw Newton field: despeckle it like every
     # descent iterate, so that a t <= 2 dilation of it is alias-free
     # (default_init is smooth already)
@@ -433,9 +433,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     dv = grid.dx
     u = project_mass(init, a)
     trace = []
-    r0 = None
     eta = _STEP
-    it = 0
     prev_level = math.inf
     sym = grid.k_half() ** (2.0 * exps.s) + 1.0
     for it in range(1, config.max_iter + 1):
@@ -444,13 +442,12 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
         rescaled = _dilate_composite(u, fm.t_star, center_cells)
         if rescaled is not u:
             u = project_mass(_despeckle(rescaled), a)
-        if r0 is None:
-            # the truncation radius R0: the solution must stay inside it
-            r0 = 4.0 * hs_norm_free(u, exps.s)
         # (ii) preconditioned projected gradient step, Armijo on the
         # ray-reduced level (the raw step is stiff: |k|^{2s} amplifies
         # high-k noise, so descend in the (|k|^{2s}+1+|lam|)^{-1} metric)
         ev = energy(u, exps, potential)
+        if it == 1:  # the truncation radius R0: the solution must stay inside it
+            r0 = 4.0 * math.sqrt(ev.kinetic + ev.mass)
         level = ev.total
         trace.append(("descent", it, level, ev.grad_residual, ev.poho_residual))
         if prev_level - level < _HANDOVER * abs(level):
@@ -490,7 +487,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
                   ev.poho_residual))
     converged = bool(ev.grad_residual < config.grad_tol
                      and ev.poho_residual < config.poho_tol)
-    hs_norm = hs_norm_free(u, exps.s)
+    hs_norm = math.sqrt(ev.kinetic + ev.mass)
     if hs_norm >= r0:
         raise TruncationActive(
             f"converged H^s norm {hs_norm:.4g} reached R0={r0:.4g}")
@@ -509,12 +506,8 @@ def solve_autonomous(exps: ExponentSet, mu: float, a: float, grid,
     The level reported is J_mu(u) = J_0(u) + mu*a/2; the multiplier
     satisfies lam < mu at any nontrivial critical point.
     """
-    config = config or SolveConfig()
-    if a <= 0.0:
-        raise OutOfRange(f"mass must be positive, got {a}")
-    if config.max_iter < 1:
-        raise NoConvergence("iteration budget is zero")
-    return _composite_solve(exps, float(mu), a, grid, init, config)
+    return _composite_solve(exps, float(mu), a, grid, init,
+                            config or SolveConfig())
 
 
 def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
@@ -527,13 +520,10 @@ def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
     of its peak); the Newton endgame solves the exact system.  A constant
     array is solved as the float mu it holds.
     """
-    config = config or SolveConfig()
-    if config.max_iter < 1:
-        raise NoConvergence("iteration budget is zero")
     v = normalize_potential(potential, grid)
     if isinstance(v, np.ndarray) and float(np.ptp(v)) == 0.0:
         v = float(v[0])
-    return _composite_solve(exps, v, a, grid, init, config)
+    return _composite_solve(exps, v, a, grid, init, config or SolveConfig())
 
 
 # ---------------------------------------------------------------------------

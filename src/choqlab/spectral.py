@@ -236,11 +236,6 @@ def fractional_laplacian_free(u: Field, s: float) -> Field:
     return Field(u.grid, fractional_laplacian(u, s).values + u.grid.dx * conv)
 
 
-def hs_norm_free(u: Field, s: float) -> float:
-    """H^s norm built on the whole-space kinetic energy."""
-    return math.sqrt(kinetic_energy_free(u, s) + mass(u))
-
-
 # ---------------------------------------------------------------------------
 # Free-space Riesz kernel coefficients
 #
@@ -333,23 +328,6 @@ def riesz_potential(rho: Field, alpha: float) -> Field:
     mult = _freespace_multiplier_1d(2 * n, grid.extent, alpha)
     pot = np.fft.irfft(np.fft.rfft(rho.values, 2 * n) * mult, 2 * n)[:n]
     return Field(grid, pot)
-
-
-def riesz_oracle_1d(rho: Field, alpha: float) -> np.ndarray:
-    """O(n^2) product-integration quadrature of A Int rho(y)|x-y|^{alpha-1} dy.
-
-    Independent real-space check for riesz_potential: the kernel is
-    integrated exactly over each cell and rho is taken piecewise constant,
-    so the result is quadrature- not Fourier-based.
-    """
-    n, dx = rho.grid.points, rho.grid.dx
-    a_const = riesz_normalization(1, alpha)
-    d = np.arange(n) * dx
-    upper = (d + 0.5 * dx) ** alpha
-    lower = np.where(d > 0.0, np.abs(d - 0.5 * dx) ** alpha, -(0.5 * dx) ** alpha)
-    w = (upper - lower) / alpha          # Int_cell |x|^{alpha-1}, exact
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return a_const * (w[idx] @ rho.values)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from choqlab.energy import energy, hartree_energy
+from choqlab.energy import energy
 from choqlab.fiber import FiberProfile
 from choqlab.harness import (SEPARATION, ReportRow, affine_level_defect,
                              default_config, fiber_consistency_error,
@@ -103,10 +103,11 @@ def test_criterion_04_multiplier_law(cfg, cert_solve):
     """Closed form lam*a = mu*a - coeff*B_q within 1e-6; lam < mu strictly."""
     exps = cfg.exps
     res = cert_solve
-    lam_direct = energy(res.field, exps, 0.0).lam
+    ev = energy(res.field, exps, 0.0)
+    lam_direct = ev.lam
     coeff = ((exps.N + exps.alpha) - (exps.N - 2 * exps.s) * exps.q) \
         / (2 * exps.s * exps.q)
-    bq = hartree_energy(res.field, exps.q, exps.alpha)
+    bq = ev.hartree_q
     lam_closed = (0.0 * DESK_MASS - coeff * bq) / DESK_MASS
     rel = abs(lam_direct - lam_closed) / abs(lam_closed)
     strict = res.lam < 0.0 and lam_direct == pytest.approx(res.lam, rel=1e-12)
@@ -188,7 +189,7 @@ def test_criterion_09_psi_uniqueness(cfg):
         profiles.append(FiberProfile(
             A=a_kin, B_p=float(rng.uniform(0.0, 5.0)),
             B_q=float(a_kin * rng.uniform(0.05, 5.0)),
-            a=float(rng.uniform(0.2, 4.0)), mu=0.0, exps=cfg.exps))
+            a=float(rng.uniform(0.2, 4.0)), exps=cfg.exps))
     defect = psi_sign_change_defect(profiles)
     assert _line(9, "Psi uniqueness", passes("psi_unique_zero", defect),
                  "exactly one sign change on [1e-6, 1e6] for 100 profiles")

@@ -4,6 +4,9 @@ perfbench/run.py wraps choqlab's public functions from outside and fails
 its self-test when a function it expects is never called; these tests
 catch a rename or a signature change before the benchmark does."""
 
+import ast
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -16,6 +19,32 @@ from choqlab.solver import SolveConfig, solve_nonautonomous
 from conftest import DESK_MASS
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _expected_calls() -> dict:
+    """EXPECTED_CALLS of perfbench/run.py, read from its source: importing
+    run.py would set the thread environment variables of this process."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "EXPECTED_CALLS"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no EXPECTED_CALLS")
+
+
+def test_expected_calls_name_public_functions():
+    # the tracer wraps the public functions each layer module defines; every
+    # name the self-test expects (bar the Krylov wrapper) must be one of them
+    names = {n for calls in _expected_calls().values() for n in calls}
+    assert names
+    for name in sorted(names - {"solver.krylov"}):
+        layer, attr = name.split(".")
+        mod = importlib.import_module(f"choqlab.{layer}")
+        obj = getattr(mod, attr, None)
+        assert not attr.startswith("_"), name
+        assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, name
+        assert obj.__name__ == attr, name   # not an alias of another function
 
 
 def test_kernels_trace_self_test():

@@ -8,23 +8,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqlab.energy import (Truncation, energy, hartree_cross, hartree_energy,
-                            hartree_jvp, jvp_factors, tau_eval, tau_prime,
+from choqlab.energy import (Truncation, _abs_power, energy, hartree_jvp,
+                            jvp_factors, tau_eval, tau_prime,
                             truncated_profile_pohozaev, truncated_profile_value)
 from choqlab.errors import OutOfRange, ZeroField
 from choqlab.fiber import extract_profile
 from choqlab.spectral import (Field, Grid, dilate, kinetic_energy_free, mass,
-                              riesz_oracle_1d, translate)
-from conftest import make_positive_field
+                              riesz_potential, translate)
+from conftest import make_positive_field, riesz_oracle_1d
 
 ALPHA = 0.5
+
+
+def hartree_energy(u: Field, r: float, alpha: float) -> float:
+    """B_r(u) = Int (I_alpha * |u|^r) |u|^r at any exponent r, by the
+    evaluator's formula (energy() holds it for r = p and q)."""
+    rho = _abs_power(u.values, r)
+    pot = riesz_potential(Field(u.grid, rho), alpha).values
+    return float(np.sum(pot * rho)) * u.grid.dx
+
+
+def hartree_cross(u: Field, v: Field, r: float, alpha: float) -> float:
+    """Mixed term Int (I_alpha * |u|^r) |v|^r of the bilinear Hartree form."""
+    pot = riesz_potential(Field(u.grid, _abs_power(u.values, r)), alpha).values
+    return float(np.sum(pot * _abs_power(v.values, r))) * u.grid.dx
 
 
 def test_hartree_zero_field(grid_small, exps):
     z = Field(grid_small, np.zeros(grid_small.shape))
     assert hartree_energy(z, exps.q, ALPHA) == 0.0
-    with pytest.raises(OutOfRange):
-        hartree_energy(z, 0.5, ALPHA)
 
 
 def test_hartree_gaussian_vs_double_sum_oracle(exps):
@@ -127,10 +139,9 @@ def test_energy_mu_shift(grid_unit, rng, exps):
 def test_energy_truncation_regions(grid_unit, rng, exps):
     # the truncated fiber value at t = 1 against the evaluator's energy
     u = make_positive_field(grid_unit, rng)
-    from choqlab.spectral import hs_norm_free
-    r = hs_norm_free(u, exps.s)
     br = energy(u, exps, 0.0)
-    pieces = (br.kinetic, br.hartree_p, br.hartree_q, br.mass, 0.0, exps)
+    r = math.sqrt(br.kinetic + br.mass)      # the H^s norm
+    pieces = (br.kinetic, br.hartree_p, br.hartree_q, br.mass, exps)
     # tau == 1: truncated and untruncated totals agree exactly
     wide = Truncation(2.0 * r, 4.0 * r)
     assert truncated_profile_value(*pieces, wide, 1.0) == br.total
@@ -272,16 +283,16 @@ def prof_pohozaev_ref(prof, exps, t):
 def test_truncated_ray_derivative_identity(grid_unit, rng, exps):
     # d/dt J_T(u_t) = (t^{2s-1}/2) P_T(u_t) including the tau' correction
     u = make_positive_field(grid_unit, rng)
-    prof = extract_profile(u, exps, 0.3)
+    prof = extract_profile(u, exps)
     radius1 = math.sqrt(prof.A + prof.a)
     trunc = Truncation(0.8 * radius1, 1.3 * radius1)
     for t in (0.7, 1.0, 1.5):
         radius_t = math.sqrt(t ** (2 * exps.s) * prof.A + prof.a)
         assert 0.0 < tau_eval(trunc, radius_t) < 1.0  # bridge genuinely active
         h = 1e-4
-        fd = (truncated_profile_value(prof.A, prof.B_p, prof.B_q, prof.a, 0.3,
+        fd = (truncated_profile_value(prof.A, prof.B_p, prof.B_q, prof.a,
                                       exps, trunc, t + h)
-              - truncated_profile_value(prof.A, prof.B_p, prof.B_q, prof.a, 0.3,
+              - truncated_profile_value(prof.A, prof.B_p, prof.B_q, prof.a,
                                         exps, trunc, t - h)) / (2 * h)
         formula = 0.5 * t ** (2 * exps.s - 1) * truncated_profile_pohozaev(
             prof.A, prof.B_p, prof.B_q, prof.a, exps, trunc, t)

@@ -38,22 +38,17 @@ def test_potential_builtins(grid_unit):
 def test_detect_m(grid_unit):
     pot = PotentialSpec(kind="double_well", centers=(-8.0, 8.0), width=2.0,
                         v_inf=0.2)
-    m_points, m_delta, degenerate = detect_M(pot, grid_unit, 1.0, delta=1.6)
+    m_points, degenerate = detect_M(pot, grid_unit, 1.0)
     assert list(m_points) == [-8.0, 8.0]
     assert not degenerate
-    # M subset M_delta
-    for y in m_points:
-        assert np.min(np.abs(m_delta - y)) < grid_unit.dx
     assert dist_to_set([7.0], m_points) == pytest.approx(1.0)
-    # degenerate constant-zero potential flagged
-    flat = PotentialSpec(kind="sampled",
-                         sample=Field(grid_unit, np.zeros(grid_unit.shape)))
-    _, _, deg = detect_M(flat, grid_unit, 1.0, delta=0.5)
+    # degenerate constant-zero potential flagged by the grid scan
+    flat = PotentialSpec(kind="constant", v_inf=0.0)
+    _, deg = detect_M(flat, grid_unit, 1.0)
     assert deg
-    nowhere = PotentialSpec(kind="sampled",
-                            sample=Field(grid_unit, np.ones(grid_unit.shape)))
+    nowhere = PotentialSpec(kind="constant", v_inf=1.0)
     with pytest.raises(EmptyM):
-        detect_M(nowhere, grid_unit, 1.0, delta=0.5)
+        detect_M(nowhere, grid_unit, 1.0)
 
 
 def test_barycenter_symmetry_and_shift(grid_unit, rng):
@@ -142,6 +137,17 @@ kind = constant
     bad_eps = base + "[sweep]\neps_list = 0.1, 0.2, 0.4\n"
     path.write_text(bad_eps)
     with pytest.raises(ConfigError):
+        ExperimentConfig.from_file(path)
+    # values that fail to parse, a missing section and a kind no builtin
+    # has all surface as ConfigError
+    path.write_text(base.replace("points = 2048", "points = many"))
+    with pytest.raises(ConfigError, match="invalid config"):
+        ExperimentConfig.from_file(path)
+    path.write_text(base[base.index("[grid]"):])
+    with pytest.raises(ConfigError, match="invalid config"):
+        ExperimentConfig.from_file(path)
+    path.write_text(base.replace("kind = constant", "kind = sampled"))
+    with pytest.raises(ConfigError, match="unknown potential kind"):
         ExperimentConfig.from_file(path)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(tmp_path / "missing.cfg")

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from choqlab.energy import energy, hartree_energy
+from choqlab.energy import energy
 from choqlab.errors import NoConvergence, OutOfBox, OutOfRange
 from choqlab.harness import default_config, passes, sharp_tightness
 from choqlab.params import mass_threshold, s_alpha_reference
@@ -52,12 +52,12 @@ def test_compute_s_alpha_sweep(exps):
     assert sw.value > 0.0
     assert sw.value == min(sw.quotients)
     # amplitude homogeneity: the quotient ignores overall scaling of u
-    from choqlab.energy import hartree_energy as bh
     x = g.axis()
     prof = (1.0 / (1.0 + x * x)) ** 0.1 * np.exp(-((x / 12.0) ** 8))
     for c in (1.0, 3.7):
         u = Field(g, c * prof)
-        quot = kinetic_energy_free(u, exps.s) / bh(u, exps.p, exps.alpha) ** (1 / exps.p)
+        quot = (kinetic_energy_free(u, exps.s)
+                / energy(u, exps).hartree_p ** (1 / exps.p))
         if c == 1.0:
             base = quot
     assert quot == pytest.approx(base, rel=1e-12)
@@ -219,7 +219,7 @@ def test_multiplier_closed_form_tracks_pohozaev(exps, autonomous_mu0):
     res = autonomous_mu0
     coeff = ((exps.N + exps.alpha) - (exps.N - 2 * exps.s) * exps.q) \
         / (2 * exps.s * exps.q)
-    bq = hartree_energy(res.field, exps.q, exps.alpha)
+    bq = energy(res.field, exps, 0.0).hartree_q
     lam_cf = (0.0 * DESK_MASS - coeff * bq) / DESK_MASS
     defect = abs(res.lam - lam_cf) * DESK_MASS
     kin = kinetic_energy_free(res.field, exps.s)
@@ -232,6 +232,11 @@ def test_budget_and_mass_guards(exps, grid_unit):
         solve_autonomous(exps, 0.0, 1.0, grid_unit, config=SolveConfig(max_iter=0))
     with pytest.raises(OutOfRange):
         solve_autonomous(exps, 0.0, -1.0, grid_unit)
+    v = default_config().potential.sample_on(grid_unit, 0.4)
+    with pytest.raises(NoConvergence):
+        solve_nonautonomous(exps, v, 1.0, grid_unit, config=SolveConfig(max_iter=0))
+    with pytest.raises(OutOfRange):
+        solve_nonautonomous(exps, v, -1.0, grid_unit)
 
 
 def test_warn_above_mass_threshold(exps, c_alpha_q):

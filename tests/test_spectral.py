@@ -15,10 +15,10 @@ from choqlab.spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                               fractional_laplacian, fractional_laplacian_free,
                               kinetic_energy, kinetic_energy_free,
                               mass, project_mass, random_field,
-                              riesz_oracle_1d, riesz_potential, translate)
+                              riesz_potential, translate)
 from choqlab.spectral import (_ASYMP_SWITCH, _freespace_multiplier_1d,
                               _kinetic_zeta_kernel, _kinetic_zeta_spectrum)
-from conftest import make_positive_field
+from conftest import make_positive_field, riesz_oracle_1d
 
 S = 0.4
 ALPHA = 0.5
