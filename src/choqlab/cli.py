@@ -129,7 +129,7 @@ def cmd_solve(args) -> int:
     snap = _outpath(cfg, f"{tag}.chqf")
     save_field(res.field, snap)
     save_solve_sidecar(res, snap + ".txt", cfg.solver,
-                       extra={"barycenter": float(beta[0])})
+                       extra={"barycenter": beta})
     print(f"snapshot -> {snap}")
     return 0 if res.converged else 1
 

@@ -45,7 +45,7 @@ class ZeroField(ChoqlabError):
 
 
 class NoConvergence(ChoqlabError):
-    """Iteration budget exhausted before tolerances were met."""
+    """An iteration broke down before its tolerances were met."""
 
 
 class TruncationActive(ChoqlabError):

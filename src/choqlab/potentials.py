@@ -87,8 +87,6 @@ def detect_M(pot: PotentialSpec, grid: Grid, eps: float):
     return m_points, bool(np.all(mask))
 
 
-def dist_to_set(point, m_points) -> float:
-    """Distance from a point (a scalar or a length-1 array) to the finite
-    set M."""
-    m = np.asarray(m_points, dtype=float)
-    return float(np.min(np.abs(m - np.asarray(point, dtype=float))))
+def dist_to_set(point: float, m_points) -> float:
+    """Distance from a point to the finite set M."""
+    return float(np.min(np.abs(np.asarray(m_points, dtype=float) - point)))

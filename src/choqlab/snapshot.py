@@ -66,8 +66,9 @@ def load_field(path) -> Field:
     return Field(grid, vals)
 
 
-def save_solve_sidecar(result, path, config=None, extra=None) -> None:
-    """key = value companion file for a SolveResult."""
+def save_solve_sidecar(result, path, config, extra) -> None:
+    """key = value companion file for a SolveResult, its SolveConfig and the
+    extra mapping of further keys."""
     lines = [
         "format = choqlab-solve v1",
         f"level = {result.level!r}",
@@ -80,10 +81,8 @@ def save_solve_sidecar(result, path, config=None, extra=None) -> None:
     ]
     for f in fields(result.newton):
         lines.append(f"newton.{f.name} = {getattr(result.newton, f.name)!r}")
-    if config is not None:
-        for f in fields(config):
-            lines.append(f"config.{f.name} = {getattr(config, f.name)!r}")
-    if extra:
-        for k, v in extra.items():
-            lines.append(f"{k} = {v!r}")
+    for f in fields(config):
+        lines.append(f"config.{f.name} = {getattr(config, f.name)!r}")
+    for k, v in extra.items():
+        lines.append(f"{k} = {v!r}")
     Path(path).write_text("\n".join(lines) + "\n")

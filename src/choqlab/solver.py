@@ -48,6 +48,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _STEP = 0.5          # initial descent step
+_MAX_ITER = 300      # descent and Petviashvili iterations
+_NEWTON_MAX = 60     # Newton steps
 _NEWTON_TOL = 1e-10  # relative residual that ends a Newton solve
 # Eisenstat-Walker forcing terms (choice 2), the relative tolerance of each
 # Newton step's Krylov solve: _ETA_MAX on the first step, then
@@ -68,14 +70,10 @@ _HANDOVER = 1e-5
 class SolveConfig:
     grad_tol: float = 1e-6     # relative residual ||G - lam u||_2 / ||u||_2
     poho_tol: float = 1e-6     # |P| / (2 s A)
-    max_iter: int = 300        # composite descent iterations
-    newton_max: int = 40       # Newton steps
 
     def __post_init__(self):
         if self.grad_tol <= 0 or self.poho_tol <= 0:
             raise OutOfRange("tolerances must be positive")
-        if self.max_iter < 0 or self.newton_max < 0:
-            raise OutOfRange("max_iter and newton_max must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -152,18 +150,6 @@ def _dilate_composite(u: Field, t: float, center_cells: int) -> Field:
     return translate(out, center_cells) if center_cells else out
 
 
-def _despeckle(u: Field) -> Field:
-    """Descent-loop hygiene: zero content above half Nyquist.
-
-    A resolved iterate must keep the |u|^p density below Nyquist, which
-    caps meaningful field content near a quarter of the band; everything
-    above half Nyquist is taper/kink noise that would otherwise accumulate
-    over rescales (and it makes every t <= 2 dilation alias-free).  Only
-    the descent loop filters; the Newton endgame works on the raw field.
-    """
-    return band_limit(u, 0.25)
-
-
 # ---------------------------------------------------------------------------
 # Scalar ground state (Petviashvili + Newton)
 # ---------------------------------------------------------------------------
@@ -204,8 +190,6 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
     config = config or SolveConfig()
     if not (exps.p_lower < exps.q < exps.p):
         raise OutOfRange("scalar problem needs q strictly inside (p_lower, p)")
-    if config.max_iter < 1:
-        raise NoConvergence("iteration budget is zero")
     g = grid
     r = g.radius()
     u = init.values.copy() if init is not None else np.exp(-0.5 * r * r)
@@ -213,7 +197,7 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
     gamma_st = (2.0 * exps.q - 1.0) / (2.0 * exps.q - 2.0)
     dv = g.dx
     it = 0
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         nonlin = hartree_nonlinearity(Field(g, u), exps.q, exps.alpha)
         # torus inverse of (-D)^s + 1 as the Petviashvili propagator
         lin_u = np.fft.irfft(sym * np.fft.rfft(u), g.points)
@@ -232,7 +216,7 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
             break
     fld, newton = _newton(Field(g, u), None,
                           lambda vals, lam: _scalar_system(Field(g, vals), exps),
-                          exps.s, config.newton_max)
+                          exps.s)
     res_rel = _l2(_scalar_system(fld, exps)[0], dv) / _l2(fld.values, dv)
     ev = energy(fld, exps)
     a_kin, m, bq = ev.kinetic, ev.mass, ev.hartree_q
@@ -251,21 +235,19 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
 # Critical Choquard constant
 # ---------------------------------------------------------------------------
 
-def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
+def compute_S_alpha(exps: ExponentSet, grid) -> SAlphaResult:
     """Rayleigh quotient A(u)/B_p(u)^{1/p} on the bubble family
 
         u_eps(x) = (eps/(eps^2+|x|^2))^{(N-2s)/2},
 
-    swept over eps (envelope-localized to keep the tails in the box) and
-    minimized.  The sweep spread is reported as the discretization
-    sensitivity of the constant.
+    swept over nine eps from max(4 dx, L/1000) to L/24 (envelope-localized
+    to keep the tails in the box) and minimized.  The sweep spread is
+    reported as the discretization sensitivity of the constant.
     """
     g = grid
     r = g.radius()
     L = g.extent
-    if eps_grid is None:
-        lo = max(4.0 * g.dx, 1e-3 * L)
-        eps_grid = tuple(np.geomspace(lo, L / 24.0, 9))
+    eps_grid = tuple(np.geomspace(max(4.0 * g.dx, 1e-3 * L), L / 24.0, 9))
     envelope = np.exp(-((r / (0.2 * L)) ** 8))
     quotients = []
     for eps in eps_grid:
@@ -274,7 +256,7 @@ def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
         quotients.append(ev.kinetic / ev.hartree_p ** (1.0 / exps.p))
     quotients = tuple(quotients)
     value = min(quotients)
-    return SAlphaResult(value=value, eps_grid=tuple(eps_grid), quotients=quotients,
+    return SAlphaResult(value=value, eps_grid=eps_grid, quotients=quotients,
                         sensitivity=(max(quotients) - value) / value)
 
 
@@ -282,7 +264,7 @@ def compute_S_alpha(exps: ExponentSet, grid, eps_grid=None) -> SAlphaResult:
 # Newton-Krylov
 # ---------------------------------------------------------------------------
 
-def _newton(u: Field, lam: float | None, residual, s: float, newton_max: int):
+def _newton(u: Field, lam: float | None, residual, s: float):
     """Newton-Krylov with backtracking for residual(vals, lam) = 0 from u.
 
     residual(vals, lam) returns the field residual, the mass-row value and
@@ -298,7 +280,7 @@ def _newton(u: Field, lam: float | None, residual, s: float, newton_max: int):
     h*(dz - beta*t) and then translates by h*beta exactly, and is accepted
     when it lowers the residual norm by at least the fraction 1e-4*h.  A step
     that no halving accepts stops the solve, and so do a relative residual
-    below _NEWTON_TOL and newton_max steps.
+    below _NEWTON_TOL and _NEWTON_MAX steps.
     Returns the field and its NewtonStats.
     """
     g = u.grid
@@ -329,7 +311,7 @@ def _newton(u: Field, lam: float | None, residual, s: float, newton_max: int):
     fn_prev, eta = None, _ETA_MAX
     steps = backtracks = failures = 0
     stop = "budget"
-    while steps < newton_max:
+    while steps < _NEWTON_MAX:
         steps += 1
         lam_abs = abs(lam_v) if bordered else 0.0
         if fn_prev is not None:
@@ -420,15 +402,15 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     offset from the grid center, and the line search scores a trial by
     ray_level, with the potential term frozen at the trial.  The descent hands
     over to Newton on the _HANDOVER rule, a failed Armijo search, a
-    non-descent direction or after max_iter iterations.  The truncation
+    non-descent direction or after _MAX_ITER iterations.  The truncation
     radius R0 is four times the H^s norm of the first rescaled iterate; a
-    converged field whose H^s norm reaches it raises TruncationActive."""
-    if config.max_iter < 1:
-        raise NoConvergence("iteration budget is zero")
-    # a caller's seed may be a raw Newton field: despeckle it like every
+    converged field whose H^s norm reaches it raises TruncationActive.
+    Every descent iterate is band-limited (see band_limit); Newton works on
+    the raw field."""
+    # a caller's seed may be a raw Newton field: band-limit it like every
     # descent iterate, so that a t <= 2 dilation of it is alias-free
     # (default_init is smooth already)
-    init = default_init(grid, a) if init is None else _despeckle(init)
+    init = default_init(grid, a) if init is None else band_limit(init)
     center_cells = int(np.argmax(np.abs(init.values))) - grid.points // 2
     dv = grid.dx
     u = project_mass(init, a)
@@ -436,12 +418,12 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     eta = _STEP
     prev_level = math.inf
     sym = grid.k_half() ** (2.0 * exps.s) + 1.0
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         # (i) rescale onto the Pohozaev set (dilation about the carrier cell)
         fm = fiber_maximizer(extract_profile(u, exps))
         rescaled = _dilate_composite(u, fm.t_star, center_cells)
         if rescaled is not u:
-            u = project_mass(_despeckle(rescaled), a)
+            u = project_mass(band_limit(rescaled), a)
         # (ii) preconditioned projected gradient step, Armijo on the
         # ray-reduced level (the raw step is stiff: |k|^{2s} amplifies
         # high-k noise, so descend in the (|k|^{2s}+1+|lam|)^{-1} metric)
@@ -467,7 +449,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
             trial = project_mass(Field(grid, u.values - eta * dp), a)
             # u is on the Pohozaev set already: its level is its ray level
             if ray_level(trial, exps, potential) <= level - 1e-4 * eta * slope:
-                u = project_mass(_despeckle(trial), a)
+                u = project_mass(band_limit(trial), a)
                 accepted = True
                 break
             eta *= 0.5
@@ -479,8 +461,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
         return _constrained_system(energy(Field(grid, vals), exps, potential),
                                    lam, a)
 
-    u, newton = _newton(u, energy(u, exps, potential).lam, residual, exps.s,
-                        config.newton_max)
+    u, newton = _newton(u, energy(u, exps, potential).lam, residual, exps.s)
     u = project_mass(u, a)
     ev = energy(u, exps, potential)
     trace.append(("newton", it + 1, ev.total, ev.grad_residual,
@@ -559,20 +540,19 @@ def make_profile(w: Field, y: float, eps: float, a: float):
 # Level tables and the kinetic-bound root
 # ---------------------------------------------------------------------------
 
-def level_curves(exps: ExponentSet, a_list, mu_list, grid,
-                 config: SolveConfig | None = None, a0: float | None = None):
+def level_curves(exps: ExponentSet, a_list, mu_list, grid, config: SolveConfig,
+                 a0: float):
     """b_{0,T,a} over a_list (warm-started) and the mu-affine law over
-    mu_list at mass a0 (middle of a_list when not given).
+    mu_list at mass a0.
 
     Returns (a_rows, mu_rows): lists of dicts, one per solve; failed cells
     carry converged=False instead of aborting the table.
     """
-    config = config or SolveConfig()
 
     def solve_row(a, mu, init=None):
         try:
             res = solve_autonomous(exps, mu, a, grid, init=init, config=config)
-        except (NoConvergence, TruncationActive) as exc:
+        except TruncationActive as exc:
             return None, dict(a=a, mu=mu, level=math.nan, lam=math.nan,
                               poho=math.nan, grad=math.nan, iterations=0,
                               converged=False, error=str(exc))
@@ -587,8 +567,6 @@ def level_curves(exps: ExponentSet, a_list, mu_list, grid,
         res, row = solve_row(a, 0.0, init)
         warm = res.field if res is not None else warm
         a_rows.append(row)
-    if a0 is None:
-        a0 = a_list[len(a_list) // 2] if a_list else None
     mu_rows = [solve_row(a0, mu)[1] for mu in mu_list]
     return a_rows, mu_rows
 

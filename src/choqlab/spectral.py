@@ -424,16 +424,19 @@ def smooth_cutoff(r: np.ndarray, R0: float, R1: float) -> np.ndarray:
     return out
 
 
-def band_limit(u: Field, keep_frac: float = 0.25) -> Field:
-    """Zero spectral content above keep_frac * n (half Nyquist by default).
+def band_limit(u: Field) -> Field:
+    """Zero spectral content at and above n/4 (half Nyquist).
 
-    Resolved fields keep their Hartree densities below Nyquist only when
-    their own content sits well below it; this is the evaluation-side
-    hygiene filter for dilation chains on solver outputs.
+    A resolved field keeps its |u|^p density below Nyquist, which caps its
+    meaningful content near a quarter of the band; what lies above half
+    Nyquist is taper and kink noise that would accumulate over a chain of
+    dilations, and without it every t <= 2 dilation is alias-free.  The
+    solver's descent filters every iterate this way, and the sharp-tightness
+    check filters a solver output before dilating it.
     """
     n = u.grid.points
     uh = np.fft.rfft(u.values)
-    uh[np.arange(n // 2 + 1) >= keep_frac * n] = 0.0
+    uh[np.arange(n // 2 + 1) >= 0.25 * n] = 0.0
     return Field(u.grid, np.fft.irfft(uh, n))
 
 
@@ -459,12 +462,12 @@ def boundary_decay(u: Field) -> float:
 
 
 def random_field(grid: Grid, rng: np.random.Generator,
-                 kmax_frac: float = 0.2, envelope_frac: float = 0.16) -> Field:
+                 kmax_frac: float = 0.2) -> Field:
     """Random band-limited field under a centered super-Gaussian envelope.
 
     Spectral content is confined to |m| <= kmax_frac * n/2 and the
-    exp(-(r/w)^8) envelope decays below 1e-15 by the quarter box, so
-    dilations in [1/2, 2] and free-space Hartree evaluations stay
+    exp(-(r/w)^8) envelope, w = 0.16 L, decays below 1e-15 by the quarter
+    box, so dilations in [1/2, 2] and free-space Hartree evaluations stay
     alias-safe and box-supported.
     """
     n = grid.points
@@ -475,7 +478,7 @@ def random_field(grid: Grid, rng: np.random.Generator,
     spectrum[np.arange(-m_cut, m_cut + 1) % n] = coeffs
     vals = np.fft.ifft(spectrum).real
     r = grid.radius()
-    width = envelope_frac * grid.extent
+    width = 0.16 * grid.extent
     vals = vals * np.exp(-((r / width) ** 8))
     peak = np.max(np.abs(vals))
     if peak == 0.0:

@@ -58,7 +58,7 @@ def rng():
 
 @pytest.fixture(scope="session")
 def desk_config():
-    return SolveConfig(grad_tol=1e-6, poho_tol=0.1, newton_max=40)
+    return SolveConfig(grad_tol=1e-6, poho_tol=0.1)
 
 
 @pytest.fixture(scope="session")

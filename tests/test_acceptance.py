@@ -55,7 +55,7 @@ def cert_solve(cfg):
     clears the criterion-3 tolerance (or a faster smaller one on demand)."""
     grid = Grid(1, 3072.0, 131072) if SMALL else Grid(1, 6144.0, 524288)
     return solve_autonomous(cfg.exps, 0.0, DESK_MASS, grid,
-                            config=SolveConfig(poho_tol=1.0, newton_max=40))
+                            config=SolveConfig(poho_tol=1.0))
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,7 @@ def test_criterion_04_multiplier_law(cfg, cert_solve):
 def test_criterion_05_affine_level_shift(cfg):
     """b_mu - b_0 = mu a/2 within 1e-4 relative for mu in {0.5, 1.0}."""
     g = Grid(1, 96.0, 2048)
-    scfg = SolveConfig(grad_tol=1e-6, poho_tol=0.1, newton_max=40)
+    scfg = SolveConfig(grad_tol=1e-6, poho_tol=0.1)
     levels = {mu: solve_autonomous(cfg.exps, mu, DESK_MASS, g, config=scfg).level
               for mu in (0.0, 0.5, 1.0)}
     worst = affine_level_defect(levels, DESK_MASS)
@@ -135,7 +135,7 @@ def test_criterion_06_mass_monotonicity(cfg):
     """b_{0,T,a} nonincreasing over {0.5, 1, 1.5, 2} x a0, slack 1e-6."""
     exps = cfg.exps
     g = Grid(1, 96.0, 4096)
-    scfg = SolveConfig(grad_tol=1e-4, poho_tol=0.2, newton_max=40)
+    scfg = SolveConfig(grad_tol=1e-4, poho_tol=0.2)
     warm, levels = None, []
     masses = [0.5 * DESK_MASS, DESK_MASS, 1.5 * DESK_MASS, 2.0 * DESK_MASS]
     for a in masses:
@@ -207,7 +207,7 @@ def test_criterion_10_profile_energy_barycenter(cfg, concentration):
         prof, y_act = make_profile(auto.field, y, eps, DESK_MASS)
         beta = barycenter(prof, eps, cfg.box_radius)
         r_eps = eps ** -0.5
-        bound_ok &= abs(float(beta[0]) - y_act) <= 2 * eps * r_eps
+        bound_ok &= abs(beta - y_act) <= 2 * eps * r_eps
         v = cfg.potential.sample_on(cfg.grid, eps)
         gaps.append(abs(energy(prof, exps, v).total - auto.level))
     mono = all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1))
@@ -236,7 +236,7 @@ def test_criterion_11_concentration_multiplicity(cfg, concentration, multiplicit
 def test_criterion_12_determinism_io(cfg, tmp_path):
     """Bit-exact re-run of a solve cell and snapshot round-trip."""
     g = Grid(1, 96.0, 2048)
-    scfg = SolveConfig(grad_tol=1e-6, poho_tol=0.1, newton_max=40)
+    scfg = SolveConfig(grad_tol=1e-6, poho_tol=0.1)
     res1, res2 = (solve_autonomous(cfg.exps, 0.5, DESK_MASS, g, config=scfg)
                   for _ in range(2))
     bitwise = passes("determinism", rerun_defect(res1, res2))

@@ -74,8 +74,20 @@ def test_sampled_newton_reaches_hartree_jvp(exps, grid_unit, monkeypatch):
 
     for name in names:
         monkeypatch.setattr(solver, name, counting(name))
+    # a short solve: five descent iterations at most, then two Newton steps
+    monkeypatch.setattr(solver, "_MAX_ITER", 5)
+    monkeypatch.setattr(solver, "_NEWTON_MAX", 2)
     x = grid_unit.axis()
     potential = 0.2 - 0.1 * np.exp(-(x / 8.0) ** 2)
-    config = SolveConfig(grad_tol=1e-6, poho_tol=0.1, max_iter=5, newton_max=2)
+    config = SolveConfig(grad_tol=1e-6, poho_tol=0.1)
     solve_nonautonomous(exps, potential, DESK_MASS, grid_unit, config=config)
     assert all(calls.values()), calls
+
+
+def test_trace_rows_count_descent_iterations(autonomous_mu0):
+    # the tracer reads solver.descent_iters as the trace rows whose phase is
+    # "descent": one per descent iteration, then one row for Newton
+    res = autonomous_mu0
+    phases = [row[0] for row in res.trace]
+    assert phases.count("descent") == res.iterations
+    assert phases[-1] == "newton"

@@ -1,10 +1,12 @@
 """CLI wiring (fast subcommands only; experiments run in the acceptance suite)."""
 
 import csv
+import dataclasses
 
 import numpy as np
 
 from choqlab.cli import main
+from choqlab.harness import default_config, run_verify
 from choqlab.snapshot import save_field
 from choqlab.spectral import Field, Grid
 
@@ -66,14 +68,16 @@ def test_verify_battery_passes(tmp_path, capsys):
     assert [row[0] for row in rows[6:]] == list(SOLVER_CHECKS)
 
 
-def test_verify_skips_solver_checks_without_budget(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "max_iter = 0\n")
-    assert main(["--out", str(tmp_path), "--config", cfg, "verify"]) == 1
-    rows = _verify_rows(tmp_path)
-    assert [row[1] for row in rows[:6]] == ["Passed"] * 6
-    assert [row[0] for row in rows[6:]] == list(SOLVER_CHECKS)
-    assert all(row[1:] == ["Skipped", "", ""] for row in rows[6:])
-    assert "iteration budget is zero" in capsys.readouterr().out
+def test_verify_skips_desk_checks_on_solver_failure():
+    # a mass the desk solves reject: the battery fails, and the three checks
+    # on those solves are Skipped with the solver's message
+    out = run_verify(dataclasses.replace(default_config(), a=-1.0))
+    message = "target mass must be positive, got -1.0"
+    assert out["passed"] is False
+    assert out["reason"] == f"solver failure: {message}"
+    assert len(out["rows"]) == 13
+    assert out["rows"][-3:] == [(name, "Skipped", message, "")
+                                for name in SOLVER_CHECKS[-3:]]
 
 
 def test_solve_sampled_potential(tmp_path, capsys):
@@ -97,7 +101,7 @@ def test_solve_rejects_seed_at_box_edge(tmp_path, capsys):
     assert not (tmp_path / "nonautonomous_eps0.2.chqf").exists()
 
 
-def _write_cfg(tmp_path, solver_extra=""):
+def _write_cfg(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("""
 [params]
@@ -118,5 +122,5 @@ v_inf = 0.2
 [solver]
 grad_tol = 1e-6
 poho_tol = 0.1
-""" + solver_extra)
+""")
     return str(path)

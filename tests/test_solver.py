@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from choqlab.energy import energy
-from choqlab.errors import NoConvergence, OutOfBox, OutOfRange
+from choqlab.errors import OutOfBox, OutOfRange
 from choqlab.harness import default_config, passes, sharp_tightness
 from choqlab.params import mass_threshold, s_alpha_reference
 from choqlab import solver
@@ -28,7 +28,7 @@ def test_scalar_ground_certificates(scalar_ground):
     assert gs.field.values[gs.field.grid.points // 2] == np.max(gs.field.values)
     assert gs.poho_residual < 1e-3                    # scaling identity defect
     # Petviashvili stops on its own increment, not on the budget
-    assert gs.iterations < SolveConfig().max_iter
+    assert gs.iterations < solver._MAX_ITER
     assert gs.newton.stop == "tolerance"
 
 
@@ -39,11 +39,6 @@ def test_scalar_ground_norm_reproducible(exps, scalar_ground):
     bumpy = Field(g, np.exp(-0.4 * x * x) * (1.0 + 0.2 * np.cos(0.9 * x)))
     gs2 = solve_scalar_ground(exps, g, init=bumpy)
     assert gs2.norm2 == pytest.approx(scalar_ground.norm2, rel=1e-5)
-
-
-def test_scalar_ground_budget_guard(exps, grid_unit):
-    with pytest.raises(NoConvergence):
-        solve_scalar_ground(exps, grid_unit, SolveConfig(max_iter=0))
 
 
 def test_compute_s_alpha_sweep(exps):
@@ -92,7 +87,7 @@ def test_autonomous_certificates(exps, autonomous_mu0, desk_config):
 def test_warm_start_from_converged_field(exps, grid_solver, autonomous_mu0,
                                          desk_config, mu):
     # a converged field carries Newton content above half Nyquist; the
-    # solve despeckles its seed, so the first rescale does not alias
+    # solve band-limits its seed, so the first rescale does not alias
     res = solve_autonomous(exps, mu, DESK_MASS, grid_solver,
                            init=autonomous_mu0.field, config=desk_config)
     assert res.converged and res.newton.stop == "tolerance"
@@ -101,12 +96,12 @@ def test_warm_start_from_converged_field(exps, grid_solver, autonomous_mu0,
 
 
 def test_solve_config_rejects_bad_settings():
-    for bad in (dict(newton_max=-1), dict(max_iter=-1), dict(grad_tol=0.0),
-                dict(poho_tol=-0.1)):
+    # the two certificate tolerances are the only settings
+    names = [f.name for f in dataclasses.fields(SolveConfig)]
+    assert names == ["grad_tol", "poho_tol"]
+    for bad in (dict(grad_tol=0.0), dict(poho_tol=-0.1)):
         with pytest.raises(OutOfRange):
             SolveConfig(**bad)
-    # the boundary values stay valid
-    SolveConfig(newton_max=0, max_iter=0)
 
 
 def test_constrained_row_finite_difference(exps, grid_unit, rng):
@@ -133,9 +128,9 @@ def test_constrained_row_finite_difference(exps, grid_unit, rng):
     assert (cp - cn) / (2 * h) == pytest.approx(mass_row, rel=1e-5)
 
 
-def test_newton_budget_stop(exps, grid_unit, desk_config):
-    config = dataclasses.replace(desk_config, newton_max=1)
-    res = solve_autonomous(exps, 0.0, DESK_MASS, grid_unit, config=config)
+def test_newton_budget_stop(exps, grid_unit, desk_config, monkeypatch):
+    monkeypatch.setattr(solver, "_NEWTON_MAX", 1)
+    res = solve_autonomous(exps, 0.0, DESK_MASS, grid_unit, config=desk_config)
     assert res.newton.stop == "budget"
     assert res.newton.steps == 1
 
@@ -200,7 +195,7 @@ def test_descent_hands_over_on_coarse_grid():
     cfg = dataclasses.replace(default_config(), grid=Grid(1, 240.0, 1024))
     auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
     res = _solve_cell(cfg, auto.field, 0.2, -8.0)
-    assert res.iterations < cfg.solver.max_iter
+    assert res.iterations < solver._MAX_ITER
     assert res.converged
 
 
@@ -227,14 +222,10 @@ def test_multiplier_closed_form_tracks_pohozaev(exps, autonomous_mu0):
     assert defect == pytest.approx(p_val / (2 * exps.s), rel=1e-6)
 
 
-def test_budget_and_mass_guards(exps, grid_unit):
-    with pytest.raises(NoConvergence):
-        solve_autonomous(exps, 0.0, 1.0, grid_unit, config=SolveConfig(max_iter=0))
+def test_mass_guards(exps, grid_unit):
     with pytest.raises(OutOfRange):
         solve_autonomous(exps, 0.0, -1.0, grid_unit)
     v = default_config().potential.sample_on(grid_unit, 0.4)
-    with pytest.raises(NoConvergence):
-        solve_nonautonomous(exps, v, 1.0, grid_unit, config=SolveConfig(max_iter=0))
     with pytest.raises(OutOfRange):
         solve_nonautonomous(exps, v, -1.0, grid_unit)
 
@@ -326,6 +317,7 @@ def test_level_curves_table(exps, grid_solver, desk_config):
     gap = mu_rows[1]["level"] - mu_rows[0]["level"]
     assert gap == pytest.approx(0.5 * DESK_MASS / 2.0, rel=1e-8)
     # single-cell table reproduces solve_autonomous
-    single, _ = level_curves(exps, [DESK_MASS], [], grid_solver, desk_config)
+    single, _ = level_curves(exps, [DESK_MASS], [], grid_solver, desk_config,
+                             a0=DESK_MASS)
     ref = solve_autonomous(exps, 0.0, DESK_MASS, grid_solver, config=desk_config)
     assert single[0]["level"] == ref.level
