@@ -169,10 +169,11 @@ class Evaluation:
     A, B_p, B_q and Int V|u|^2 determine the energy, the multiplier and the
     Pohozaev value; the Hartree potentials I_alpha*|u|^r behind B_r are kept
     for the Euler-Lagrange gradient and for the Newton operator at u.  A(u)
-    (and with it the energy) and the gradient are built on first use: the
-    Newton residual reads only the gradient and the mass.  (Not
-    functools.cached_property: before Python 3.12 it holds one lock for every
-    instance, which serializes the harness's worker threads.)
+    (and with it the energy), each Hartree potential with its B_r, and the
+    gradient are built on first use: the Newton residual reads only the
+    gradient and the mass, and a scalar problem reads one Hartree term.
+    (Not functools.cached_property: before Python 3.12 it holds one lock for
+    every instance, which serializes the harness's worker threads.)
     """
 
     def __init__(self, u: Field, exps: ExponentSet, potential):
@@ -185,14 +186,38 @@ class Evaluation:
             self.potential = float(np.sum(self._v * u.values * u.values)) * dv
         else:                                             # mu * mass
             self.potential = self._v * self.mass
-        rho_p = _abs_power(u.values, exps.p)
-        rho_q = _abs_power(u.values, exps.q)
-        self._pot_p = riesz_potential(Field(u.grid, rho_p), exps.alpha).values
-        self._pot_q = riesz_potential(Field(u.grid, rho_q), exps.alpha).values
-        self.hartree_p = float(np.sum(self._pot_p * rho_p)) * dv   # B_p(u)
-        self.hartree_q = float(np.sum(self._pot_q * rho_q)) * dv   # B_q(u)
+        self._hartree = {"p": None, "q": None}
         self._kinetic = None
         self._gradient = None
+
+    def _hartree_term(self, which: str):
+        """(I_alpha*|u|^r, B_r(u)) for r = exps.<which>, built on first use."""
+        if self._hartree[which] is None:
+            u = self.field
+            rho = _abs_power(u.values, getattr(self.exps, which))
+            pot = riesz_potential(Field(u.grid, rho), self.exps.alpha).values
+            self._hartree[which] = (pot, float(np.sum(pot * rho)) * u.grid.dx)
+        return self._hartree[which]
+
+    @property
+    def pot_p(self) -> np.ndarray:
+        """I_alpha*|u|^p, the potential behind B_p."""
+        return self._hartree_term("p")[0]
+
+    @property
+    def pot_q(self) -> np.ndarray:
+        """I_alpha*|u|^q, the potential behind B_q."""
+        return self._hartree_term("q")[0]
+
+    @property
+    def hartree_p(self) -> float:
+        """B_p(u)."""
+        return self._hartree_term("p")[1]
+
+    @property
+    def hartree_q(self) -> float:
+        """B_q(u)."""
+        return self._hartree_term("q")[1]
 
     @property
     def kinetic(self) -> float:
@@ -243,8 +268,8 @@ class Evaluation:
             u, e = self.field, self.exps
             self._gradient = (fractional_laplacian_free(u, e.s).values
                               + self._v * u.values
-                              - self._pot_p * _odd_power(u.values, e.p - 1.0)
-                              - self._pot_q * _odd_power(u.values, e.q - 1.0))
+                              - self.pot_p * _odd_power(u.values, e.p - 1.0)
+                              - self.pot_q * _odd_power(u.values, e.q - 1.0))
         return self._gradient
 
     @property

@@ -47,6 +47,15 @@ def test_expected_calls_name_public_functions():
         assert obj.__name__ == attr, name   # not an alias of another function
 
 
+def test_tracer_wraps_the_solver_krylov_binding():
+    # perfbench/layertrace.py finds the Krylov solver as solver.lgmres by
+    # identity; under another solver the traced self-test misses
+    # solver.krylov and the benchmark refuses the run
+    import scipy.sparse.linalg
+
+    assert solver.lgmres is scipy.sparse.linalg.lgmres
+
+
 def test_kernels_trace_self_test():
     out = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "kernels",

@@ -203,7 +203,7 @@ def test_frozen_hartree_jvp_is_bit_identical(exps, seed, which):
     u = make_positive_field(grid, rng)
     v = make_positive_field(grid, rng).values
     ev = energy(u, exps, 0.0)
-    r, held = (exps.p, ev._pot_p) if which == "p" else (exps.q, ev._pot_q)
+    r, held = (exps.p, ev.pot_p) if which == "p" else (exps.q, ev.pot_q)
     factors = jvp_factors(u.values, r, held)
     assert np.array_equal(hartree_jvp(u, v, r, exps.alpha, factors),
                           hartree_jvp(u, v, r, exps.alpha))

@@ -1,13 +1,14 @@
 """Solver module: scalar ground state, constants, constrained solves."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
 from choqlab.energy import energy
 from choqlab.errors import OutOfBox, OutOfRange
-from choqlab.harness import default_config, passes, sharp_tightness
+from choqlab.harness import default_config, detect_M, passes, sharp_tightness
 from choqlab.params import mass_threshold, s_alpha_reference
 from choqlab import solver
 from choqlab.solver import (SolveConfig, compute_S_alpha, make_profile,
@@ -58,6 +59,26 @@ def test_compute_s_alpha_sweep(exps):
     assert quot == pytest.approx(base, rel=1e-12)
     # the grid quotient never undercuts the sharp constant
     assert sw.value > s_alpha_reference(exps)
+
+
+def test_scalar_problems_build_only_their_hartree_term(exps, scalar_ground,
+                                                     monkeypatch):
+    # the bubble quotient reads B_p and the ground state's report B_q: each
+    # field costs one Riesz convolution, not two
+    energy_module = importlib.import_module("choqlab.energy")
+    calls = []
+    original = energy_module.riesz_potential
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(energy_module, "riesz_potential", counted)
+    compute_S_alpha(exps, Grid(1, 60.0, 4096))
+    assert len(calls) == 9
+    calls.clear()
+    assert energy(scalar_ground.field, exps).hartree_q > 0.0
+    assert len(calls) == 1
 
 
 def test_sharp_tightness_at_ground_state(exps, scalar_ground, c_alpha_q):
@@ -126,6 +147,19 @@ def test_constrained_row_finite_difference(exps, grid_unit, rng):
     assert np.max(np.abs(jv - fd)) < 1e-5 * np.max(np.abs(fd))
     mass_row = float(np.sum(u.values * v)) * g.dx
     assert (cp - cn) / (2 * h) == pytest.approx(mass_row, rel=1e-5)
+
+
+def test_newton_rows_map_zero_to_zero(exps, grid_unit, rng):
+    # _newton answers lgmres's zero start vector with zeros and skips the
+    # row: that keeps the bits only if both rows map 0 to exactly 0
+    g = grid_unit
+    u = make_positive_field(g, rng)
+    pot = 0.2 + 0.1 * np.cos(g.axis() / 5.0)
+    zero = np.zeros(g.points)
+    _, _, row = solver._constrained_system(energy(u, exps, pot), -0.12, mass(u))
+    assert not np.any(row(zero, 0.0))
+    _, _, row = solver._scalar_system(u, exps)
+    assert not np.any(row(zero, 0.0))
 
 
 def test_newton_budget_stop(exps, grid_unit, desk_config, monkeypatch):
@@ -197,6 +231,25 @@ def test_descent_hands_over_on_coarse_grid():
     res = _solve_cell(cfg, auto.field, 0.2, -8.0)
     assert res.iterations < solver._MAX_ITER
     assert res.converged
+
+
+def test_lattice_pinned_cell_converges_without_crawl():
+    # on the default grid the eps 0.1 cell at y -8 sits in a lattice
+    # landscape: a spectral shift of the converged seed by 0.1 dx raises its
+    # residual from 1.2e-11 to 7.8e-4.  A Newton trial that shifted the field
+    # correction together with the base point crawled there, 18 steps with
+    # 18 halvings; shifting only the base point takes 12 with 3
+    cfg = default_config()
+    m_points, _ = detect_M(cfg.potential, cfg.grid, 0.1)
+    y = float(min(m_points))
+    assert y == pytest.approx(-8.0, abs=0.1)
+    auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
+    profile, _ = make_profile(auto.field, y, 0.1, cfg.a)
+    res = solve_nonautonomous(cfg.exps, cfg.potential.sample_on(cfg.grid, 0.1),
+                              cfg.a, cfg.grid, init=profile, config=cfg.solver)
+    assert res.converged and res.newton.stop == "tolerance"
+    assert res.newton.steps <= 13
+    assert res.newton.backtracks <= 5
 
 
 def test_mu_shift_exactness(exps, grid_solver, autonomous_mu0, desk_config):
