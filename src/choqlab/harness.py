@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import quad
 
 from .energy import (Truncation, energy, truncated_profile_pohozaev,
                      truncated_profile_value)
@@ -396,7 +395,11 @@ def oracle_density(y):
 
 def riesz_oracle_error(grid: Grid, alpha: float, points) -> float:
     """Max relative error of the Riesz potential of oracle_density against
-    quadrature over the box, at the nodes nearest to the sample points."""
+    scipy's adaptive quadrature (QUADPACK quad) over the box, at the nodes
+    nearest to the sample points.  quad shares no code with the Gauss-Legendre
+    panels behind the multiplier, so it is an independent oracle; it is
+    imported here so that importing choqlab does not load scipy.integrate."""
+    from scipy.integrate import quad
     x = grid.axis()
     half = 0.5 * grid.extent
     pot = riesz_potential(Field(grid, oracle_density(x)), alpha).values

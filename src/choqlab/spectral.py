@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AliasRisk, GridMismatch, NonFinite, OutOfRange, ZeroField
 from .params import riesz_normalization
@@ -183,6 +182,9 @@ def kinetic_energy(u: Field, s: float) -> float:
 #                * Int R(y) [zeta(1+2s, 1-y/L) + zeta(1+2s, 1+y/L)] dy,
 #
 # a smooth Hurwitz-zeta functional of R, computable to machine precision.
+# The kernel is even in y, so it is built on the lags 0..n alone: one
+# zeta(1+2s, 1+y/L) per lag, the 1-y/L term by the recurrence
+# zeta(s, q) = zeta(s, q+1) + q^{-s}, then mirrored onto the 2n padded lags.
 # Adding it back makes the kinetic energy follow the continuum t^{2s}
 # dilation law to ~1e-10, which the fiber-map machinery requires.
 # ---------------------------------------------------------------------------
@@ -190,21 +192,21 @@ def kinetic_energy(u: Field, s: float) -> float:
 def _kinetic_zeta_kernel(n: int, L: float, s: float) -> np.ndarray:
     """c_K * L^{-1-2s} [zeta(1+2s,1-y/L)+zeta(1+2s,1+y/L)] on padded lags."""
     from scipy.special import zeta as hurwitz_zeta
-    dx = L / n
-    lag = np.fft.fftfreq(2 * n) * 2 * n          # 0..n-1, -n..-1
-    y = lag * dx
-    qm = 1.0 - y / L
-    qp = 1.0 + y / L
-    kern = np.zeros(2 * n)
-    ok = (qm > 0.0) & (qp > 0.0)
-    kern[ok] = hurwitz_zeta(1.0 + 2.0 * s, qm[ok]) + hurwitz_zeta(1.0 + 2.0 * s, qp[ok])
+    sigma = 1.0 + 2.0 * s
+    j = np.arange(n + 1)
+    zp = hurwitz_zeta(sigma, 1.0 + j / n)
+    # zeta(sigma, 1 - j/n) = zeta(sigma, 2 - j/n) + (1 - j/n)^-sigma, and
+    # 2 - j/n is the 1 + j/n of lag n - j
+    half = np.zeros(n + 1)                       # lag n (y = L) stays 0
+    half[:n] = zp[:n] + zp[n:0:-1] + (1.0 - j[:n] / n) ** -sigma
     c_k = math.gamma(1.0 + 2.0 * s) * math.sin(math.pi * s) / math.pi
-    kern *= c_k * L ** (-1.0 - 2.0 * s)
+    half *= c_k * L ** (-1.0 - 2.0 * s)
     # the zeta kernel diverges at lag +-L; autocorrelations of fields decayed
     # by the quarter box vanish there anyway, and tapering keeps the endpoint
     # singularity from ringing into the padded window of the operator form
-    kern *= smooth_cutoff(np.abs(y), 0.9 * L, 0.99 * L)
-    return kern
+    half *= smooth_cutoff(j * (L / n), 0.9 * L, 0.99 * L)
+    # even in the lag: mirror lags 0..n onto the fft order 0..n, -(n-1)..-1
+    return np.concatenate([half, half[n - 1:0:-1]])
 
 
 @lru_cache(maxsize=32)
@@ -243,18 +245,20 @@ def fractional_laplacian_free(u: Field, s: float) -> Field:
 #   g_hat(m) = 2 * Integral_0^L x^{alpha-1} cos(pi m x / L) dx
 #            = 2 L^alpha (1-alpha) (pi m)^{-alpha} W(pi m),   m >= 1,
 #   g_hat(0) = 2 L^alpha / alpha,
-# where W(w) = Integral_0^w v^{alpha-2} sin v dv.  W is evaluated by
-# series+quadrature for small m and by the integration-by-parts asymptotic
-# expansion at the special points w = pi*m (where sin w = 0) otherwise.
+# where W(w) = Integral_0^w v^{alpha-2} sin v dv.  For m <= _ASYMP_SWITCH,
+# W is a series on [0,1] plus Gauss-Legendre panels on [1,pi] and on each
+# [pi*k, pi*(k+1)]; beyond, the integration-by-parts asymptotic expansion
+# at the special points w = pi*m (where sin w = 0).
 # As m -> infinity, A * g_hat(m) -> |k_m|^{-alpha}: the continuum symbol.
 # ---------------------------------------------------------------------------
 
 _ASYMP_SWITCH = 40
+_GL_NODES = 20
 
 
-def _sine_moment_small(omega: float, alpha: float) -> float:
-    """W(omega) for pi <= omega <= pi*_ASYMP_SWITCH: series on [0,1] +
-    quadrature on [1,omega]."""
+def _sine_moments_small(alpha: float, m_max: int) -> np.ndarray:
+    """W(pi*m) for m = 1..m_max: series on [0,1], then Gauss-Legendre on
+    [1,pi] and on each panel [pi*k, pi*(k+1)], summed cumulatively."""
     # series part: Integral_0^1 v^{alpha-2} sin v dv
     acc, term_j, j = 0.0, 0.0, 0
     fact = 1.0  # (2j+1)!
@@ -265,9 +269,15 @@ def _sine_moment_small(omega: float, alpha: float) -> float:
             break
         j += 1
         fact *= (2.0 * j) * (2.0 * j + 1.0)
-    tail, _ = quad(lambda v: v ** (alpha - 2.0) * math.sin(v), 1.0, omega,
-                   limit=max(200, int(20 * omega)))
-    return acc + tail
+    # the integrand is analytic but at v = 0, which lies 1.93 half-widths
+    # from the centre of [1,pi] and at least 3 from that of every later
+    # panel, so the _GL_NODES-point rule errs by ~3.6^(-2*_GL_NODES) at most
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+    edges = np.concatenate(([1.0], np.pi * np.arange(1, m_max + 1)))
+    half_w = 0.5 * np.diff(edges)[:, None]
+    v = edges[:-1, None] + half_w * (nodes + 1.0)
+    panels = (half_w * (v ** (alpha - 2.0) * np.sin(v))) @ weights
+    return acc + np.cumsum(panels)
 
 
 def _sine_moment_tail_at_pi_m(m: np.ndarray, alpha: float) -> np.ndarray:
@@ -303,9 +313,8 @@ def _freespace_multiplier_1d(n_pad: int, L: float, alpha: float) -> np.ndarray:
     ghat = np.empty(half + 1)
     ghat[0] = 2.0 * L ** alpha / alpha
     m_small = np.arange(1, min(_ASYMP_SWITCH, half) + 1)
-    for m in m_small:
-        w_val = _sine_moment_small(math.pi * m, alpha)
-        ghat[m] = 2.0 * L ** alpha * (1.0 - alpha) * (math.pi * m) ** (-alpha) * w_val
+    ghat[m_small] = (2.0 * L ** alpha * (1.0 - alpha) * (np.pi * m_small) ** (-alpha)
+                     * _sine_moments_small(alpha, m_small.size))
     if half > _ASYMP_SWITCH:
         m_big = np.arange(_ASYMP_SWITCH + 1, half + 1)
         g_inf = math.gamma(alpha - 1.0) * math.sin(math.pi * (alpha - 1.0) / 2.0)

@@ -1,11 +1,17 @@
 """Grid/field plumbing and the Fourier-multiplier operators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import choqlab
 from choqlab.energy import _abs_power, _odd_power, hartree_jvp
 from choqlab.errors import AliasRisk, NonFinite, OutOfRange, ZeroField
 from choqlab.harness import dilate_gaussian_error, passes
@@ -148,12 +154,13 @@ def test_riesz_freespace_vs_discrete_oracle(grid_unit):
 def test_riesz_multiplier_vs_mpmath_closed_form():
     # A * g_hat(m) with g_hat(m) = 2 Int_0^L x^(alpha-1) cos(pi m x/L) dx
     #   = 2 L^alpha 1F2(alpha/2; 1/2, 1+alpha/2; -(pi m)^2/4) / alpha,
-    # checked on both sides of the series/asymptotic switch and at Nyquist
+    # checked at every panel count of the Gauss-Legendre tail, on both sides
+    # of the quadrature/asymptotic switch and at Nyquist
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     n, L = 1024, 48.0
-    ms = (0, 1, 2, 39, 40, 41, 42, 1000, n)
-    assert ms[4] == _ASYMP_SWITCH < ms[5]
+    ms = (*range(42), 1000, n)
+    assert ms[40] == _ASYMP_SWITCH < ms[41]
     for alpha in (0.3, 0.5, 0.9):
         mult = _freespace_multiplier_1d(2 * n, L, alpha)
         a = mpmath.mpf(alpha)
@@ -184,6 +191,34 @@ def test_kinetic_zeta_kernel_vs_mpmath():
             ref = c_k * (mpmath.zeta(1 + 2 * sm, 1 - y / L)
                          + mpmath.zeta(1 + 2 * sm, 1 + y / L))
             assert float(abs(kern[d % (2 * n)] - ref) / abs(ref)) < 1e-13, (s, d)
+
+
+def test_zeta_kernel_is_even_and_takes_one_zeta_per_lag(monkeypatch):
+    import scipy.special
+    zeta, calls = scipy.special.zeta, []
+
+    def counted(x, q):
+        calls.append(np.size(q))
+        return zeta(x, q)
+    monkeypatch.setattr(scipy.special, "zeta", counted)
+    n = 2 ** 11
+    kern = _kinetic_zeta_kernel(n, 48.0, S)
+    assert sum(calls) <= n + 1
+    assert kern.shape == (2 * n,) and kern[n] == 0.0
+    j = np.arange(1, n)
+    assert np.array_equal(kern[2 * n - j], kern[j])
+
+
+def test_import_leaves_out_integrate_and_optimize():
+    # a fresh interpreter: pytest's IntegrationWarning filter imports
+    # scipy.integrate into this one
+    src = str(Path(choqlab.__file__).resolve().parents[1])
+    code = ("import sys, choqlab; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_riesz_parity(grid_unit):
