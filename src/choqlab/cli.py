@@ -17,15 +17,15 @@ import numpy as np
 from . import __version__
 from .errors import ChoqlabError, Indistinct
 from .fiber import extract_profile, fiber_maximizer, fiber_value, psi
-from .harness import (CHECK_FIELDS, ExperimentConfig, ReportRow, barycenter,
-                      default_config, run_concentration, run_multiplicity,
-                      run_verify, write_report)
+from .harness import (CHECK_FIELDS, CHECKS, ExperimentConfig, ReportRow,
+                      affine_level_defect, barycenter, default_config,
+                      level_rise, passes, run_concentration, run_multiplicity,
+                      run_verify, solve_cell, write_report)
 from .params import (hls_constant, mass_threshold, riesz_normalization,
                      s_alpha_reference, sharp_constant, validate_regime)
 from .snapshot import load_field, save_field, save_solve_sidecar
-from .solver import (compute_S_alpha, level_curves, make_profile,
-                     solve_autonomous, solve_nonautonomous,
-                     solve_scalar_ground, x_star_root)
+from .solver import (compute_S_alpha, level_curves, solve_autonomous,
+                     solve_nonautonomous, solve_scalar_ground, x_star_root)
 from .spectral import Grid
 
 
@@ -109,15 +109,15 @@ def cmd_solve(args) -> int:
                                config=cfg.solver)
         tag = f"autonomous_mu{args.mu:g}"
     else:
-        v = cfg.potential.sample_on(cfg.grid, args.eps)
-        init = None
         wells = cfg.potential.well_points()
         if wells:
             auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid,
                                     config=cfg.solver)
-            init, _ = make_profile(auto.field, wells[-1], args.eps, cfg.a)
-        res = solve_nonautonomous(cfg.exps, v, cfg.a, cfg.grid, init=init,
-                                  config=cfg.solver)
+            res = solve_cell(cfg, auto.field, args.eps, wells[-1])
+        else:
+            res = solve_nonautonomous(
+                cfg.exps, cfg.potential.sample_on(cfg.grid, args.eps), cfg.a,
+                cfg.grid, config=cfg.solver)
         tag = f"nonautonomous_eps{args.eps:g}"
     beta = barycenter(res.field, args.eps if args.mu is None else 1.0,
                       cfg.box_radius)
@@ -154,25 +154,21 @@ def cmd_sweep(args) -> int:
     mu_list = [0.0, 0.5, 1.0]
     a_rows, mu_rows = level_curves(cfg.exps, a_list, mu_list, cfg.grid,
                                    cfg.solver, a0=cfg.a)
-    rows = []
-    for r in a_rows + mu_rows:
-        rows.append(ReportRow("sweep", 0.0, r["a"], r["mu"], r["level"],
-                              r["lam"], r["poho"], r["grad"], 0.0, 0.0,
-                              r["iterations"], r["converged"]))
     path = _outpath(cfg, "levels.csv")
-    write_report(rows, path)
+    write_report([ReportRow("sweep", 0.0, r["a"], r["mu"], r["level"], r["lam"],
+                            r["poho"], r["grad"], 0.0, 0.0, r["iterations"],
+                            r["converged"]) for r in a_rows + mu_rows], path)
     levels = [r["level"] for r in a_rows]
-    mono = all(levels[i + 1] <= levels[i] + 1e-6 for i in range(len(levels) - 1))
-    slope_pairs = [(r["mu"], r["level"]) for r in mu_rows]
-    coeffs = np.polyfit([m for m, _ in slope_pairs],
-                        [l for _, l in slope_pairs], 1)
-    slope_ok = abs(coeffs[0] - cfg.a / 2.0) <= 1e-3 * (cfg.a / 2.0)
-    print(f"levels over a={a_list}: {['%.6f' % l for l in levels]} "
-          f"nonincreasing={mono}")
-    print(f"level slope in mu: {coeffs[0]:.8g} (a/2 = {cfg.a / 2}) "
-          f"ok={slope_ok}")
+    rise = level_rise(levels)
+    defect = affine_level_defect({r["mu"]: r["level"] for r in mu_rows}, cfg.a)
+    mono = passes("mass_monotone", rise)
+    affine = passes("affine_level_shift", defect)
+    print(f"levels over a={a_list}: {['%.6f' % l for l in levels]} largest rise "
+          f"{rise:.2e} (tol {CHECKS['mass_monotone'][0]:g}) nonincreasing={mono}")
+    print(f"b_mu - b_0 = mu a/2 over mu={mu_list}: max rel defect {defect:.2e} "
+          f"(tol {CHECKS['affine_level_shift'][0]:g}) ok={affine}")
     print(f"table -> {path}")
-    return 0 if (mono and slope_ok
+    return 0 if (mono and affine
                  and all(r["converged"] for r in a_rows + mu_rows)) else 1
 
 

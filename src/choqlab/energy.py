@@ -7,8 +7,8 @@ The working functional on the mass sphere is
 with A(u) the squared fractional seminorm and B_r(u) the Hartree energy
 Int (I_alpha * |u|^r)|u|^r.  In the autonomous case V == mu the potential
 term is mu*mass/2.  energy() evaluates a field once: its Evaluation carries
-the energy terms, the Lagrange multiplier, the Pohozaev value and the
-Euler-Lagrange gradient.
+the energy terms, the Lagrange multiplier, the Pohozaev value, the Hartree
+forces and the Euler-Lagrange gradient.
 
 The truncated functional J_T multiplies B_p by tau(||u||_{H^s}), a smooth
 radial cutoff that switches the critical term off at large H^s norm.  It
@@ -27,12 +27,12 @@ import numpy as np
 from .errors import GridMismatch, OutOfRange, ZeroField
 from .params import ExponentSet
 from .spectral import (Field, fractional_laplacian_free, kinetic_energy_free,
-                       mass, riesz_potential)
+                       mass, riesz_potential, smooth_cutoff)
 
 __all__ = [
     "Truncation", "Evaluation",
     "tau_eval", "tau_prime",
-    "hartree_nonlinearity", "hartree_jvp",
+    "hartree_jvp",
     "jvp_factors", "normalize_potential", "energy",
     "truncated_profile_pohozaev", "truncated_profile_value",
 ]
@@ -54,48 +54,25 @@ class Truncation:
             raise OutOfRange(f"need 0 < R0 < R1, got R0={self.R0}, R1={self.R1}")
 
 
-def _bump(x: float) -> float:
-    # exp(-1/x) continued by 0: underflows cleanly for small positive x
-    if x <= 0.0:
-        return 0.0
-    if x < 1e-3:
-        return 0.0  # exp(-1000) underflows anyway; avoid the division blow-up
-    return math.exp(-1.0 / x)
-
-
-def _bump_deriv(x: float) -> float:
-    if x <= 0.0 or x < 1e-3:
-        return 0.0
-    return math.exp(-1.0 / x) / (x * x)
-
-
 def tau_eval(trunc: Truncation, r: float) -> float:
-    """Smooth nonincreasing bridge, exactly 1 below R0 and 0 above R1."""
+    """Smooth nonincreasing bridge, exactly 1 below R0 and 0 above R1: the
+    bump quotient of smooth_cutoff."""
     if r < 0.0:
         raise OutOfRange(f"radial argument must be >= 0, got {r}")
-    if r <= trunc.R0:
-        return 1.0
-    if r >= trunc.R1:
-        return 0.0
-    up = _bump(trunc.R1 - r)
-    down = _bump(r - trunc.R0)
-    if up + down == 0.0:  # pathologically thin bridge: fall back to nearest flat
-        return 1.0 if (r - trunc.R0) < (trunc.R1 - r) else 0.0
-    return up / (up + down)
+    return float(smooth_cutoff(r, trunc.R0, trunc.R1))
 
 
 def tau_prime(trunc: Truncation, r: float) -> float:
-    """Derivative of tau_eval; identically 0 outside (R0, R1)."""
-    if r <= trunc.R0 or r >= trunc.R1:
+    """Derivative of tau_eval, -tau (1 - tau) ((R1 - r)^-2 + (r - R0)^-2);
+    0.0 outside (R0, R1) and where tau is exactly 0 or 1 (there a bump has
+    underflowed, and the inverse square of its tiny argument would
+    overflow)."""
+    if not trunc.R0 < r < trunc.R1:
         return 0.0
-    f = _bump(trunc.R1 - r)
-    g = _bump(r - trunc.R0)
-    fp = -_bump_deriv(trunc.R1 - r)
-    gp = _bump_deriv(r - trunc.R0)
-    denom = (f + g) ** 2
-    if denom == 0.0:
+    tau = tau_eval(trunc, r)
+    if tau in (0.0, 1.0):
         return 0.0
-    return (fp * g - f * gp) / denom
+    return -tau * (1.0 - tau) * ((trunc.R1 - r) ** -2 + (r - trunc.R0) ** -2)
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +93,6 @@ def _odd_power(values: np.ndarray, r: float) -> np.ndarray:
     return np.sign(values) * _abs_power(values, r)
 
 
-def hartree_nonlinearity(u: Field, r: float, alpha: float) -> np.ndarray:
-    """(I_alpha * |u|^r) |u|^{r-2} u sampled on the grid."""
-    rho = _abs_power(u.values, r)
-    pot = riesz_potential(Field(u.grid, rho), alpha).values
-    return pot * _odd_power(u.values, r - 1.0)
-
-
 def jvp_factors(values: np.ndarray, r: float, pot: np.ndarray):
     """The base-point arrays of hartree_jvp at u = values, given
     pot = I_alpha*|u|^r: sign(u)|u|^{r-1} and pot (r-1)|u|^{r-2}.  Both are
@@ -133,7 +103,8 @@ def jvp_factors(values: np.ndarray, r: float, pot: np.ndarray):
 
 def hartree_jvp(u: Field, v: np.ndarray, r: float, alpha: float,
                 factors: tuple | None = None) -> np.ndarray:
-    """Directional derivative of hartree_nonlinearity at u in direction v.
+    """Directional derivative of the Hartree force (I_alpha*|u|^r)|u|^{r-2}u
+    (Evaluation.hartree_force) at u in direction v.
 
     factors is jvp_factors(u.values, r, I_alpha*|u|^r) when the caller holds
     it (fixed through a Newton step); the derivative then costs one Riesz
@@ -168,10 +139,11 @@ class Evaluation:
 
     A, B_p, B_q and Int V|u|^2 determine the energy, the multiplier and the
     Pohozaev value; the Hartree potentials I_alpha*|u|^r behind B_r are kept
-    for the Euler-Lagrange gradient and for the Newton operator at u.  A(u)
-    (and with it the energy), each Hartree potential with its B_r, and the
-    gradient are built on first use: the Newton residual reads only the
-    gradient and the mass, and a scalar problem reads one Hartree term.
+    for the Hartree forces, the Euler-Lagrange gradient and the Newton
+    operator at u.  A(u) (and with it the energy), each Hartree potential
+    with its B_r, and the gradient are built on first use: the Newton
+    residual reads only the gradient and the mass, and a scalar problem
+    reads one Hartree term.
     (Not functools.cached_property: before Python 3.12 it holds one lock for
     every instance, which serializes the harness's worker threads.)
     """
@@ -268,9 +240,15 @@ class Evaluation:
             u, e = self.field, self.exps
             self._gradient = (fractional_laplacian_free(u, e.s).values
                               + self._v * u.values
-                              - self.pot_p * _odd_power(u.values, e.p - 1.0)
-                              - self.pot_q * _odd_power(u.values, e.q - 1.0))
+                              - self.hartree_force("p")
+                              - self.hartree_force("q"))
         return self._gradient
+
+    def hartree_force(self, which: str) -> np.ndarray:
+        """(I_alpha*|u|^r)|u|^{r-2}u for r = exps.<which>, the variational
+        derivative of B_r(u)/(2r)."""
+        r = getattr(self.exps, which)
+        return self._hartree_term(which)[0] * _odd_power(self.field.values, r - 1.0)
 
     @property
     def grad_residual(self) -> float:

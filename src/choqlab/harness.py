@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
 import math
 import operator
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -26,6 +25,7 @@ from .fiber import FiberProfile, extract_profile, fiber_value, psi
 from .params import (ExponentSet, riesz_normalization, s_alpha_reference,
                      sharp_constant, validate_regime)
 from .potentials import PotentialSpec, detect_M, dist_to_set
+from .snapshot import atomic_write
 from .spectral import (Field, Grid, band_limit, dilate, fractional_laplacian,
                        half_sum, kinetic_energy, mass, random_field,
                        riesz_potential, smooth_cutoff)
@@ -34,9 +34,9 @@ from .solver import (SolveConfig, make_profile, solve_autonomous,
 
 __all__ = [
     "ExperimentConfig", "ReportRow", "barycenter", "default_config",
-    "run_concentration", "run_multiplicity", "run_verify",
+    "run_concentration", "run_multiplicity", "run_verify", "solve_cell",
     "write_report", "CHECK_FIELDS", "SCHEMA_VERSION", "CHECKS", "SEPARATION",
-    "passes",
+    "passes", "level_rise",
 ]
 
 SCHEMA_VERSION = "choqlab-report v1"
@@ -156,14 +156,16 @@ class ExperimentConfig:
             spec = PotentialSpec(kind=kind, centers=centers,
                                  width=pot.getfloat("width", 0.3),
                                  v_inf=pot.getfloat("v_inf", 1.0))
+            # omitted [sweep] and [output] keys take default_config()'s values
+            base = default_config()
             sw = cp["sweep"] if cp.has_section("sweep") else {}
-            eps_list = tuple(float(t) for t in
-                             (sw.get("eps_list", "0.4, 0.2, 0.1")).split(","))
+            eps_list = (tuple(float(t) for t in sw["eps_list"].split(","))
+                        if "eps_list" in sw else base.eps_list)
             if any(b >= a_ for a_, b in zip(eps_list, eps_list[1:])):
                 raise ConfigError(f"eps_list must be strictly decreasing: {eps_list}")
-            delta = float(sw.get("delta", "0.2"))
-            delta_target = float(sw.get("delta_target", "0.25"))
-            box_radius = float(sw.get("box_radius", "3.0"))
+            delta = float(sw.get("delta", base.delta))
+            delta_target = float(sw.get("delta_target", base.delta_target))
+            box_radius = float(sw.get("box_radius", base.box_radius))
             sol = cp["solver"] if cp.has_section("solver") else {}
             settings = {}
             for f in fields(SolveConfig):
@@ -172,8 +174,8 @@ class ExperimentConfig:
                                     else default)
             solver = SolveConfig(**settings)
             out = cp["output"] if cp.has_section("output") else {}
-            out_dir = out.get("dir", "out")
-            seed = int(out.get("seed", "12345"))
+            out_dir = out.get("dir", base.out_dir)
+            seed = int(out.get("seed", base.seed))
         except ConfigError:
             raise
         except Exception as exc:
@@ -207,30 +209,24 @@ class ReportRow:
 
 
 def write_report(rows, path, header=ReportRow.FIELDS) -> None:
-    """CSV with a schema comment line and the given header row; atomic via
-    temp-file rename.  Rows are ReportRows or plain sequences."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(f"# {SCHEMA_VERSION}\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(row.as_list() if isinstance(row, ReportRow) else row)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """CSV with a schema comment line and the given header row, written by
+    atomic_write.  Rows are ReportRows or plain sequences."""
+    buf = io.StringIO()
+    buf.write(f"# {SCHEMA_VERSION}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(row.as_list() if isinstance(row, ReportRow) else row
+                     for row in rows)
+    atomic_write(path, buf.getvalue().encode())
 
 
 # ---------------------------------------------------------------------------
 # Concentration sweep
 # ---------------------------------------------------------------------------
 
-def _solve_cell(cfg: ExperimentConfig, w_auto, eps: float, y: float):
+def solve_cell(cfg: ExperimentConfig, w_auto, eps: float, y: float):
+    """Solve the well cell (eps, y): V(eps x) sampled on cfg.grid, seeded by
+    make_profile of the autonomous field w_auto at y."""
     profile, _ = make_profile(w_auto, y, eps, cfg.a)
     return solve_nonautonomous(cfg.exps, cfg.potential.sample_on(cfg.grid, eps),
                                cfg.a, cfg.grid, init=profile, config=cfg.solver)
@@ -253,7 +249,7 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
 
     def work(cell):
         eps, y = cell
-        res = _solve_cell(cfg, auto.field, eps, y)
+        res = solve_cell(cfg, auto.field, eps, y)
         return cell, res, barycenter(res.field, eps, cfg.box_radius)
 
     if threads > 1:
@@ -317,7 +313,7 @@ def run_multiplicity(cfg: ExperimentConfig):
     auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
     rows, sols, betas = [], [], []
     for y in m_points:
-        res = _solve_cell(cfg, auto.field, eps, float(y))
+        res = solve_cell(cfg, auto.field, eps, float(y))
         beta = barycenter(res.field, eps, cfg.box_radius)
         d = dist_to_set(beta, m_points)
         sols.append(res)
@@ -353,9 +349,10 @@ def run_multiplicity(cfg: ExperimentConfig):
 # call the same functions on their own inputs (sizes, seeds, corpora) and
 # judge every measured value through CHECKS.
 
-# name -> (tolerance, pass rule) in report order: a check passes when
-# rule(measured, tol); the last seven need the solver, the last three the
-# desk solves
+# name -> (tolerance, pass rule): a check passes when rule(measured, tol).
+# The battery reports the first thirteen in this order; of those the last
+# seven need the solver, the last three the desk solves.  mass_monotone
+# judges the level tables of the sweep and of criterion 6
 CHECKS = {
     "riesz_kernel_oracle": (1e-4, operator.lt),
     "dilate_gaussian": (1e-8, operator.lt),
@@ -370,6 +367,7 @@ CHECKS = {
     "autonomous_certificates": (1.0, operator.le),
     "affine_level_shift": (1e-4, operator.lt),
     "determinism": (0.0, operator.le),
+    "mass_monotone": (1e-6, operator.le),
 }
 
 
@@ -496,6 +494,12 @@ def affine_level_defect(levels, a: float) -> float:
                for mu in levels if mu != 0.0)
 
 
+def level_rise(levels) -> float:
+    """Largest rise between consecutive levels of a table ordered by
+    increasing mass; NaN, which fails mass_monotone, when a level is NaN."""
+    return float(np.max(np.diff(levels)))
+
+
 def rerun_defect(first, second) -> float:
     """0 when two solves of one cell agree bit for bit (the field and every
     ReportRow value taken from the result), else 1."""
@@ -507,8 +511,8 @@ def rerun_defect(first, second) -> float:
 
 
 def run_verify(cfg: ExperimentConfig, quick: bool = True):
-    """Run the battery: one (name, status, measured, tol) row per check of
-    CHECKS.  The three checks on the desk solves report Skipped when a
+    """Run the battery: one (name, status, measured, tol) row per reported
+    check of CHECKS.  The three checks on the desk solves report Skipped when a
     solve rejects its input (a mass a <= 0); any Skipped or Failed row makes
     the battery fail overall."""
     rng = np.random.default_rng(cfg.seed)
@@ -565,7 +569,9 @@ def run_verify(cfg: ExperimentConfig, quick: bool = True):
                                                 config=cfg.solver)
                                for mu in (0.0, 0.5, 0.0))
     except OutOfRange as exc:
-        rows += [(name, "Skipped", str(exc)[:40], "") for name in list(CHECKS)[-3:]]
+        rows += [(name, "Skipped", str(exc)[:40], "")
+                 for name in ("autonomous_certificates", "affine_level_shift",
+                              "determinism")]
         return dict(rows=rows, passed=False, reason=f"solver failure: {exc}")
     record("autonomous_certificates",
            max(res0.grad_residual / cfg.solver.grad_tol,

@@ -11,12 +11,15 @@ Snapshot layout (little-endian throughout):
 
 Round-trips are bitwise; any malformed header raises FormatError with the
 byte offset of the defect.  Solve results additionally get a key = value
-text sidecar next to the snapshot.
+text sidecar next to the snapshot.  Every output file of the lab, these and
+the CSV reports, is written through atomic_write.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,17 +28,33 @@ import numpy as np
 from .errors import FormatError, OutOfRange
 from .spectral import Field, Grid
 
-__all__ = ["save_field", "load_field", "save_solve_sidecar"]
+__all__ = ["atomic_write", "save_field", "load_field", "save_solve_sidecar"]
 
 MAGIC = b"CHQF"
 VERSION = 1
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write data to path through a temp file beside it and os.replace: a
+    reader sees the old bytes or the new ones, and a failed write leaves the
+    old file and no temp file."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_field(u: Field, path) -> None:
     g = u.grid
     header = MAGIC + struct.pack("<IIId", VERSION, 1, g.points, g.extent)
     data = np.ascontiguousarray(u.values, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + data)
+    atomic_write(path, header + data)
 
 
 def load_field(path) -> Field:
@@ -85,4 +104,4 @@ def save_solve_sidecar(result, path, config, extra) -> None:
         lines.append(f"config.{f.name} = {getattr(config, f.name)!r}")
     for k, v in extra.items():
         lines.append(f"{k} = {v!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())

@@ -27,13 +27,12 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import NoConvergence, OutOfBox, OutOfRange, TruncationActive
-from .energy import (_abs_power, _odd_power, energy, hartree_jvp,
-                     hartree_nonlinearity, jvp_factors, normalize_potential)
+from .energy import energy, hartree_jvp, jvp_factors, normalize_potential
 from .fiber import extract_profile, fiber_maximizer, ray_level
 from .params import ExponentSet
 from .spectral import (Field, band_limit, dilate, edge_shell,
                        fractional_laplacian_free, mass, project_mass,
-                       riesz_potential, smooth_cutoff, translate)
+                       smooth_cutoff, translate)
 
 __all__ = [
     "SolveConfig", "SolveResult", "GroundState", "SAlphaResult", "NewtonStats",
@@ -158,16 +157,15 @@ def _scalar_system(u: Field, exps: ExponentSet):
     """Residual of (-D)^s U + U - (I_a*|U|^q)|U|^{q-2}U at u, the (absent)
     mass-row value 0.0 and the Jacobian row (v, dlam) -> J v, which holds
     I_a*|u|^q and the powers of u fixed."""
-    pot = riesz_potential(Field(u.grid, _abs_power(u.values, exps.q)),
-                          exps.alpha).values
+    ev = energy(u, exps)
     res = (fractional_laplacian_free(u, exps.s).values + u.values
-           - pot * _odd_power(u.values, exps.q - 1.0))
+           - ev.hartree_force("q"))
     fac = None
 
     def row(v, dlam):
         nonlocal fac
         if fac is None:  # on the first matvec: a rejected trial needs none
-            fac = jvp_factors(u.values, exps.q, pot)
+            fac = jvp_factors(u.values, exps.q, ev.pot_q)
         return (fractional_laplacian_free(Field(u.grid, v), exps.s).values + v
                 - hartree_jvp(u, v, exps.q, exps.alpha, fac))
     return res, 0.0, row
@@ -198,7 +196,7 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
     dv = g.dx
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        nonlin = hartree_nonlinearity(Field(g, u), exps.q, exps.alpha)
+        nonlin = energy(Field(g, u), exps).hartree_force("q")
         # torus inverse of (-D)^s + 1 as the Petviashvili propagator
         lin_u = np.fft.irfft(sym * np.fft.rfft(u), g.points)
         num = float(np.sum(u * lin_u)) * dv

@@ -412,8 +412,9 @@ def dilate(u: Field, t: float) -> Field:
 # ---------------------------------------------------------------------------
 
 def smooth_cutoff(r: np.ndarray, R0: float, R1: float) -> np.ndarray:
-    """Vectorized bridge: exactly 1 for r <= R0, exactly 0 for r >= R1,
-    the same smooth bump quotient as tau_eval in between."""
+    """Vectorized bridge: exactly 1 for r <= R0, exactly 0 for r >= R1 and
+    f(R1 - r) / (f(R1 - r) + f(r - R0)) between, f(x) = exp(-1/x) for
+    x > 1e-3 and 0 otherwise.  energy.tau_eval is this bridge at one radius."""
     if not (0.0 < R0 < R1):
         raise OutOfRange(f"need 0 < R0 < R1, got {R0}, {R1}")
     r = np.asarray(r, dtype=float)

@@ -24,15 +24,16 @@ from choqlab.energy import energy
 from choqlab.fiber import FiberProfile
 from choqlab.harness import (SEPARATION, ReportRow, affine_level_defect,
                              default_config, fiber_consistency_error,
-                             interpolation_slacks, oracle_density, passes,
-                             psi_sign_change_defect, rerun_defect,
+                             interpolation_slacks, level_rise, oracle_density,
+                             passes, psi_sign_change_defect, rerun_defect,
                              riesz_oracle_error, run_concentration,
                              run_multiplicity, sharp_tightness,
                              truncated_ray_error, write_report)
 from choqlab.params import s_alpha_reference
 from choqlab.snapshot import load_field, save_field
-from choqlab.solver import SolveConfig, make_profile, solve_autonomous
-from choqlab.spectral import Grid, band_limit, project_mass, random_field
+from choqlab.solver import (SolveConfig, level_curves, make_profile,
+                            solve_autonomous)
+from choqlab.spectral import Grid, band_limit, random_field
 from conftest import DESK_MASS, make_positive_field
 
 SEED = 20260808
@@ -133,19 +134,13 @@ def test_criterion_05_affine_level_shift(cfg):
 
 def test_criterion_06_mass_monotonicity(cfg):
     """b_{0,T,a} nonincreasing over {0.5, 1, 1.5, 2} x a0, slack 1e-6."""
-    exps = cfg.exps
-    g = Grid(1, 96.0, 4096)
-    scfg = SolveConfig(grad_tol=1e-4, poho_tol=0.2)
-    warm, levels = None, []
     masses = [0.5 * DESK_MASS, DESK_MASS, 1.5 * DESK_MASS, 2.0 * DESK_MASS]
-    for a in masses:
-        init = project_mass(warm, a) if warm is not None else None
-        res = solve_autonomous(exps, 0.0, a, g, init=init, config=scfg)
-        assert res.grad_residual < 1e-4  # criticality per cell
-        warm = res.field
-        levels.append(res.level)
-    mono = all(levels[i + 1] <= levels[i] + 1e-6 for i in range(3))
-    assert _line(6, "mass monotonicity", mono,
+    rows, _ = level_curves(cfg.exps, masses, [], Grid(1, 96.0, 4096),
+                           SolveConfig(grad_tol=1e-4, poho_tol=0.2), DESK_MASS)
+    assert all(r["grad"] < 1e-4 for r in rows)  # criticality per cell
+    levels = [r["level"] for r in rows]
+    assert _line(6, "mass monotonicity",
+                 passes("mass_monotone", level_rise(levels)),
                  "levels " + " > ".join(f"{l:.6f}" for l in levels))
 
 

@@ -88,6 +88,21 @@ def test_solve_sampled_potential(tmp_path, capsys):
     assert "newton_stop=tolerance" in capsys.readouterr().out
     sidecar = (tmp_path / "nonautonomous_eps0.4.chqf.txt").read_text()
     assert "newton.stop = 'tolerance'" in sidecar
+    # the config has no [sweep] section: box_radius is default_config()'s,
+    # wide enough for the barycenter to see the well at y = 8
+    beta = next(float(line.split(" = ")[1]) for line in sidecar.splitlines()
+                if line.startswith("barycenter = "))
+    assert abs(beta - 8.0) < 0.5
+
+
+def test_sweep_level_laws(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path), "--config", _write_cfg(tmp_path),
+               "sweep"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "nonincreasing=True" in out and "ok=True" in out
+    rows = (tmp_path / "levels.csv").read_text().splitlines()[2:]
+    assert len(rows) == 7  # four masses and three mu
 
 
 def test_solve_rejects_seed_at_box_edge(tmp_path, capsys):

@@ -14,7 +14,7 @@ from choqlab.energy import (Truncation, _abs_power, energy, hartree_jvp,
 from choqlab.errors import OutOfRange, ZeroField
 from choqlab.fiber import extract_profile
 from choqlab.spectral import (Field, Grid, dilate, kinetic_energy_free, mass,
-                              riesz_potential, translate)
+                              riesz_potential, smooth_cutoff, translate)
 from conftest import make_positive_field, riesz_oracle_1d
 
 ALPHA = 0.5
@@ -104,6 +104,8 @@ def test_tau_bridge(exps):
         Truncation(2.0, 1.0)
     with pytest.raises(OutOfRange):
         tau_eval(tr, -0.1)
+    # tau is the spectral bridge at one radius
+    assert [tau_eval(tr, float(r)) for r in rs] == list(smooth_cutoff(rs, 1.0, 2.0))
 
 
 def test_tau_prime_finite_difference():
@@ -114,6 +116,9 @@ def test_tau_prime_finite_difference():
         assert tau_prime(tr, r) == pytest.approx(fd, rel=1e-6)
     assert tau_prime(tr, 0.5) == 0.0
     assert tau_prime(tr, 2.5) == 0.0
+    # inside (R0, R1) where tau is exactly 1: the inverse square of
+    # r - R0 = 1e-200 would overflow
+    assert tau_prime(Truncation(1e-200, 1.0), 2e-200) == 0.0
 
 
 def test_energy_breakdown_reassembly(grid_unit, rng, exps):
@@ -179,15 +184,15 @@ def test_multiplier_identity(grid_unit, rng, exps):
 
 
 def test_hartree_jvp_finite_difference(grid_unit, rng, exps):
-    from choqlab.energy import hartree_nonlinearity
     u = make_positive_field(grid_unit, rng)
     direction = make_positive_field(grid_unit, rng).values * 0.5
     h = 1e-6
-    for r in (exps.q, exps.p):
+    for which in ("q", "p"):
         up = Field(grid_unit, u.values + h * direction)
         dn = Field(grid_unit, u.values - h * direction)
-        fd = (hartree_nonlinearity(up, r, exps.alpha)
-              - hartree_nonlinearity(dn, r, exps.alpha)) / (2 * h)
+        fd = (energy(up, exps).hartree_force(which)
+              - energy(dn, exps).hartree_force(which)) / (2 * h)
+        r = getattr(exps, which)
         jv = hartree_jvp(u, direction, r, exps.alpha)
         assert np.max(np.abs(jv - fd)) < 1e-5 * np.max(np.abs(fd))
 

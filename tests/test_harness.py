@@ -100,6 +100,10 @@ seed = 7
     assert cfg.eps_list == (0.4, 0.2, 0.1)
     assert cfg.seed == 7
     assert cfg.solver.grad_tol == 2e-4
+    # omitted [sweep] keys take the default configuration's values
+    desk = default_config()
+    assert (cfg.delta, cfg.delta_target, cfg.box_radius) == (
+        1.6, desk.delta_target, desk.box_radius)
 
 
 def test_experiment_config_rejections(tmp_path):

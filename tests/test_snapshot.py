@@ -1,5 +1,6 @@
 """Field snapshot format and solve sidecars."""
 
+import os
 import struct
 from dataclasses import fields
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from choqlab.errors import FormatError
+from choqlab.harness import write_report
 from choqlab.snapshot import load_field, save_field, save_solve_sidecar
+from choqlab.spectral import Field
 from conftest import make_positive_field
 
 
@@ -89,3 +92,30 @@ def test_sidecar(tmp_path, autonomous_mu0, desk_config):
     assert "note = 'unit'" in text
     for f in fields(autonomous_mu0.newton):
         assert f"newton.{f.name} = {getattr(autonomous_mu0.newton, f.name)!r}" in text
+
+
+def test_failed_writes_keep_old_files(tmp_path, grid_unit, rng, autonomous_mu0,
+                                      desk_config, monkeypatch):
+    # every output file goes through one atomic writer: a write that fails
+    # at the rename leaves the old bytes and no temp file
+    u = make_positive_field(grid_unit, rng)
+    snap, side, report = (tmp_path / name
+                          for name in ("u.chqf", "u.chqf.txt", "r.csv"))
+    save_field(u, snap)
+    save_solve_sidecar(autonomous_mu0, side, desk_config, extra={})
+    write_report([("a", 1)], report, ("key", "value"))
+    before = [path.read_bytes() for path in (snap, side, report)]
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    writes = (lambda: save_field(Field(grid_unit, 2.0 * u.values), snap),
+              lambda: save_solve_sidecar(autonomous_mu0, side, desk_config,
+                                         extra={"note": "new"}),
+              lambda: write_report([("b", 2)], report, ("key", "value")))
+    for write in writes:
+        with pytest.raises(OSError, match="rename failed"):
+            write()
+    assert [path.read_bytes() for path in (snap, side, report)] == before
+    assert not list(tmp_path.glob("*.tmp"))
