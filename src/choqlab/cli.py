@@ -17,16 +17,18 @@ import numpy as np
 from . import __version__
 from .errors import ChoqlabError, Indistinct
 from .fiber import extract_profile, fiber_maximizer, fiber_value, psi
-from .harness import (CHECK_FIELDS, CHECKS, ExperimentConfig, ReportRow,
-                      affine_level_defect, barycenter, default_config,
-                      level_rise, passes, run_concentration, run_multiplicity,
-                      run_verify, solve_cell, write_report)
+from .harness import (CHECK_FIELDS, CHECKS, GROUND_GRID, ExperimentConfig,
+                      ReportRow, affine_level_defect, barycenter,
+                      default_config, level_rise, passes, run_concentration,
+                      run_multiplicity, run_verify, solve_cell, write_report)
 from .params import (hls_constant, mass_threshold, riesz_normalization,
                      s_alpha_reference, sharp_constant, validate_regime)
 from .snapshot import load_field, save_field, save_solve_sidecar
 from .solver import (compute_S_alpha, level_curves, solve_autonomous,
                      solve_nonautonomous, solve_scalar_ground, x_star_root)
-from .spectral import Grid
+from .spectral import Grid, mass
+
+__all__ = ["main"]
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -46,7 +48,7 @@ def _outpath(cfg, name):
     return os.path.join(cfg.out_dir, name)
 
 
-def cmd_validate(args) -> int:
+def _cmd_validate(args) -> int:
     try:
         exps = validate_regime(args.N, args.s, args.alpha, args.q)
     except ChoqlabError as exc:
@@ -59,7 +61,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_constants(args) -> int:
+def _cmd_constants(args) -> int:
     cfg = _load_config(args)
     exps = cfg.exps
     print(f"# choqlab {__version__} constants (N={exps.N}, s={exps.s}, "
@@ -74,7 +76,7 @@ def cmd_constants(args) -> int:
     print(f"S_alpha sweep min = {sweep.value:.6g} "
           f"(sensitivity {sweep.sensitivity:.1%}; grid bubbles are "
           f"tail-truncated in this regime)")
-    gs = solve_scalar_ground(exps, Grid(1, 96.0, 4096))
+    gs = solve_scalar_ground(exps, GROUND_GRID)
     c_aq = sharp_constant(exps, exps.q, gs.norm2)
     print(f"||U||_2    = {gs.norm2:.12g}  (scalar ground state, residual "
           f"{gs.residual:.1e})")
@@ -89,9 +91,9 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def cmd_groundstate(args) -> int:
+def _cmd_groundstate(args) -> int:
     cfg = _load_config(args)
-    gs = solve_scalar_ground(cfg.exps, Grid(1, 96.0, 4096), cfg.solver)
+    gs = solve_scalar_ground(cfg.exps, GROUND_GRID, cfg.solver)
     print(f"scalar ground state: residual={gs.residual:.2e} "
           f"iterations={gs.iterations} converged={gs.converged} "
           f"newton_stop={gs.newton.stop}")
@@ -102,7 +104,7 @@ def cmd_groundstate(args) -> int:
     return 0 if gs.converged else 1
 
 
-def cmd_solve(args) -> int:
+def _cmd_solve(args) -> int:
     cfg = _load_config(args)
     if args.mu is not None:
         res = solve_autonomous(cfg.exps, args.mu, cfg.a, cfg.grid,
@@ -134,7 +136,7 @@ def cmd_solve(args) -> int:
     return 0 if res.converged else 1
 
 
-def cmd_fiber(args) -> int:
+def _cmd_fiber(args) -> int:
     cfg = _load_config(args)
     res = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
     prof = extract_profile(res.field, cfg.exps)
@@ -148,7 +150,7 @@ def cmd_fiber(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     a_list = [f * cfg.a for f in (0.5, 1.0, 1.5, 2.0)]
     mu_list = [0.0, 0.5, 1.0]
@@ -172,7 +174,7 @@ def cmd_sweep(args) -> int:
                  and all(r["converged"] for r in a_rows + mu_rows)) else 1
 
 
-def cmd_concentrate(args) -> int:
+def _cmd_concentrate(args) -> int:
     cfg = _load_config(args)
     out = run_concentration(cfg, threads=args.threads)
     path = _outpath(cfg, "concentration.csv")
@@ -187,7 +189,7 @@ def cmd_concentrate(args) -> int:
     return 0 if out["passed"] else 1
 
 
-def cmd_multiplicity(args) -> int:
+def _cmd_multiplicity(args) -> int:
     cfg = _load_config(args)
     try:
         out = run_multiplicity(cfg)
@@ -204,7 +206,7 @@ def cmd_multiplicity(args) -> int:
     return 0 if out["passed"] else 1
 
 
-def cmd_verify(args) -> int:
+def _cmd_verify(args) -> int:
     cfg = _load_config(args)
     out = run_verify(cfg, quick=not args.full)
     path = _outpath(cfg, "verify.csv")
@@ -217,10 +219,10 @@ def cmd_verify(args) -> int:
     return 0 if out["passed"] else 1
 
 
-def cmd_snapshot(args) -> int:
+def _cmd_snapshot(args) -> int:
     u = load_field(args.path)
     print(f"grid: N={u.grid.N} extent={u.grid.extent} points={u.grid.points}")
-    print(f"mass = {float(np.sum(u.values ** 2)) * u.grid.dx!r}")
+    print(f"mass = {mass(u)!r}")
     return 0
 
 
@@ -240,43 +242,43 @@ def main(argv=None) -> int:
     p.add_argument("--s", type=float, default=0.4)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--q", type=float, default=3.0)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("constants", help="derived exponents and sharp constants")
-    p.set_defaults(func=cmd_constants)
+    p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("groundstate", help="scalar ground state and C_alpha_q")
-    p.set_defaults(func=cmd_groundstate)
+    p.set_defaults(func=_cmd_groundstate)
 
     p = sub.add_parser("solve", help="one autonomous or non-autonomous solve")
     p.add_argument("--mu", type=float, default=None,
                    help="constant potential (autonomous mode)")
     p.add_argument("--eps", type=float, default=0.1,
                    help="potential scale for the non-autonomous mode")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("fiber", help="emit (t, phi, Psi) fiber curve CSV")
     p.add_argument("--tmin", type=float, default=0.05)
     p.add_argument("--tmax", type=float, default=20.0)
     p.add_argument("--samples", type=int, default=200)
-    p.set_defaults(func=cmd_fiber)
+    p.set_defaults(func=_cmd_fiber)
 
     p = sub.add_parser("sweep", help="level curves over masses and mu")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("concentrate", help="eps-halving concentration sweep")
-    p.set_defaults(func=cmd_concentrate)
+    p.set_defaults(func=_cmd_concentrate)
 
     p = sub.add_parser("multiplicity", help="two-well multiplicity experiment")
-    p.set_defaults(func=cmd_multiplicity)
+    p.set_defaults(func=_cmd_multiplicity)
 
     p = sub.add_parser("verify", help="cross-module verification battery")
     p.add_argument("--full", action="store_true", help="larger corpora")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("snapshot", help="inspect a field snapshot")
     p.add_argument("path")
-    p.set_defaults(func=cmd_snapshot)
+    p.set_defaults(func=_cmd_snapshot)
 
     args = parser.parse_args(argv)
     try:

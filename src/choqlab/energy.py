@@ -8,13 +8,13 @@ with A(u) the squared fractional seminorm and B_r(u) the Hartree energy
 Int (I_alpha * |u|^r)|u|^r.  In the autonomous case V == mu the potential
 term is mu*mass/2.  energy() evaluates a field once: its Evaluation carries
 the energy terms, the Lagrange multiplier, the Pohozaev value, the Hartree
-forces and the Euler-Lagrange gradient.
+forces with their derivatives, and the Euler-Lagrange gradient.
 
 The truncated functional J_T multiplies B_p by tau(||u||_{H^s}), a smooth
 radial cutoff that switches the critical term off at large H^s norm.  It
-is evaluated along the mass-preserving dilation ray only, where its
-derivative factors through the truncated Pohozaev functional:
-d/dt J_T(u_t) = (t^{2s-1}/2) P_T(u_t).
+is evaluated along the mass-preserving dilation ray only (fiber.fiber_value
+and fiber.psi), where its derivative factors through the truncated
+Pohozaev functional: d/dt J_T(u_t) = (t^{2s-1}/2) P_T(u_t).
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from .spectral import (Field, fractional_laplacian_free, kinetic_energy_free,
 __all__ = [
     "Truncation", "Evaluation",
     "tau_eval", "tau_prime",
-    "hartree_jvp",
-    "jvp_factors", "normalize_potential", "energy",
-    "truncated_profile_pohozaev", "truncated_profile_value",
+    "hartree_jvp", "normalize_potential", "energy",
 ]
 
 
@@ -93,12 +91,10 @@ def _odd_power(values: np.ndarray, r: float) -> np.ndarray:
     return np.sign(values) * _abs_power(values, r)
 
 
-def jvp_factors(values: np.ndarray, r: float, pot: np.ndarray):
-    """The base-point arrays of hartree_jvp at u = values, given
-    pot = I_alpha*|u|^r: sign(u)|u|^{r-1} and pot (r-1)|u|^{r-2}.  Both are
-    fixed through a Newton step, so its matvecs can share them."""
-    return (_odd_power(values, r - 1.0),
-            pot * (r - 1.0) * _abs_power(values, r - 2.0))
+def _local_factor(values: np.ndarray, r: float, pot: np.ndarray) -> np.ndarray:
+    """pot (r-1)|u|^{r-2} at u = values, given pot = I_alpha*|u|^r: the
+    local part of the derivative of the Hartree force."""
+    return pot * (r - 1.0) * _abs_power(values, r - 2.0)
 
 
 def hartree_jvp(u: Field, v: np.ndarray, r: float, alpha: float,
@@ -106,13 +102,14 @@ def hartree_jvp(u: Field, v: np.ndarray, r: float, alpha: float,
     """Directional derivative of the Hartree force (I_alpha*|u|^r)|u|^{r-2}u
     (Evaluation.hartree_force) at u in direction v.
 
-    factors is jvp_factors(u.values, r, I_alpha*|u|^r) when the caller holds
-    it (fixed through a Newton step); the derivative then costs one Riesz
+    factors is (sign(u)|u|^{r-1}, pot (r-1)|u|^{r-2}) with
+    pot = I_alpha*|u|^r, when the caller holds them (Evaluation.hartree_jvp,
+    fixed through a Newton step); the derivative then costs one Riesz
     convolution and no powers of u, with the same bits.
     """
     if factors is None:
         pot = riesz_potential(Field(u.grid, _abs_power(u.values, r)), alpha).values
-        factors = jvp_factors(u.values, r, pot)
+        factors = (_odd_power(u.values, r - 1.0), _local_factor(u.values, r, pot))
         del pot  # only the factors stay alive through the inner convolution
     au_r1, diag = factors
     inner = riesz_potential(Field(u.grid, r * au_r1 * v), alpha).values
@@ -138,11 +135,11 @@ class Evaluation:
     """Every quantity the lab reads off one field, from one pass.
 
     A, B_p, B_q and Int V|u|^2 determine the energy, the multiplier and the
-    Pohozaev value; the Hartree potentials I_alpha*|u|^r behind B_r are kept
-    for the Hartree forces, the Euler-Lagrange gradient and the Newton
-    operator at u.  A(u) (and with it the energy), each Hartree potential
-    with its B_r, and the gradient are built on first use: the Newton
-    residual reads only the gradient and the mass, and a scalar problem
+    Pohozaev value; the Hartree potentials I_alpha*|u|^r behind B_r and the
+    powers of u are kept for the Hartree forces, the gradient and the Newton
+    operator at u (hartree_jvp).  Each of them, and A(u), is built on first
+    use: the Newton residual reads only the gradient and the mass, a
+    rejected Newton trial builds no local factor, and a scalar problem
     reads one Hartree term.
     (Not functools.cached_property: before Python 3.12 it holds one lock for
     every instance, which serializes the harness's worker threads.)
@@ -152,13 +149,15 @@ class Evaluation:
         dv = u.grid.dx
         self.field = u
         self.exps = exps
-        self._v = normalize_potential(potential, u.grid)
+        self.V = normalize_potential(potential, u.grid)   # a float mu or V(eps x)
         self.mass = mass(u)
-        if isinstance(self._v, np.ndarray):               # Int V(eps x)|u|^2
-            self.potential = float(np.sum(self._v * u.values * u.values)) * dv
+        if isinstance(self.V, np.ndarray):                # Int V(eps x)|u|^2
+            self.potential = float(np.sum(self.V * u.values * u.values)) * dv
         else:                                             # mu * mass
-            self.potential = self._v * self.mass
+            self.potential = self.V * self.mass
         self._hartree = {"p": None, "q": None}
+        self._odd = {"p": None, "q": None}      # sign(u)|u|^{r-1}
+        self._local = {"p": None, "q": None}    # (I_alpha*|u|^r)(r-1)|u|^{r-2}
         self._kinetic = None
         self._gradient = None
 
@@ -170,16 +169,6 @@ class Evaluation:
             pot = riesz_potential(Field(u.grid, rho), self.exps.alpha).values
             self._hartree[which] = (pot, float(np.sum(pot * rho)) * u.grid.dx)
         return self._hartree[which]
-
-    @property
-    def pot_p(self) -> np.ndarray:
-        """I_alpha*|u|^p, the potential behind B_p."""
-        return self._hartree_term("p")[0]
-
-    @property
-    def pot_q(self) -> np.ndarray:
-        """I_alpha*|u|^q, the potential behind B_q."""
-        return self._hartree_term("q")[0]
 
     @property
     def hartree_p(self) -> float:
@@ -239,16 +228,34 @@ class Evaluation:
         if self._gradient is None:
             u, e = self.field, self.exps
             self._gradient = (fractional_laplacian_free(u, e.s).values
-                              + self._v * u.values
+                              + self.V * u.values
                               - self.hartree_force("p")
                               - self.hartree_force("q"))
         return self._gradient
 
+    def _odd_power_of(self, which: str) -> np.ndarray:
+        """sign(u)|u|^{r-1} for r = exps.<which>, built on first use."""
+        if self._odd[which] is None:
+            r = getattr(self.exps, which)
+            self._odd[which] = _odd_power(self.field.values, r - 1.0)
+        return self._odd[which]
+
     def hartree_force(self, which: str) -> np.ndarray:
         """(I_alpha*|u|^r)|u|^{r-2}u for r = exps.<which>, the variational
         derivative of B_r(u)/(2r)."""
+        return self._hartree_term(which)[0] * self._odd_power_of(which)
+
+    def hartree_jvp(self, which: str, v: np.ndarray) -> np.ndarray:
+        """Derivative of hartree_force(which) at u in direction v: the
+        module's hartree_jvp with the powers of u and the Hartree potential
+        this evaluation holds, so each matvec of a Newton step costs one
+        Riesz convolution."""
         r = getattr(self.exps, which)
-        return self._hartree_term(which)[0] * _odd_power(self.field.values, r - 1.0)
+        if self._local[which] is None:
+            self._local[which] = _local_factor(self.field.values, r,
+                                               self._hartree_term(which)[0])
+        return hartree_jvp(self.field, v, r, self.exps.alpha,
+                           (self._odd_power_of(which), self._local[which]))
 
     @property
     def grad_residual(self) -> float:
@@ -261,35 +268,3 @@ def energy(u: Field, exps: ExponentSet, potential=0.0) -> Evaluation:
     """Evaluate u once: energy breakdown of the untruncated functional,
     multiplier, Pohozaev value and gradient."""
     return Evaluation(u, exps, potential)
-
-
-# ---------------------------------------------------------------------------
-# Truncated fiber arithmetic
-#
-# Along the ray u_t the truncated energy depends on u only through the
-# profile (A, B_p, B_q, a), with R(t) = sqrt(t^{2s} A + a):
-#     J_T(u_t) = t^{2s}A/2 - tau(R) t^{dp} B_p/(2p) - t^{dq} B_q/(2q)
-# and the exact identity d/dt J_T(u_t) = (t^{2s-1}/2) P_T(u_t) holds with
-# the tau' correction multiplying only the critical part.  A constant
-# potential adds mu a/2, which is constant along the ray.
-# ---------------------------------------------------------------------------
-
-def truncated_profile_value(A: float, bp: float, bq: float, a: float,
-                            exps: ExponentSet, trunc: Truncation, t: float) -> float:
-    radius = math.sqrt(t ** (2.0 * exps.s) * A + a)
-    tau = tau_eval(trunc, radius)
-    return (0.5 * t ** (2.0 * exps.s) * A
-            - tau * t ** exps.delta_p * bp / (2.0 * exps.p)
-            - t ** exps.delta_q * bq / (2.0 * exps.q))
-
-
-def truncated_profile_pohozaev(A: float, bp: float, bq: float, a: float,
-                               exps: ExponentSet, trunc: Truncation, t: float) -> float:
-    s = exps.s
-    radius = math.sqrt(t ** (2.0 * s) * A + a)
-    tau = tau_eval(trunc, radius)
-    taup = tau_prime(trunc, radius)
-    return (2.0 * s * A
-            - (exps.delta_p / exps.p) * tau * t ** (exps.delta_p - 2.0 * s) * bp
-            - (exps.delta_q / exps.q) * t ** (exps.delta_q - 2.0 * s) * bq
-            - (s * taup / radius) * A * (t ** exps.delta_p / exps.p) * bp)

@@ -1,5 +1,12 @@
 """Exception hierarchy shared by all choqlab modules."""
 
+__all__ = [
+    "ChoqlabError", "RegimeViolation", "OutOfRange", "NonPositiveConstant",
+    "GridMismatch", "NonFinite", "AliasRisk", "ZeroField", "NoConvergence",
+    "TruncationActive", "EmptyM", "OutOfBox", "FormatError", "Indistinct",
+    "ConfigError", "NoPositivePart",
+]
+
 
 class ChoqlabError(Exception):
     """Base class for all package-specific errors."""

@@ -16,14 +16,19 @@ ray-reduced level R(u) = phi_0(t*) + mu a/2 is the quantity whose infimum
 over the sphere is the mountain-pass value.  ray_level also takes a
 potential V sampled on the grid: it freezes the potential term at u, so the
 ray level is max_t phi_0(t) + (1/2) Int V|u|^2, which for V == mu is R(u).
+
+Given a Truncation, fiber_value and psi evaluate the truncated ray: B_p is
+weighted by tau(||u_t||_{H^s}), ||u_t||_{H^s} = sqrt(t^{2s} A + a), and
+Psi_T = 2 phi_T'(t)/t^{2s-1} gains a tau' term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ChoqlabError, NoPositivePart, OutOfRange, ZeroField
-from .energy import energy
+from .energy import Truncation, energy, tau_eval, tau_prime
 from .params import ExponentSet
 from .spectral import Field
 
@@ -69,24 +74,39 @@ def extract_profile(u: Field, exps: ExponentSet) -> FiberProfile:
     return _profile(energy(u, exps))
 
 
-def fiber_value(prof: FiberProfile, t: float) -> float:
-    """phi_0(t): the untruncated energy of u_t without the potential term."""
+def _tau(prof: FiberProfile, t: float, trunc: Truncation | None):
+    """(tau, tau', R) at R = ||u_t||_{H^s} = sqrt(t^{2s} A + a); tau = 1
+    without trunc."""
     if t <= 0.0:
         raise OutOfRange(f"t must be positive, got {t}")
+    if trunc is None:
+        return 1.0, 0.0, None
+    radius = math.sqrt(t ** (2.0 * prof.exps.s) * prof.A + prof.a)
+    return tau_eval(trunc, radius), tau_prime(trunc, radius), radius
+
+
+def fiber_value(prof: FiberProfile, t: float,
+                trunc: Truncation | None = None) -> float:
+    """phi_0(t): the untruncated energy of u_t without the potential term;
+    given trunc, the truncated phi_T(t) with B_p weighted by tau."""
     e = prof.exps
+    tau = _tau(prof, t, trunc)[0]
     return (0.5 * t ** (2.0 * e.s) * prof.A
-            - t ** e.delta_p * prof.B_p / (2.0 * e.p)
+            - tau * t ** e.delta_p * prof.B_p / (2.0 * e.p)
             - t ** e.delta_q * prof.B_q / (2.0 * e.q))
 
 
-def psi(prof: FiberProfile, t: float) -> float:
-    """Psi(t) = 2 phi_0'(t) / t^{2s-1}; strictly decreasing, unique zero."""
-    if t <= 0.0:
-        raise OutOfRange(f"t must be positive, got {t}")
+def psi(prof: FiberProfile, t: float, trunc: Truncation | None = None) -> float:
+    """Psi(t) = 2 phi_0'(t) / t^{2s-1}; strictly decreasing, unique zero.
+    Given trunc, Psi_T(t) = 2 phi_T'(t) / t^{2s-1} with its tau' term."""
     e = prof.exps
+    tau, taup, radius = _tau(prof, t, trunc)
+    bridge = 0.0 if trunc is None else ((e.s * taup / radius) * prof.A
+                                        * (t ** e.delta_p / e.p) * prof.B_p)
     return (2.0 * e.s * prof.A
-            - (e.delta_p / e.p) * t ** (e.delta_p - 2.0 * e.s) * prof.B_p
-            - (e.delta_q / e.q) * t ** (e.delta_q - 2.0 * e.s) * prof.B_q)
+            - (e.delta_p / e.p) * tau * t ** (e.delta_p - 2.0 * e.s) * prof.B_p
+            - (e.delta_q / e.q) * t ** (e.delta_q - 2.0 * e.s) * prof.B_q
+            - bridge)
 
 
 def fiber_maximizer(prof: FiberProfile) -> FiberMax:

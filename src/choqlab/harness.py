@@ -18,8 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .energy import (Truncation, energy, truncated_profile_pohozaev,
-                     truncated_profile_value)
+from .energy import Truncation, energy
 from .errors import ConfigError, Indistinct, OutOfRange
 from .fiber import FiberProfile, extract_profile, fiber_value, psi
 from .params import (ExponentSet, riesz_normalization, s_alpha_reference,
@@ -36,7 +35,11 @@ __all__ = [
     "ExperimentConfig", "ReportRow", "barycenter", "default_config",
     "run_concentration", "run_multiplicity", "run_verify", "solve_cell",
     "write_report", "CHECK_FIELDS", "SCHEMA_VERSION", "CHECKS", "SEPARATION",
-    "passes", "level_rise",
+    "GROUND_GRID", "passes", "level_rise",
+    "make_positive_field", "oracle_density", "riesz_oracle_error",
+    "dilate_gaussian_error", "fiber_consistency_error", "truncated_ray_error",
+    "psi_sign_change_defect", "interpolation_slacks", "sharp_tightness",
+    "affine_level_defect", "rerun_defect",
 ]
 
 SCHEMA_VERSION = "choqlab-report v1"
@@ -47,6 +50,10 @@ SEPARATION = 0.1
 
 # header of the verification battery's report (verify.csv)
 CHECK_FIELDS = ("check", "status", "measured", "tolerance")
+
+# the grid of the scalar ground state behind C_{alpha,q}: choqlab constants,
+# groundstate and verify all solve on it, so they agree on the constant
+GROUND_GRID = Grid(1, 96.0, 4096)
 
 # the sections and keys ExperimentConfig.from_file understands; any other
 # section or key is an error.  [solver] sets SolveConfig fields by name.
@@ -236,7 +243,9 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     """Solve from make_profile seeds at every well for each eps and track
     the barycenter distance to M; the sweep passes when every cell
     converged and the max distance decreases along the sweep and ends
-    below delta_target."""
+    below delta_target.  The cells run on a pool of threads workers."""
+    if threads < 1:
+        raise OutOfRange(f"threads must be >= 1, got {threads}")
     if len(cfg.eps_list) < 3:
         raise ConfigError("concentration sweep needs >= 3 eps values")
     m_points, degenerate = detect_M(cfg.potential, cfg.grid, min(cfg.eps_list))
@@ -252,11 +261,8 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
         res = solve_cell(cfg, auto.field, eps, y)
         return cell, res, barycenter(res.field, eps, cfg.box_radius)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, cells))   # in cell order
-    else:
-        results = list(map(work, cells))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(work, cells))   # in cell order
     max_dist, gaps = {}, {}
     for (eps, _), res, beta in results:
         d = dist_to_set(beta, m_points)
@@ -443,11 +449,9 @@ def truncated_ray_error(pairs, exps: ExponentSet) -> float:
         prof = extract_profile(u, exps)
         radius1 = math.sqrt(prof.A + prof.a)
         trunc = Truncation(0.8 * radius1, 1.3 * radius1)
-        pieces = (prof.A, prof.B_p, prof.B_q, prof.a)
-        fd = (truncated_profile_value(*pieces, exps, trunc, t + h)
-              - truncated_profile_value(*pieces, exps, trunc, t - h)) / (2 * h)
-        formula = 0.5 * t ** (2 * exps.s - 1) * truncated_profile_pohozaev(
-            *pieces, exps, trunc, t)
+        fd = (fiber_value(prof, t + h, trunc)
+              - fiber_value(prof, t - h, trunc)) / (2 * h)
+        formula = 0.5 * t ** (2 * exps.s - 1) * psi(prof, t, trunc)
         worst = max(worst, abs(fd - formula) / max(abs(formula), 1e-300))
     return worst
 
@@ -551,7 +555,7 @@ def run_verify(cfg: ExperimentConfig, quick: bool = True):
                 for _ in range(50 if quick else 100)]
     record("psi_unique_zero", psi_sign_change_defect(profiles))
 
-    gs = solve_scalar_ground(exps, Grid(1, 96.0, 4096))
+    gs = solve_scalar_ground(exps, GROUND_GRID)
     record("scalar_ground", gs.residual)
     c_aq = sharp_constant(exps, exps.q, gs.norm2)
     noise = Field(g_small, rng.standard_normal(g_small.shape)

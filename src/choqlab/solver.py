@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import NoConvergence, OutOfBox, OutOfRange, TruncationActive
-from .energy import energy, hartree_jvp, jvp_factors, normalize_potential
+from .energy import energy, normalize_potential
 from .fiber import extract_profile, fiber_maximizer, ray_level
 from .params import ExponentSet
 from .spectral import (Field, band_limit, dilate, edge_shell,
@@ -156,18 +156,14 @@ def _dilate_composite(u: Field, t: float, center_cells: int) -> Field:
 def _scalar_system(u: Field, exps: ExponentSet):
     """Residual of (-D)^s U + U - (I_a*|U|^q)|U|^{q-2}U at u, the (absent)
     mass-row value 0.0 and the Jacobian row (v, dlam) -> J v, which holds
-    I_a*|u|^q and the powers of u fixed."""
+    I_a*|u|^q and the powers of u fixed (Evaluation.hartree_jvp)."""
     ev = energy(u, exps)
     res = (fractional_laplacian_free(u, exps.s).values + u.values
            - ev.hartree_force("q"))
-    fac = None
 
     def row(v, dlam):
-        nonlocal fac
-        if fac is None:  # on the first matvec: a rejected trial needs none
-            fac = jvp_factors(u.values, exps.q, ev.pot_q)
         return (fractional_laplacian_free(Field(u.grid, v), exps.s).values + v
-                - hartree_jvp(u, v, exps.q, exps.alpha, fac))
+                - ev.hartree_jvp("q", v))
     return res, 0.0, row
 
 
@@ -377,22 +373,16 @@ def _newton(u: Field, lam: float | None, residual, s: float):
 def _constrained_system(ev, lam: float, a: float):
     """Residual G(u) - lam u and mass row (mass(u) - a)/2 at the field of ev,
     and the Jacobian row (v, dlam) -> J (v, dlam) of that system, which
-    reuses the Hartree potentials ev already holds and computes the powers
-    of u once for all of its matvecs."""
-    fld, exps, potential = ev.field, ev.exps, ev._v
+    reuses the Hartree potentials and the powers of u that ev holds
+    (Evaluation.hartree_jvp)."""
+    fld, s = ev.field, ev.exps.s
     vals = fld.values
-    fac = None
 
     def row(v, dlam):
-        nonlocal fac
-        if fac is None:  # on the first matvec: a rejected trial needs none
-            fac = (jvp_factors(vals, exps.p, ev.pot_p),
-                   jvp_factors(vals, exps.q, ev.pot_q))
-        out = (fractional_laplacian_free(Field(fld.grid, v), exps.s).values
+        out = (fractional_laplacian_free(Field(fld.grid, v), s).values
                - lam * v - dlam * vals
-               - hartree_jvp(fld, v, exps.p, exps.alpha, fac[0])
-               - hartree_jvp(fld, v, exps.q, exps.alpha, fac[1]))
-        return out + potential * v
+               - ev.hartree_jvp("p", v) - ev.hartree_jvp("q", v))
+        return out + ev.V * v
     return ev.gradient - lam * vals, 0.5 * (ev.mass - a), row
 
 

@@ -43,6 +43,7 @@ del _threshold_block
 __all__ = [
     "Grid", "Field",
     "fractional_laplacian", "kinetic_energy",
+    "fractional_laplacian_free", "kinetic_energy_free", "half_sum",
     "riesz_potential", "dilate", "translate",
     "mass", "project_mass", "random_field", "boundary_decay", "edge_shell",
     "smooth_cutoff",

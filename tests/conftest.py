@@ -5,6 +5,7 @@ and the real-space Riesz oracle."""
 import numpy as np
 import pytest
 
+from choqlab.harness import GROUND_GRID
 from choqlab.harness import make_positive_field  # noqa: F401 (for the tests)
 from choqlab.params import riesz_normalization, sharp_constant, validate_regime
 from choqlab.solver import SolveConfig, solve_autonomous, solve_scalar_ground
@@ -63,7 +64,7 @@ def desk_config():
 
 @pytest.fixture(scope="session")
 def scalar_ground(exps):
-    gs = solve_scalar_ground(exps, Grid(1, 96.0, 4096))
+    gs = solve_scalar_ground(exps, GROUND_GRID)
     assert gs.converged
     return gs
 

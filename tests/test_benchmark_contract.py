@@ -67,22 +67,25 @@ def test_kernels_trace_self_test():
 
 
 def test_sampled_newton_reaches_hartree_jvp(exps, grid_unit, monkeypatch):
-    # the tracer counts the Newton matvec through solver.hartree_jvp, and the
-    # concentration workload expects the rescale's dilate, extract_profile
-    # and fiber_maximizer among its calls
-    names = ("hartree_jvp", "dilate", "extract_profile", "fiber_maximizer")
-    calls = dict.fromkeys(names, 0)
+    # the tracer counts the Newton matvec through energy.hartree_jvp, which
+    # Evaluation.hartree_jvp calls, and the concentration workload expects
+    # the rescale's dilate, extract_profile and fiber_maximizer among its
+    # calls
+    energy_module = importlib.import_module("choqlab.energy")
+    bindings = {"hartree_jvp": energy_module, "dilate": solver,
+                "extract_profile": solver, "fiber_maximizer": solver}
+    calls = dict.fromkeys(bindings, 0)
 
     def counting(name):
-        original = getattr(solver, name)
+        original = getattr(bindings[name], name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return counted
 
-    for name in names:
-        monkeypatch.setattr(solver, name, counting(name))
+    for name, module in bindings.items():
+        monkeypatch.setattr(module, name, counting(name))
     # a short solve: five descent iterations at most, then two Newton steps
     monkeypatch.setattr(solver, "_MAX_ITER", 5)
     monkeypatch.setattr(solver, "_NEWTON_MAX", 2)

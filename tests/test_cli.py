@@ -26,6 +26,11 @@ def test_validate_accepts_and_rejects(capsys):
     assert "REJECTED" in out and "N must be 1" in out
 
 
+def test_concentrate_rejects_zero_threads(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "--threads", "0", "concentrate"]) == 2
+    assert "OutOfRange" in capsys.readouterr().err
+
+
 def test_snapshot_info(tmp_path, capsys):
     g = Grid(1, 48.0, 512)
     x = g.axis()

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choqlab.energy import (Truncation, _abs_power, energy, hartree_jvp,
-                            jvp_factors, tau_eval, tau_prime,
-                            truncated_profile_pohozaev, truncated_profile_value)
+                            tau_eval, tau_prime)
 from choqlab.errors import OutOfRange, ZeroField
-from choqlab.fiber import extract_profile
+from choqlab.fiber import extract_profile, fiber_value, psi
 from choqlab.spectral import (Field, Grid, dilate, kinetic_energy_free, mass,
                               riesz_potential, smooth_cutoff, translate)
 from conftest import make_positive_field, riesz_oracle_1d
@@ -145,16 +144,29 @@ def test_energy_truncation_regions(grid_unit, rng, exps):
     # the truncated fiber value at t = 1 against the evaluator's energy
     u = make_positive_field(grid_unit, rng)
     br = energy(u, exps, 0.0)
+    prof = extract_profile(u, exps)
     r = math.sqrt(br.kinetic + br.mass)      # the H^s norm
-    pieces = (br.kinetic, br.hartree_p, br.hartree_q, br.mass, exps)
     # tau == 1: truncated and untruncated totals agree exactly
     wide = Truncation(2.0 * r, 4.0 * r)
-    assert truncated_profile_value(*pieces, wide, 1.0) == br.total
+    assert fiber_value(prof, 1.0, wide) == br.total
     # tau == 0: no critical Hartree contribution in the total
     tight = Truncation(r / 4.0, r / 2.0)
     assert tau_eval(tight, r) == 0.0
-    assert truncated_profile_value(*pieces, tight, 1.0) == pytest.approx(
+    assert fiber_value(prof, 1.0, tight) == pytest.approx(
         0.5 * br.kinetic - br.hartree_q / (2 * exps.q), rel=1e-14)
+
+
+@pytest.mark.parametrize("t", (0.7, 1.0, 1.5))
+def test_fiber_with_unit_tau_is_untruncated(grid_unit, rng, exps, t):
+    # a Truncation that is 1 along the whole probed ray leaves phi and Psi
+    # bit for bit as without one: tau multiplies by 1.0, and the tau' term
+    # subtracts 0.0
+    prof = extract_profile(make_positive_field(grid_unit, rng), exps)
+    radius = math.sqrt(t ** (2 * exps.s) * prof.A + prof.a)
+    unit = Truncation(10.0 * radius, 20.0 * radius)
+    assert tau_eval(unit, radius) == 1.0 and tau_prime(unit, radius) == 0.0
+    assert fiber_value(prof, t, unit) == fiber_value(prof, t)
+    assert psi(prof, t, unit) == psi(prof, t)
 
 
 def test_el_residual_basics(grid_unit, rng, exps):
@@ -200,18 +212,41 @@ def test_hartree_jvp_finite_difference(grid_unit, rng, exps):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from(("p", "q")))
 def test_frozen_hartree_jvp_is_bit_identical(exps, seed, which):
-    # the potential an Evaluation holds, with the powers of u computed once
-    # outside the matvec, gives the array the jvp would compute for itself,
-    # bit for bit
+    # the Hartree potential and the powers of u an Evaluation holds give the
+    # array the 4-argument jvp computes for itself, bit for bit, on the
+    # first matvec and on a later one
     rng = np.random.default_rng(seed)
     grid = Grid(1, 48.0, 512)
     u = make_positive_field(grid, rng)
     v = make_positive_field(grid, rng).values
     ev = energy(u, exps, 0.0)
-    r, held = (exps.p, ev.pot_p) if which == "p" else (exps.q, ev.pot_q)
-    factors = jvp_factors(u.values, r, held)
-    assert np.array_equal(hartree_jvp(u, v, r, exps.alpha, factors),
-                          hartree_jvp(u, v, r, exps.alpha))
+    r = getattr(exps, which)
+    for _ in range(2):
+        assert np.array_equal(ev.hartree_jvp(which, v),
+                              hartree_jvp(u, v, r, exps.alpha))
+
+
+def test_newton_row_computes_each_odd_power_once(grid_unit, rng, exps,
+                                                 monkeypatch):
+    # the residual's Hartree forces and the Newton operator share
+    # sign(u)|u|^{r-1}: one residual and three matvecs compute it once per
+    # Hartree term
+    energy_module = importlib.import_module("choqlab.energy")
+    solver_module = importlib.import_module("choqlab.solver")
+    calls = []
+    odd_power = energy_module._odd_power
+
+    def counted(values, r):
+        calls.append(r)
+        return odd_power(values, r)
+
+    monkeypatch.setattr(energy_module, "_odd_power", counted)
+    u = make_positive_field(grid_unit, rng)
+    ev = energy(u, exps, 0.2)
+    _, _, row = solver_module._constrained_system(ev, ev.lam, mass(u))
+    for k in range(3):
+        row(make_positive_field(grid_unit, rng).values, 0.1 * k)
+    assert sorted(calls) == sorted((exps.p - 1.0, exps.q - 1.0))
 
 
 def test_kinetic_energy_is_lazy(grid_unit, rng, exps, monkeypatch):
@@ -266,14 +301,12 @@ def test_pohozaev_truncated_regions(grid_unit, rng, exps):
     wide = Truncation(10.0 * radius1, 20.0 * radius1)
     p_plain = prof_pohozaev_ref(prof, exps, 1.0)
     ev = energy(u, exps)
-    p_trunc = truncated_profile_pohozaev(ev.kinetic, ev.hartree_p, ev.hartree_q,
-                                         ev.mass, exps, wide, 1.0)
+    p_trunc = psi(prof, 1.0, wide)            # P_T(u_1) = Psi_T(1)
     assert p_trunc == pytest.approx(p_plain, rel=1e-12)
     assert p_trunc == pytest.approx(ev.pohozaev, rel=1e-12)
     # tau == 0: the p-terms vanish from P_T
     tight = Truncation(radius1 / 8.0, radius1 / 4.0)
-    pt = truncated_profile_pohozaev(prof.A, prof.B_p, prof.B_q, prof.a,
-                                    exps, tight, 1.0)
+    pt = psi(prof, 1.0, tight)
     expected = (2 * exps.s * prof.A
                 - (exps.delta_q / exps.q) * prof.B_q)
     assert pt == pytest.approx(expected, rel=1e-14)
@@ -295,12 +328,9 @@ def test_truncated_ray_derivative_identity(grid_unit, rng, exps):
         radius_t = math.sqrt(t ** (2 * exps.s) * prof.A + prof.a)
         assert 0.0 < tau_eval(trunc, radius_t) < 1.0  # bridge genuinely active
         h = 1e-4
-        fd = (truncated_profile_value(prof.A, prof.B_p, prof.B_q, prof.a,
-                                      exps, trunc, t + h)
-              - truncated_profile_value(prof.A, prof.B_p, prof.B_q, prof.a,
-                                        exps, trunc, t - h)) / (2 * h)
-        formula = 0.5 * t ** (2 * exps.s - 1) * truncated_profile_pohozaev(
-            prof.A, prof.B_p, prof.B_q, prof.a, exps, trunc, t)
+        fd = (fiber_value(prof, t + h, trunc)
+              - fiber_value(prof, t - h, trunc)) / (2 * h)
+        formula = 0.5 * t ** (2 * exps.s - 1) * psi(prof, t, trunc)
         assert fd == pytest.approx(formula, rel=1e-6)
 
 

@@ -225,6 +225,16 @@ def test_concentration_gates_on_convergence(monkeypatch):
     assert out["passed"] is False
 
 
+def test_concentration_rejects_thread_counts_below_one():
+    # the cells run on a pool of `threads` workers; 0 or fewer is an input
+    # error before any solve
+    from choqlab.harness import run_concentration
+
+    for threads in (0, -1):
+        with pytest.raises(OutOfRange):
+            run_concentration(default_config(), threads=threads)
+
+
 @pytest.mark.parametrize("points", [1024, 4096])
 def test_concentration_survives_alias_risk(points):
     # on coarse grids the descent's trials are rough; the line search scores
