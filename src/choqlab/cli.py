@@ -126,7 +126,7 @@ def _cmd_solve(args) -> int:
     print(f"{tag}: level={res.level:.10g} lambda={res.lam:.8g}")
     print(f"  grad_residual={res.grad_residual:.2e} "
           f"poho_residual={res.poho_residual:.2e} iterations={res.iterations} "
-          f"converged={res.converged} "
+          f"converged={res.converged} descent_stop={res.descent_stop} "
           f"newton_stop={res.newton.stop}")
     snap = _outpath(cfg, f"{tag}.chqf")
     save_field(res.field, snap)

@@ -3,7 +3,9 @@ multiplicity runs, and CSV/snapshot reporting.
 
 Experiments work in the y/eps frame: the solver grid holds the translated
 profiles for the smallest eps of a sweep, the potential enters as V(eps x),
-and positions are reported in slow coordinates z = eps x.
+and positions are reported in slow coordinates z = eps x.  The
+concentration sweep follows each well's solution down the eps list as one
+chain (continuation in eps), and the chains share a thread pool.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .potentials import PotentialSpec, detect_M, dist_to_set
 from .snapshot import atomic_write
 from .spectral import (Field, Grid, band_limit, dilate, fractional_laplacian,
                        half_sum, kinetic_energy, mass, random_field,
-                       riesz_potential, smooth_cutoff)
-from .solver import (SolveConfig, make_profile, solve_autonomous,
+                       riesz_potential, smooth_cutoff, translate)
+from .solver import (SolveConfig, _well_cells, make_profile, solve_autonomous,
                      solve_nonautonomous, solve_scalar_ground)
 
 __all__ = [
@@ -233,17 +235,32 @@ def write_report(rows, path, header=ReportRow.FIELDS) -> None:
 
 def solve_cell(cfg: ExperimentConfig, w_auto, eps: float, y: float):
     """Solve the well cell (eps, y): V(eps x) sampled on cfg.grid, seeded by
-    make_profile of the autonomous field w_auto at y."""
+    make_profile of the autonomous field w_auto at y.  The one-cell path of
+    choqlab solve --eps and run_multiplicity, and the first cell of each
+    chain of run_concentration."""
     profile, _ = make_profile(w_auto, y, eps, cfg.a)
     return solve_nonautonomous(cfg.exps, cfg.potential.sample_on(cfg.grid, eps),
                                cfg.a, cfg.grid, init=profile, config=cfg.solver)
 
 
 def run_concentration(cfg: ExperimentConfig, threads: int = 1):
-    """Solve from make_profile seeds at every well for each eps and track
+    """Follow the solution at each well of M down the eps list and track
     the barycenter distance to M; the sweep passes when every cell
     converged and the max distance decreases along the sweep and ends
-    below delta_target.  The cells run on a pool of threads workers."""
+    below delta_target.
+
+    Every cell is placed (_well_cells) before any solve, so a seed in the
+    outer 1/16 shell raises OutOfBox before the autonomous solve.  Each well
+    is one chain, continuation in eps: its first eps is seeded by
+    make_profile (solve_cell), and each later eps_k by the converged field of
+    eps_{k-1} translated by rint((y/eps_k - y/eps_{k-1}) / dx) cells.  The
+    rounding rule is sensitive: on the default grid the make_profile-
+    consistent rule rint(y/eps_k/dx) - rint(y/eps_{k-1}/dx) differs from it
+    by one cell at eps 0.2 and 0.1, and that cell, through the lattice
+    pinning of the solution, turns the 6-step Newton solves of the eps 0.1
+    cells into 24 and 26 steps.  The chains run on a pool of threads
+    workers, so more threads than wells add nothing; the rows, ordered by
+    eps and then by well, do not depend on threads."""
     if threads < 1:
         raise OutOfRange(f"threads must be >= 1, got {threads}")
     if len(cfg.eps_list) < 3:
@@ -252,25 +269,34 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     if degenerate:
         return dict(skipped=True, reason="degenerate potential: M is the whole grid",
                     rows=[], passed=False)
+    wells = [float(y) for y in m_points]
+    for eps in cfg.eps_list:
+        for y in wells:
+            _well_cells(cfg.grid, y, eps)
     auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
-    rows = []
-    cells = [(eps, float(y)) for eps in cfg.eps_list for y in m_points]
 
-    def work(cell):
-        eps, y = cell
-        res = solve_cell(cfg, auto.field, eps, y)
-        return cell, res, barycenter(res.field, eps, cfg.box_radius)
+    def chain(y):
+        results = [solve_cell(cfg, auto.field, cfg.eps_list[0], y)]
+        for prev, eps in zip(cfg.eps_list, cfg.eps_list[1:]):
+            cells = int(np.rint((y / eps - y / prev) / cfg.grid.dx))
+            results.append(solve_nonautonomous(
+                cfg.exps, cfg.potential.sample_on(cfg.grid, eps), cfg.a,
+                cfg.grid, init=translate(results[-1].field, cells),
+                config=cfg.solver))
+        return results
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(work, cells))   # in cell order
-    max_dist, gaps = {}, {}
-    for (eps, _), res, beta in results:
-        d = dist_to_set(beta, m_points)
-        max_dist[eps] = max(max_dist.get(eps, 0.0), d)
-        gaps.setdefault(eps, []).append(abs(res.level - auto.level))
-        rows.append(ReportRow("concentration", eps, cfg.a, 0.0, res.level,
-                              res.lam, res.poho_residual, res.grad_residual,
-                              beta, d, res.iterations, res.converged))
+        chains = list(pool.map(chain, wells))   # in well order
+    rows, max_dist, gaps = [], {}, {}
+    for k, eps in enumerate(cfg.eps_list):
+        for res in (results[k] for results in chains):
+            beta = barycenter(res.field, eps, cfg.box_radius)
+            d = dist_to_set(beta, m_points)
+            max_dist[eps] = max(max_dist.get(eps, 0.0), d)
+            gaps.setdefault(eps, []).append(abs(res.level - auto.level))
+            rows.append(ReportRow("concentration", eps, cfg.a, 0.0, res.level,
+                                  res.lam, res.poho_residual, res.grad_residual,
+                                  beta, d, res.iterations, res.converged))
     dists = [max_dist[e] for e in cfg.eps_list]
     gap_seq = [max(gaps[e]) for e in cfg.eps_list]
     monotone = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(len(dists) - 1))

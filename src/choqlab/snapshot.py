@@ -95,6 +95,7 @@ def save_solve_sidecar(result, path, config, extra) -> None:
         f"poho_residual = {result.poho_residual!r}",
         f"grad_residual = {result.grad_residual!r}",
         f"iterations = {result.iterations}",
+        f"descent_stop = {result.descent_stop!r}",
         f"converged = {result.converged}",
         f"mass = {result.mass!r}",
     ]

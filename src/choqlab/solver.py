@@ -94,6 +94,7 @@ class SolveResult:
     converged: bool
     trace: tuple  # rows (phase, iteration, level, grad_residual, poho_residual)
     newton: NewtonStats
+    descent_stop: str  # "handover", "armijo", "slope" or "budget"
 
     @property
     def mass(self) -> float:
@@ -396,7 +397,9 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     offset from the grid center, and the line search scores a trial by
     ray_level, with the potential term frozen at the trial.  The descent hands
     over to Newton on the _HANDOVER rule, a failed Armijo search, a
-    non-descent direction or after _MAX_ITER iterations.  The truncation
+    non-descent direction or after _MAX_ITER iterations, and the result's
+    descent_stop names that exit: "handover", "armijo", "slope" or
+    "budget".  The truncation
     radius R0 is four times the H^s norm of the first rescaled iterate; a
     converged field whose H^s norm reaches it raises TruncationActive.
     Every descent iterate is band-limited (see band_limit); Newton works on
@@ -412,6 +415,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     eta = _STEP
     prev_level = math.inf
     sym = grid.k_half() ** (2.0 * exps.s) + 1.0
+    descent_stop = "budget"
     for it in range(1, _MAX_ITER + 1):
         # (i) rescale onto the Pohozaev set (dilation about the carrier cell)
         fm = fiber_maximizer(extract_profile(u, exps))
@@ -427,6 +431,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
         level = ev.total
         trace.append(("descent", it, level, ev.grad_residual, ev.poho_residual))
         if prev_level - level < _HANDOVER * abs(level):
+            descent_stop = "handover"
             break
         prev_level = level
         d = ev.gradient - ev.lam * u.values
@@ -434,6 +439,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
         dp -= (float(np.sum(dp * u.values)) * dv / a) * u.values
         slope = float(np.sum(d * dp)) * dv  # positive: M^{-1} is SPD
         if slope <= 0.0:
+            descent_stop = "slope"
             break
         # preconditioned steps are only linearly stable for eta = O(1);
         # larger eta can lower R while pumping high-k modes geometrically
@@ -447,8 +453,9 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
                 accepted = True
                 break
             eta *= 0.5
-        if not accepted:
-            break  # stalled this close to criticality: Newton finishes
+        if not accepted:  # stalled this close to criticality: Newton finishes
+            descent_stop = "armijo"
+            break
     # Newton endgame on the true coupled system
 
     def residual(vals, lam):
@@ -470,7 +477,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
                        poho_residual=ev.poho_residual,
                        grad_residual=ev.grad_residual, iterations=it,
                        converged=converged, trace=tuple(trace),
-                       newton=newton)
+                       newton=newton, descent_stop=descent_stop)
 
 
 def solve_autonomous(exps: ExponentSet, mu: float, a: float, grid,
@@ -505,29 +512,38 @@ def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
 # Concentration profiles
 # ---------------------------------------------------------------------------
 
+def _well_cells(grid, y: float, eps: float) -> int:
+    """Cells from the grid center to the well position y/eps, snapped to the
+    grid.  OutOfBox when a seed of support radius 2 eps^{-1/2} about it
+    would enter the outer 1/16 shell of the box, where boundary_decay reads
+    the decay that the free-space operators assume."""
+    if eps <= 0.0:
+        raise OutOfRange(f"eps must be positive, got {eps}")
+    cells = int(np.rint((y / eps) / grid.dx))
+    r_eps = eps ** -0.5
+    inner = 0.5 * grid.extent - edge_shell(grid) * grid.dx
+    if abs(cells * grid.dx) + 2.0 * r_eps > inner:
+        raise OutOfBox(
+            f"profile at y/eps={y / eps} with support radius {2 * r_eps:.3g} "
+            f"enters the outer 1/16 shell of the box (|x| > {inner:.3g})")
+    return cells
+
+
 def make_profile(w: Field, y: float, eps: float, a: float):
     """Cut the autonomous ground state at radius R_eps = eps^{-1/2},
     translate to the well position y/eps (snapped to the grid), and
     renormalize to S(a).  Returns (field, actual_center_in_slow_coords).
-    The support must stay out of the outer 1/16 shell of the box, where
-    boundary_decay reads the decay that the free-space operators assume.
+    The support must stay out of the outer 1/16 shell of the box
+    (_well_cells raises OutOfBox).
     """
     g = w.grid
-    if eps <= 0.0:
-        raise OutOfRange(f"eps must be positive, got {eps}")
-    r_eps = eps ** -0.5
     y = float(y)
-    cells = int(np.rint((y / eps) / g.dx))
-    shift = cells * g.dx
-    inner = 0.5 * g.extent - edge_shell(g) * g.dx
-    if abs(shift) + 2.0 * r_eps > inner:
-        raise OutOfBox(
-            f"profile at y/eps={y / eps} with support radius {2 * r_eps:.3g} "
-            f"enters the outer 1/16 shell of the box (|x| > {inner:.3g})")
+    cells = _well_cells(g, y, eps)
+    r_eps = eps ** -0.5
     chi = smooth_cutoff(g.radius(), r_eps, 2.0 * r_eps)
     cut = Field(g, w.values * chi)
     out = project_mass(translate(cut, cells), a)
-    return out, shift * eps
+    return out, cells * g.dx * eps
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,10 @@ def test_solve_sampled_potential(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "--config", _write_cfg(tmp_path),
                "solve", "--eps", "0.4"])
     assert rc == 0
-    assert "newton_stop=tolerance" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "descent_stop=handover" in out and "newton_stop=tolerance" in out
     sidecar = (tmp_path / "nonautonomous_eps0.4.chqf.txt").read_text()
+    assert "descent_stop = 'handover'" in sidecar
     assert "newton.stop = 'tolerance'" in sidecar
     # the config has no [sweep] section: box_radius is default_config()'s,
     # wide enough for the barycenter to see the well at y = 8
@@ -119,6 +121,19 @@ def test_solve_rejects_seed_at_box_edge(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "OutOfBox" in err and "outer 1/16 shell" in err
     assert not (tmp_path / "nonautonomous_eps0.2.chqf").exists()
+
+
+def test_concentrate_rejects_seed_at_box_edge(tmp_path, capsys):
+    # the smallest eps puts the wells at y/eps = +-40 of the 96 box, where
+    # the seed's support enters the outer 1/16 shell: exit 2, no report
+    path = _write_cfg(tmp_path)
+    with open(path, "a") as fh:
+        fh.write("[sweep]\neps_list = 0.8, 0.4, 0.2\n")
+    rc = main(["--out", str(tmp_path), "--config", path, "concentrate"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "OutOfBox" in err and "outer 1/16 shell" in err
+    assert not (tmp_path / "concentration.csv").exists()
 
 
 def _write_cfg(tmp_path):

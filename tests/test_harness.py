@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from choqlab.errors import ConfigError, EmptyM, OutOfRange
+from choqlab.errors import ConfigError, EmptyM, OutOfBox, OutOfRange
 from choqlab.harness import (CHECK_FIELDS, ExperimentConfig, ReportRow,
                              SCHEMA_VERSION, barycenter, default_config,
                              write_report)
@@ -223,6 +223,81 @@ def test_concentration_gates_on_convergence(monkeypatch):
     assert out["monotone"] and out["dists"][-1] <= cfg.delta_target
     assert not any(row.converged for row in out["rows"])
     assert out["passed"] is False
+
+
+def test_single_well_sweep_passes():
+    # one well is one chain: its three cells run in turn, each seeded by the
+    # converged field of the previous eps
+    import dataclasses
+
+    from choqlab.harness import run_concentration
+
+    cfg = dataclasses.replace(
+        default_config(),
+        potential=PotentialSpec(kind="single_well", centers=(8.0,), width=2.0,
+                                v_inf=0.2))
+    out = run_concentration(cfg, threads=2)
+    assert len(out["rows"]) == 3
+    assert all(row.converged for row in out["rows"])
+    assert out["passed"] is True
+
+
+def test_concentration_places_every_cell_before_any_solve(monkeypatch):
+    # eps 0.07 puts the wells at y/eps = +-114 in the 240 box, where the
+    # seed's support enters the outer 1/16 shell: OutOfBox ends the sweep
+    # before the autonomous solve and before any cell is solved
+    import dataclasses
+
+    import choqlab.harness as harness
+
+    solves = []
+
+    def refuse(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("a solve ran before every cell was placed")
+
+    monkeypatch.setattr(harness, "solve_autonomous", refuse)
+    monkeypatch.setattr(harness, "solve_nonautonomous", refuse)
+    cfg = dataclasses.replace(default_config(), eps_list=(0.4, 0.2, 0.07))
+    with pytest.raises(OutOfBox, match="outer 1/16 shell"):
+        harness.run_concentration(cfg)
+    assert solves == []
+
+
+def test_chained_cells_take_short_newton_tails(monkeypatch):
+    # continuation in eps: the eps 0.2 and 0.1 cells of each well start from
+    # the converged field of the previous eps, so Newton takes at most 7
+    # steps and no halving (from make_profile seeds: 8/1 and 12/3)
+    import choqlab.harness as harness
+
+    real = harness.solve_nonautonomous
+    newton = {}
+
+    def recorded(*args, **kwargs):
+        res = real(*args, **kwargs)
+        newton[res.level] = res.newton
+        return res
+
+    monkeypatch.setattr(harness, "solve_nonautonomous", recorded)
+    out = harness.run_concentration(default_config(), threads=2)
+    assert out["passed"] is True
+    chained = [newton[row.level] for row in out["rows"] if row.eps < 0.4]
+    assert len(chained) == 4
+    assert all(st.steps <= 7 and st.backtracks == 0 for st in chained)
+
+
+def test_concentration_rows_do_not_depend_on_threads():
+    # each well's chain is one deterministic sequence of solves, whichever
+    # worker runs it
+    import dataclasses
+
+    from choqlab.harness import run_concentration
+    from choqlab.spectral import Grid
+
+    cfg = dataclasses.replace(default_config(), grid=Grid(1, 240.0, 2048))
+    one, two = (run_concentration(cfg, threads=t) for t in (1, 2))
+    assert [r.as_list() for r in one["rows"]] == [r.as_list() for r in two["rows"]]
+    assert one["dists"] == two["dists"]
 
 
 def test_concentration_rejects_thread_counts_below_one():

@@ -90,6 +90,7 @@ def test_sidecar(tmp_path, autonomous_mu0, desk_config):
     for f in fields(desk_config):
         assert f"config.{f.name} = {getattr(desk_config, f.name)!r}" in text
     assert "note = 'unit'" in text
+    assert "descent_stop = 'handover'" in text
     for f in fields(autonomous_mu0.newton):
         assert f"newton.{f.name} = {getattr(autonomous_mu0.newton, f.name)!r}" in text
 

@@ -219,6 +219,16 @@ def test_descent_hands_over_on_first_small_decrease(autonomous_mu0):
     assert len(drops) >= 2
     assert all(d >= solver._HANDOVER for d in drops[:-1])
     assert drops[-1] < solver._HANDOVER
+    assert autonomous_mu0.descent_stop == "handover"
+
+
+def test_descent_stop_names_the_budget(exps, monkeypatch):
+    # with a one-iteration budget no level can be compared with a previous
+    # one, so the descent ends on its budget
+    monkeypatch.setattr(solver, "_MAX_ITER", 1)
+    res = solve_autonomous(exps, 0.0, DESK_MASS, Grid(1, 48.0, 512))
+    assert res.iterations == 1
+    assert res.descent_stop == "budget"
 
 
 def test_descent_hands_over_on_coarse_grid():
