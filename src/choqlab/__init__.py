@@ -20,5 +20,5 @@ from .solver import (GroundState, NewtonStats, SAlphaResult, SolveConfig,
                      solve_scalar_ground, x_star_root)
 from .potentials import PotentialSpec, detect_M
 from .harness import (ExperimentConfig, ReportRow, barycenter, default_config,
-                      run_concentration, run_multiplicity, run_verify)
+                      run_concentration, run_verify)
 from .snapshot import load_field, save_field

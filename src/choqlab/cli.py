@@ -2,7 +2,8 @@
 
 Subcommands mirror the lab's workflows: regime validation, constant
 tables, ground states, single solves, fiber curves, level sweeps,
-concentration and multiplicity experiments, and the verification battery.
+the concentration sweep and its multiplicity verdict, and the
+verification battery.
 Exit code 0 only when every assertion requested by the subcommand holds.
 """
 
@@ -15,12 +16,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ChoqlabError, Indistinct
+from .errors import ChoqlabError, ConfigError
 from .fiber import extract_profile, fiber_maximizer, fiber_value, psi
 from .harness import (CHECK_FIELDS, CHECKS, GROUND_GRID, ExperimentConfig,
                       ReportRow, affine_level_defect, barycenter,
                       default_config, level_rise, passes, run_concentration,
-                      run_multiplicity, run_verify, solve_cell, write_report)
+                      run_verify, solve_cell, write_report)
 from .params import (hls_constant, mass_threshold, riesz_normalization,
                      s_alpha_reference, sharp_constant, validate_regime)
 from .snapshot import load_field, save_field, save_solve_sidecar
@@ -191,10 +192,11 @@ def _cmd_concentrate(args) -> int:
 
 def _cmd_multiplicity(args) -> int:
     cfg = _load_config(args)
-    try:
-        out = run_multiplicity(cfg)
-    except Indistinct as exc:
-        print(f"INDISTINCT: {exc}")
+    if cfg.potential.kind != "double_well":
+        raise ConfigError("multiplicity experiment needs a double_well potential")
+    out = run_concentration(cfg, threads=args.threads)["multiplicity"]
+    if out["reason"]:
+        print(f"INDISTINCT: {out['reason']}")
         return 1
     path = _outpath(cfg, "multiplicity.csv")
     write_report(out["rows"], path)
@@ -234,7 +236,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="RNG seed override")
     parser.add_argument("--threads", type=int, default=1,
-                        help="concurrent experiment cells")
+                        help="worker threads of the concentration sweep "
+                             "(one chain per well)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a parameter regime")
@@ -269,7 +272,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("concentrate", help="eps-halving concentration sweep")
     p.set_defaults(func=_cmd_concentrate)
 
-    p = sub.add_parser("multiplicity", help="two-well multiplicity experiment")
+    p = sub.add_parser("multiplicity",
+                       help="two-well distinctness of the sweep's smallest-eps pair")
     p.set_defaults(func=_cmd_multiplicity)
 
     p = sub.add_parser("verify", help="cross-module verification battery")

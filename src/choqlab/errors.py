@@ -3,8 +3,8 @@
 __all__ = [
     "ChoqlabError", "RegimeViolation", "OutOfRange", "NonPositiveConstant",
     "GridMismatch", "NonFinite", "AliasRisk", "ZeroField", "NoConvergence",
-    "TruncationActive", "EmptyM", "OutOfBox", "FormatError", "Indistinct",
-    "ConfigError", "NoPositivePart",
+    "TruncationActive", "EmptyM", "OutOfBox", "FormatError", "ConfigError",
+    "NoPositivePart",
 ]
 
 
@@ -73,10 +73,6 @@ class FormatError(ChoqlabError):
     def __init__(self, message, offset):
         self.offset = offset
         super().__init__(f"{message} (at byte {offset})")
-
-
-class Indistinct(ChoqlabError):
-    """Two multiplicity runs collapsed to the same solution."""
 
 
 class ConfigError(ChoqlabError):

@@ -1,11 +1,13 @@
-"""Experiment orchestration: verification battery, concentration sweeps,
-multiplicity runs, and CSV/snapshot reporting.
+"""Experiment orchestration: verification battery, concentration sweeps
+with their multiplicity verdict, and CSV/snapshot reporting.
 
 Experiments work in the y/eps frame: the solver grid holds the translated
 profiles for the smallest eps of a sweep, the potential enters as V(eps x),
 and positions are reported in slow coordinates z = eps x.  The
 concentration sweep follows each well's solution down the eps list as one
-chain (continuation in eps), and the chains share a thread pool.
+chain (continuation in eps), and the chains share a thread pool.  On a
+double well the sweep's two smallest-eps solutions are also judged for
+multiplicity: two distinct solutions at distinct wells.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ import io
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .energy import Truncation, energy
-from .errors import ConfigError, Indistinct, OutOfRange
+from .errors import ConfigError, OutOfRange
 from .fiber import FiberProfile, extract_profile, fiber_value, psi
 from .params import (ExponentSet, riesz_normalization, s_alpha_reference,
                      sharp_constant, validate_regime)
@@ -35,7 +37,7 @@ from .solver import (SolveConfig, _well_cells, make_profile, solve_autonomous,
 
 __all__ = [
     "ExperimentConfig", "ReportRow", "barycenter", "default_config",
-    "run_concentration", "run_multiplicity", "run_verify", "solve_cell",
+    "run_concentration", "run_verify", "solve_cell",
     "write_report", "CHECK_FIELDS", "SCHEMA_VERSION", "CHECKS", "SEPARATION",
     "GROUND_GRID", "passes", "level_rise",
     "make_positive_field", "oracle_density", "riesz_oracle_error",
@@ -46,8 +48,8 @@ __all__ = [
 
 SCHEMA_VERSION = "choqlab-report v1"
 
-# relative H^s distance two multiplicity solutions must exceed to count as
-# distinct
+# relative H^s distance the two smallest-eps solutions of a double-well
+# sweep must exceed to count as distinct
 SEPARATION = 0.1
 
 # header of the verification battery's report (verify.csv)
@@ -175,6 +177,11 @@ class ExperimentConfig:
             delta = float(sw.get("delta", base.delta))
             delta_target = float(sw.get("delta_target", base.delta_target))
             box_radius = float(sw.get("box_radius", base.box_radius))
+            for key, value in (("delta", delta), ("delta_target", delta_target),
+                               ("box_radius", box_radius)):
+                if not value > 0:
+                    raise ConfigError(f"{key} in [sweep] must be positive, "
+                                      f"got {value}")
             sol = cp["solver"] if cp.has_section("solver") else {}
             settings = {}
             for f in fields(SolveConfig):
@@ -236,8 +243,8 @@ def write_report(rows, path, header=ReportRow.FIELDS) -> None:
 def solve_cell(cfg: ExperimentConfig, w_auto, eps: float, y: float):
     """Solve the well cell (eps, y): V(eps x) sampled on cfg.grid, seeded by
     make_profile of the autonomous field w_auto at y.  The one-cell path of
-    choqlab solve --eps and run_multiplicity, and the first cell of each
-    chain of run_concentration."""
+    choqlab solve --eps, and the first cell of each chain of
+    run_concentration."""
     profile, _ = make_profile(w_auto, y, eps, cfg.a)
     return solve_nonautonomous(cfg.exps, cfg.potential.sample_on(cfg.grid, eps),
                                cfg.a, cfg.grid, init=profile, config=cfg.solver)
@@ -260,7 +267,9 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     pinning of the solution, turns the 6-step Newton solves of the eps 0.1
     cells into 24 and 26 steps.  The chains run on a pool of threads
     workers, so more threads than wells add nothing; the rows, ordered by
-    eps and then by well, do not depend on threads."""
+    eps and then by well, do not depend on threads.  For a double_well
+    potential the result also holds "multiplicity", the verdict of
+    _multiplicity_verdict on the chains' last (smallest-eps) solutions."""
     if threads < 1:
         raise OutOfRange(f"threads must be >= 1, got {threads}")
     if len(cfg.eps_list) < 3:
@@ -302,13 +311,14 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     monotone = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(len(dists) - 1))
     converged = all(row.converged for row in rows)
     passed = converged and monotone and dists[-1] <= cfg.delta_target
-    return dict(skipped=False, rows=rows, dists=dists, gaps=gap_seq,
-                monotone=monotone, autonomous_level=auto.level, passed=passed)
+    out = dict(skipped=False, rows=rows, dists=dists, gaps=gap_seq,
+               monotone=monotone, autonomous_level=auto.level, passed=passed)
+    if cfg.potential.kind == "double_well":
+        out["multiplicity"] = _multiplicity_verdict(
+            cfg, rows[-len(wells):], [results[-1].field for results in chains],
+            wells)
+    return out
 
-
-# ---------------------------------------------------------------------------
-# Multiplicity
-# ---------------------------------------------------------------------------
 
 def _hs_distance(u: Field, v: Field, s: float, aligned: bool) -> float:
     """Relative H^s distance, optionally minimized over integer-cell shifts."""
@@ -325,52 +335,40 @@ def _hs_distance(u: Field, v: Field, s: float, aligned: bool) -> float:
     return math.sqrt(d2) / math.sqrt(max(nu, nv))
 
 
-def run_multiplicity(cfg: ExperimentConfig):
-    """Two wells, smallest eps: solve from both profile seeds and certify
-    two distinct normalized solutions localized at distinct wells.
+def _multiplicity_verdict(cfg: ExperimentConfig, rows, fields, wells):
+    """Judge the two smallest-eps solutions of a double-well sweep (their
+    rows and fields, in well order): two distinct normalized solutions
+    localized at distinct wells of M = wells.
 
-    Distinctness: the plain relative H^s distance must exceed the
-    separation threshold (the two are genuinely different functions), and
-    barycenters must resolve distinct wells.  Mirror-well solutions are
-    near-translates of each other, so the translation-aligned distance is
-    used only as a duplicate guard: aligned collapse at the same well
-    means the runs found one solution twice.
-    """
-    if cfg.potential.kind != "double_well":
-        raise ConfigError("multiplicity experiment needs a double_well potential")
-    eps = cfg.eps_list[-1]
-    m_points, _ = detect_M(cfg.potential, cfg.grid, eps)
-    if len(m_points) < 2 or abs(m_points[1] - m_points[0]) < 2.0 * cfg.delta:
-        raise Indistinct("wells merged: M does not resolve two points at this delta")
-    auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
-    rows, sols, betas = [], [], []
-    for y in m_points:
-        res = solve_cell(cfg, auto.field, eps, float(y))
-        beta = barycenter(res.field, eps, cfg.box_radius)
-        d = dist_to_set(beta, m_points)
-        sols.append(res)
-        betas.append(beta)
-        rows.append(ReportRow("multiplicity", eps, cfg.a, 0.0, res.level,
-                              res.lam, res.poho_residual, res.grad_residual,
-                              beta, d, res.iterations, res.converged))
-    sep = _hs_distance(sols[0].field, sols[1].field, cfg.exps.s, aligned=False)
-    sep_aligned = _hs_distance(sols[0].field, sols[1].field, cfg.exps.s,
-                               aligned=True)
-    near = [min(range(len(m_points)), key=lambda i: abs(b - m_points[i]))
+    Distinctness: the plain relative H^s distance must exceed SEPARATION
+    (the two are genuinely different functions), and the barycenters must
+    resolve distinct wells.  Mirror-well solutions are near-translates of
+    each other, so the translation-aligned distance is used only as a
+    duplicate guard: aligned collapse at the same well means the sweep
+    found one solution twice.  Merged wells or a collapsed pair fail the
+    verdict with a reason."""
+    sep = _hs_distance(fields[0], fields[1], cfg.exps.s, aligned=False)
+    sep_aligned = _hs_distance(fields[0], fields[1], cfg.exps.s, aligned=True)
+    betas = [row.barycenter for row in rows]
+    near = [min(range(len(wells)), key=lambda i: abs(b - wells[i]))
             for b in betas]
-    well_dists = [abs(betas[k] - m_points[near[k]]) for k in range(2)]
-    distinct_wells = near[0] != near[1] and all(d <= cfg.delta for d in well_dists)
-    level_gap = abs(sols[0].level - sols[1].level) / (1.0 + abs(sols[0].level))
-    if sep <= SEPARATION or (near[0] == near[1] and sep_aligned <= SEPARATION):
-        raise Indistinct(
-            f"solutions collapsed: H^s separation {sep:.3g} <= {SEPARATION} "
-            f"(aligned {sep_aligned:.3g}, wells {near})")
-    passed = (distinct_wells and sep > SEPARATION
-              and all(s.lam < 0.0 for s in sols)
-              and sols[0].converged and sols[1].converged)
-    return dict(rows=rows, separation=sep, separation_aligned=sep_aligned,
-                betas=betas, wells=list(m_points), level_gap=level_gap,
-                lams=[s.lam for s in sols], passed=passed)
+    distinct_wells = near[0] != near[1] and all(
+        abs(b - wells[i]) <= cfg.delta for b, i in zip(betas, near))
+    reason = None
+    if abs(wells[1] - wells[0]) < 2.0 * cfg.delta:
+        reason = "wells merged: M does not resolve two points at this delta"
+    elif sep <= SEPARATION or (near[0] == near[1] and sep_aligned <= SEPARATION):
+        reason = (f"solutions collapsed: H^s separation {sep:.3g} <= "
+                  f"{SEPARATION} (aligned {sep_aligned:.3g}, wells {near})")
+    lams = [row.lam for row in rows]
+    level_gap = abs(rows[0].level - rows[1].level) / (1.0 + abs(rows[0].level))
+    passed = (reason is None and distinct_wells
+              and all(lam < 0.0 for lam in lams)
+              and all(row.converged for row in rows))
+    return dict(rows=[replace(row, experiment="multiplicity") for row in rows],
+                separation=sep, separation_aligned=sep_aligned, betas=betas,
+                wells=list(wells), level_gap=level_gap, lams=lams,
+                passed=passed, reason=reason)
 
 
 # ---------------------------------------------------------------------------

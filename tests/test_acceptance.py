@@ -27,8 +27,8 @@ from choqlab.harness import (SEPARATION, ReportRow, affine_level_defect,
                              interpolation_slacks, level_rise, oracle_density,
                              passes, psi_sign_change_defect, rerun_defect,
                              riesz_oracle_error, run_concentration,
-                             run_multiplicity, sharp_tightness,
-                             truncated_ray_error, write_report)
+                             sharp_tightness, truncated_ray_error,
+                             write_report)
 from choqlab.params import s_alpha_reference
 from choqlab.snapshot import load_field, save_field
 from choqlab.solver import (SolveConfig, level_curves, make_profile,
@@ -62,11 +62,6 @@ def cert_solve(cfg):
 @pytest.fixture(scope="module")
 def concentration(cfg):
     return run_concentration(cfg)
-
-
-@pytest.fixture(scope="module")
-def multiplicity(cfg):
-    return run_multiplicity(cfg)
 
 
 def test_criterion_01_riesz_oracle(cfg):
@@ -213,10 +208,11 @@ def test_criterion_10_profile_energy_barycenter(cfg, concentration):
                  f"{'monotone' if mono else 'NOT monotone'}")
 
 
-def test_criterion_11_concentration_multiplicity(cfg, concentration, multiplicity):
-    """Double well, eps-sweep: two distinct localized solutions, lam < 0."""
+def test_criterion_11_concentration_multiplicity(cfg, concentration):
+    """Double well, eps-sweep: two distinct localized solutions, lam < 0,
+    judged on the sweep's smallest-eps cells."""
     conc_ok = concentration["passed"] and concentration["monotone"]
-    m = multiplicity
+    m = concentration["multiplicity"]
     wells_ok = m["passed"]
     sep_ok = m["separation"] > SEPARATION
     level_ok = m["level_gap"] <= 1e-4

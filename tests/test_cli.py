@@ -1,7 +1,9 @@
-"""CLI wiring (fast subcommands only; experiments run in the acceptance suite)."""
+"""CLI wiring (fast subcommands, experiments on small grids; the desk-scale
+experiments run in the acceptance suite)."""
 
 import csv
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
@@ -136,16 +138,61 @@ def test_concentrate_rejects_seed_at_box_edge(tmp_path, capsys):
     assert not (tmp_path / "concentration.csv").exists()
 
 
-def _write_cfg(tmp_path):
+def _report_rows(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# choqlab-report v1"
+    return list(csv.reader(lines[2:]))
+
+
+def test_multiplicity_judges_the_sweep_smallest_eps_pair(tmp_path, capsys):
+    # the verdict reads the concentration sweep's eps 0.1 cells: each
+    # multiplicity.csv row is that sweep row under another label
+    path = _write_cfg(tmp_path, extent=240.0)
+    for command in ("concentrate", "multiplicity"):
+        assert main(["--out", str(tmp_path), "--config", path,
+                     "--threads", "2", command]) == 0
+    out = capsys.readouterr().out
+    assert "H^s separation 1.41" in out
+    smallest = [row for row in _report_rows(tmp_path / "concentration.csv")
+                if float(row[1]) == 0.1]
+    rows = _report_rows(tmp_path / "multiplicity.csv")
+    assert len(rows) == len(smallest) == 2
+    assert [row[0] for row in rows] == ["multiplicity"] * 2
+    assert [row[1:] for row in rows] == [row[1:] for row in smallest]
+
+
+def test_multiplicity_rejects_single_well_before_any_solve(tmp_path, capsys,
+                                                          monkeypatch):
+    import choqlab.harness as harness
+
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("a solve ran on a single-well config")
+
+    monkeypatch.setattr(harness, "solve_autonomous", recorded)
+    monkeypatch.setattr(harness, "solve_nonautonomous", recorded)
+    path = Path(_write_cfg(tmp_path))
+    path.write_text(path.read_text().replace("double_well", "single_well")
+                    .replace("-8.0, 8.0", "8.0"))
+    rc = main(["--out", str(tmp_path), "--config", str(path), "multiplicity"])
+    assert rc == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert solves == []
+    assert not (tmp_path / "multiplicity.csv").exists()
+
+
+def _write_cfg(tmp_path, extent=96.0):
     path = tmp_path / "exp.cfg"
-    path.write_text("""
+    path.write_text(f"""
 [params]
 N = 1
 s = 0.4
 alpha = 0.5
 q = 3.0
 [grid]
-extent = 96.0
+extent = {extent}
 points = 2048
 [mass]
 a = 1.5

@@ -142,6 +142,14 @@ kind = constant
     path.write_text(bad_eps)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(path)
+    # the sweep's radii must be positive: rejected when the file loads, not
+    # after every solve of a sweep has run
+    for key, value in (("box_radius", "0.0"), ("box_radius", "-3"),
+                       ("delta", "-1.6"), ("delta_target", "0")):
+        path.write_text(base + f"[sweep]\n{key} = {value}\n")
+        with pytest.raises(ConfigError,
+                           match=rf"{key} in \[sweep\] must be positive"):
+            ExperimentConfig.from_file(path)
     # values that fail to parse, a missing section and a kind no builtin
     # has all surface as ConfigError
     path.write_text(base.replace("points = 2048", "points = many"))
@@ -198,6 +206,36 @@ def test_hs_distance_mirror_structure(grid_unit, rng, exps):
     assert _hs_distance(u, far, exps.s, aligned=False) > 0.5
     # aligned: translates collapse
     assert _hs_distance(u, far, exps.s, aligned=True) < 1e-6
+
+
+def _verdict(fields, wells):
+    # judge hand-built smallest-eps rows: each row carries its field's
+    # barycenter (eps 1, cutoff beyond the box), level 0.2 and lambda -0.1
+    from choqlab.harness import _multiplicity_verdict
+
+    rows = [ReportRow("concentration", 1.0, 1.0, 0.0, 0.2, -0.1, 0.0, 0.0,
+                      barycenter(f, 1.0, box_radius=24.0), 0.0, 5, True)
+            for f in fields]
+    return _multiplicity_verdict(default_config(), rows, fields, wells)
+
+
+def test_multiplicity_verdict_on_hand_built_pairs(grid_unit, rng):
+    u = project_mass(make_positive_field(grid_unit, rng), 1.0)
+    far = translate(u, 300)
+    wells = [barycenter(f, 1.0, box_radius=24.0) for f in (u, far)]
+    # a mirror pair: distinct functions at distinct wells
+    out = _verdict([u, far], wells)
+    assert out["reason"] is None and out["passed"] is True
+    assert out["level_gap"] == 0.0
+    assert [row.experiment for row in out["rows"]] == ["multiplicity"] * 2
+    # one field twice: the pair collapsed
+    out = _verdict([u, u], wells)
+    assert out["passed"] is False
+    assert out["reason"].startswith("solutions collapsed")
+    # wells closer than 2 delta = 3.2
+    out = _verdict([u, far], [0.0, 2.0])
+    assert out["passed"] is False
+    assert out["reason"].startswith("wells merged")
 
 
 def test_concentration_gates_on_convergence(monkeypatch):
@@ -298,6 +336,7 @@ def test_concentration_rows_do_not_depend_on_threads():
     one, two = (run_concentration(cfg, threads=t) for t in (1, 2))
     assert [r.as_list() for r in one["rows"]] == [r.as_list() for r in two["rows"]]
     assert one["dists"] == two["dists"]
+    assert one["multiplicity"] == two["multiplicity"]
 
 
 def test_concentration_rejects_thread_counts_below_one():
