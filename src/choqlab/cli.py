@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ChoqlabError, ConfigError
+from .errors import ChoqlabError, ConfigError, OutOfRange
 from .fiber import extract_profile, fiber_maximizer, fiber_value, psi
 from .harness import (CHECK_FIELDS, CHECKS, GROUND_GRID, ExperimentConfig,
                       ReportRow, affine_level_defect, barycenter,
@@ -25,8 +25,9 @@ from .harness import (CHECK_FIELDS, CHECKS, GROUND_GRID, ExperimentConfig,
 from .params import (hls_constant, mass_threshold, riesz_normalization,
                      s_alpha_reference, sharp_constant, validate_regime)
 from .snapshot import load_field, save_field, save_solve_sidecar
-from .solver import (compute_S_alpha, level_curves, solve_autonomous,
-                     solve_nonautonomous, solve_scalar_ground, x_star_root)
+from .solver import (_well_cells, compute_S_alpha, level_curves,
+                     solve_autonomous, solve_nonautonomous,
+                     solve_scalar_ground, x_star_root)
 from .spectral import Grid, mass
 
 __all__ = ["main"]
@@ -112,8 +113,11 @@ def _cmd_solve(args) -> int:
                                config=cfg.solver)
         tag = f"autonomous_mu{args.mu:g}"
     else:
+        if args.eps <= 0.0:
+            raise OutOfRange(f"eps must be positive, got {args.eps}")
         wells = cfg.potential.well_points()
         if wells:
+            _well_cells(cfg.grid, wells[-1], args.eps)   # before any solve
             auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid,
                                     config=cfg.solver)
             res = solve_cell(cfg, auto.field, args.eps, wells[-1])
@@ -185,7 +189,8 @@ def _cmd_concentrate(args) -> int:
         return 1
     print(f"distance to M per eps: "
           f"{['%.5f' % d for d in out['dists']]} monotone={out['monotone']}")
-    print(f"|level - b0| per eps: {['%.5f' % gp for gp in out['gaps']]}")
+    print(f"|level - b0| per eps: {['%.5f' % gp for gp in out['gaps']]} "
+          f"b0 converged={out['autonomous_converged']}")
     print(f"report -> {path}")
     return 0 if out["passed"] else 1
 

@@ -252,8 +252,9 @@ def solve_cell(cfg: ExperimentConfig, w_auto, eps: float, y: float):
 
 def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     """Follow the solution at each well of M down the eps list and track
-    the barycenter distance to M; the sweep passes when every cell
-    converged and the max distance decreases along the sweep and ends
+    the barycenter distance to M; the sweep passes when the autonomous
+    solve (the seed of every chain and the level b0 of the gaps) and every
+    cell converged and the max distance decreases along the sweep and ends
     below delta_target.
 
     Every cell is placed (_well_cells) before any solve, so a seed in the
@@ -309,10 +310,11 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     dists = [max_dist[e] for e in cfg.eps_list]
     gap_seq = [max(gaps[e]) for e in cfg.eps_list]
     monotone = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(len(dists) - 1))
-    converged = all(row.converged for row in rows)
+    converged = auto.converged and all(row.converged for row in rows)
     passed = converged and monotone and dists[-1] <= cfg.delta_target
     out = dict(skipped=False, rows=rows, dists=dists, gaps=gap_seq,
-               monotone=monotone, autonomous_level=auto.level, passed=passed)
+               monotone=monotone, autonomous_level=auto.level,
+               autonomous_converged=auto.converged, passed=passed)
     if cfg.potential.kind == "double_well":
         out["multiplicity"] = _multiplicity_verdict(
             cfg, rows[-len(wells):], [results[-1].field for results in chains],

@@ -16,6 +16,12 @@ Every energy/gradient evaluation uses the whole-space-consistent operators
 (free-space Riesz convolution, zeta-corrected kinetic energy), so the
 converged certificates -- Pohozaev residual, multiplier sign, level laws --
 reproduce the continuum identities to solver tolerance.
+
+lgmres and LinearOperator load from scipy.sparse.linalg (~0.25 s) on first
+use, not at import, since a process that only evaluates energies never
+needs them.  They are then module globals like any import: reading
+solver.lgmres loads it, and _newton calls whatever that binding holds (a
+test's or a tracer's patch).
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .errors import NoConvergence, OutOfBox, OutOfRange, TruncationActive
 from .energy import energy, normalize_potential
@@ -259,6 +264,25 @@ def compute_S_alpha(exps: ExponentSet, grid) -> SAlphaResult:
 # Newton-Krylov
 # ---------------------------------------------------------------------------
 
+_KRYLOV_NAMES = ("LinearOperator", "lgmres")
+
+
+def _load_krylov() -> None:
+    """Bind the names of _KRYLOV_NAMES from scipy.sparse.linalg into this
+    module, keeping any binding already made (a patched lgmres)."""
+    import scipy.sparse.linalg
+    for name in _KRYLOV_NAMES:
+        globals().setdefault(name, getattr(scipy.sparse.linalg, name))
+
+
+def __getattr__(name: str):
+    # PEP 562: solver.lgmres and solver.LinearOperator load on first access
+    if name in _KRYLOV_NAMES:
+        _load_krylov()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _newton(u: Field, lam: float | None, residual, s: float):
     """Newton-Krylov with backtracking for residual(vals, lam) = 0 from u.
 
@@ -282,6 +306,7 @@ def _newton(u: Field, lam: float | None, residual, s: float):
     below _NEWTON_TOL and _NEWTON_MAX steps.
     Returns the field and its NewtonStats.
     """
+    _load_krylov()
     g = u.grid
     dv = g.dx
     nn = g.points

@@ -114,15 +114,51 @@ def test_sweep_level_laws(tmp_path, capsys):
     assert len(rows) == 7  # four masses and three mu
 
 
-def test_solve_rejects_seed_at_box_edge(tmp_path, capsys):
+def _count_solves(monkeypatch):
+    # every solve choqlab solve can reach: its own two and solve_cell's
+    import choqlab.cli as cli
+    import choqlab.harness as harness
+
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("a solve ran before the cell was checked")
+
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "solve_autonomous", recorded)
+        monkeypatch.setattr(module, "solve_nonautonomous", recorded)
+    return solves
+
+
+def test_solve_rejects_seed_at_box_edge(tmp_path, capsys, monkeypatch):
     # eps 0.2 puts the well at y/eps = 40: the seed's support reaches
-    # x = 44.5, inside the outer 1/16 shell (|x| > 42) of the 96 box
+    # x = 44.5, inside the outer 1/16 shell (|x| > 42) of the 96 box; the
+    # cell is placed before the autonomous solve
+    solves = _count_solves(monkeypatch)
     rc = main(["--out", str(tmp_path), "--config", _write_cfg(tmp_path),
                "solve", "--eps", "0.2"])
     assert rc == 2
     err = capsys.readouterr().err
     assert "OutOfBox" in err and "outer 1/16 shell" in err
     assert not (tmp_path / "nonautonomous_eps0.2.chqf").exists()
+    assert solves == []
+
+
+def test_solve_rejects_nonpositive_eps(tmp_path, capsys, monkeypatch):
+    # eps <= 0 is an input error before any solve, with wells or without
+    solves = _count_solves(monkeypatch)
+    path = Path(_write_cfg(tmp_path))
+    assert main(["--out", str(tmp_path), "--config", str(path),
+                 "solve", "--eps", "0"]) == 2
+    assert "OutOfRange" in capsys.readouterr().err
+    path.write_text(path.read_text().replace("kind = double_well", "kind = constant")
+                    .replace("centers = -8.0, 8.0\nwidth = 2.0\n", ""))
+    assert main(["--out", str(tmp_path), "--config", str(path),
+                 "solve", "--eps", "-0.1"]) == 2
+    assert "OutOfRange" in capsys.readouterr().err
+    assert solves == []
+    assert not list(tmp_path.glob("*.chqf"))
 
 
 def test_concentrate_rejects_seed_at_box_edge(tmp_path, capsys):

@@ -263,6 +263,31 @@ def test_concentration_gates_on_convergence(monkeypatch):
     assert out["passed"] is False
 
 
+def test_concentration_gates_on_the_autonomous_seed(monkeypatch):
+    # the autonomous solve seeds every chain and is the level b0 of the
+    # gaps: reported unconverged, the sweep fails though every cell converged
+    import dataclasses
+
+    import choqlab.harness as harness
+    from choqlab.spectral import Grid
+
+    cfg = dataclasses.replace(
+        default_config(), grid=Grid(1, 240.0, 2048),
+        potential=PotentialSpec(kind="single_well", centers=(8.0,), width=2.0,
+                                v_inf=0.2))
+    real = harness.solve_autonomous
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(harness, "solve_autonomous", unconverged)
+    out = harness.run_concentration(cfg)
+    assert out["monotone"] and out["dists"][-1] <= cfg.delta_target
+    assert all(row.converged for row in out["rows"])
+    assert out["autonomous_converged"] is False
+    assert out["passed"] is False
+
+
 def test_single_well_sweep_passes():
     # one well is one chain: its three cells run in turn, each seeded by the
     # converged field of the previous eps
@@ -277,6 +302,7 @@ def test_single_well_sweep_passes():
     out = run_concentration(cfg, threads=2)
     assert len(out["rows"]) == 3
     assert all(row.converged for row in out["rows"])
+    assert out["autonomous_converged"] is True
     assert out["passed"] is True
 
 
