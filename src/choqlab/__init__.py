@@ -18,7 +18,7 @@ from .solver import (GroundState, NewtonStats, SAlphaResult, SolveConfig,
                      SolveResult, compute_S_alpha, default_init, level_curves,
                      make_profile, solve_autonomous, solve_nonautonomous,
                      solve_scalar_ground, x_star_root)
-from .potentials import PotentialSpec, detect_M
+from .potentials import PotentialSpec
 from .harness import (ExperimentConfig, ReportRow, barycenter, default_config,
                       run_concentration, run_verify)
 from .snapshot import load_field, save_field

@@ -206,11 +206,19 @@ class Evaluation:
 
     @property
     def pohozaev(self) -> float:
-        """P(u) = 2s A(u) - (delta_p/p) B_p(u) - (delta_q/q) B_q(u)."""
+        """P(u) = 2s A(u) - (delta_p/p) B_p(u) - (delta_q/q) B_q(u), less the
+        virial term Int x V'(x)|u|^2 for a sampled V (V' by np.gradient):
+        2 d/dt J(u_t) at t = 1 for the mass-preserving dilation about x = 0.
+        A constant mu adds nothing."""
         e = self.exps
-        return (2.0 * e.s * self.kinetic
-                - (e.delta_p / e.p) * self.hartree_p
-                - (e.delta_q / e.q) * self.hartree_q)
+        p = (2.0 * e.s * self.kinetic
+             - (e.delta_p / e.p) * self.hartree_p
+             - (e.delta_q / e.q) * self.hartree_q)
+        if isinstance(self.V, np.ndarray):
+            g, vals = self.field.grid, self.field.values
+            p -= float(np.sum(g.axis() * np.gradient(self.V, g.dx)
+                              * vals * vals)) * g.dx
+        return p
 
     @property
     def poho_residual(self) -> float:

@@ -3,7 +3,7 @@
 __all__ = [
     "ChoqlabError", "RegimeViolation", "OutOfRange", "NonPositiveConstant",
     "GridMismatch", "NonFinite", "AliasRisk", "ZeroField", "NoConvergence",
-    "TruncationActive", "EmptyM", "OutOfBox", "FormatError", "ConfigError",
+    "TruncationActive", "OutOfBox", "FormatError", "ConfigError",
     "NoPositivePart",
 ]
 
@@ -57,10 +57,6 @@ class NoConvergence(ChoqlabError):
 
 class TruncationActive(ChoqlabError):
     """Converged iterate has H^s norm >= R0: truncation radii are misconfigured."""
-
-
-class EmptyM(ChoqlabError):
-    """No grid point qualifies as a zero of the potential."""
 
 
 class OutOfBox(ChoqlabError):

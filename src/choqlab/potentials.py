@@ -11,24 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyM, OutOfRange
+from .errors import OutOfRange
 from .spectral import Grid
 
-__all__ = ["PotentialSpec", "detect_M", "dist_to_set"]
+__all__ = ["PotentialSpec", "dist_to_set"]
 
 _BUILTIN_KINDS = ("constant", "single_well", "double_well")
-
-# V below this counts as zero in the grid scan for M
-_ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
     """Potential in slow coordinates z; sampled on the grid as V(eps x).
 
-    kind "constant": V == v_inf everywhere (degenerate: M is empty unless
-    v_inf == 0).  Wells: centers is a tuple of points, width the common
-    Gaussian well width.
+    kind "constant": V == v_inf everywhere, with no wells.  Wells: centers
+    is a tuple of points, width the common Gaussian well width.
     """
 
     kind: str
@@ -64,27 +60,11 @@ class PotentialSpec:
         return self(eps * grid.axis())
 
     def well_points(self) -> tuple:
+        """The zero set M of a well potential, exact by construction; ()
+        for a constant potential."""
         if self.kind in ("single_well", "double_well"):
             return tuple(self.centers)
         return ()
-
-
-def detect_M(pot: PotentialSpec, grid: Grid, eps: float):
-    """Zero set M in slow coordinates and whether it is degenerate.
-
-    For wells the constructed centers are returned exactly; for a constant
-    potential the grid scan V(eps x) < _ZERO_TOL decides.  A constant zero
-    potential makes every point qualify, which is flagged as degenerate.
-    """
-    z = eps * grid.axis()
-    mask = pot.sample_on(grid, eps) < _ZERO_TOL
-    if pot.kind in ("single_well", "double_well"):
-        m_points = np.asarray(pot.well_points(), dtype=float)
-    else:
-        if not np.any(mask):
-            raise EmptyM(f"no grid point has V < {_ZERO_TOL}")
-        m_points = z[mask]
-    return m_points, bool(np.all(mask))
 
 
 def dist_to_set(point: float, m_points) -> float:

@@ -72,12 +72,11 @@ _HANDOVER = 1e-5
 
 @dataclass(frozen=True)
 class SolveConfig:
-    grad_tol: float = 1e-6     # relative residual ||G - lam u||_2 / ||u||_2
     poho_tol: float = 1e-6     # |P| / (2 s A)
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.poho_tol <= 0:
-            raise OutOfRange("tolerances must be positive")
+        if self.poho_tol <= 0:
+            raise OutOfRange(f"poho_tol must be positive, got {self.poho_tol}")
 
 
 @dataclass(frozen=True)
@@ -178,16 +177,15 @@ def _symmetrize_even(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values + np.roll(np.flip(values), 1))
 
 
-def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = None,
+def solve_scalar_ground(exps: ExponentSet, grid,
                         init: Field | None = None) -> GroundState:
     """Positive even ground state of (-D)^s U + U = (I_a * |U|^q)|U|^{q-2} U.
 
     Petviashvili iteration with stabilizing exponent gamma = d/(d-1) for the
     homogeneity degree d = 2q - 1, then Newton-Krylov on the whole-space-
-    consistent equation.  The L^2 norm of U feeds the sharp subcritical
-    interpolation constant.
+    consistent equation; converged when Newton stopped on _NEWTON_TOL.  The
+    L^2 norm of U feeds the sharp subcritical interpolation constant.
     """
-    config = config or SolveConfig()
     if not (exps.p_lower < exps.q < exps.p):
         raise OutOfRange("scalar problem needs q strictly inside (p_lower, p)")
     g = grid
@@ -227,7 +225,7 @@ def solve_scalar_ground(exps: ExponentSet, grid, config: SolveConfig | None = No
     action = 0.5 * a_kin + 0.5 * m - bq / (2.0 * exps.q)
     return GroundState(field=fld, norm2=math.sqrt(m), action=action,
                        residual=res_rel, poho_residual=poho,
-                       iterations=it, converged=res_rel < config.grad_tol,
+                       iterations=it, converged=newton.stop == "tolerance",
                        newton=newton)
 
 
@@ -428,7 +426,8 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     radius R0 is four times the H^s norm of the first rescaled iterate; a
     converged field whose H^s norm reaches it raises TruncationActive.
     Every descent iterate is band-limited (see band_limit); Newton works on
-    the raw field."""
+    the raw field.  The result is converged when Newton stopped on
+    _NEWTON_TOL and |P|/(2sA) < config.poho_tol."""
     # a caller's seed may be a raw Newton field: band-limit it like every
     # descent iterate, so that a t <= 2 dilation of it is alias-free
     # (default_init is smooth already)
@@ -492,8 +491,8 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     ev = energy(u, exps, potential)
     trace.append(("newton", it + 1, ev.total, ev.grad_residual,
                   ev.poho_residual))
-    converged = bool(ev.grad_residual < config.grad_tol
-                     and ev.poho_residual < config.poho_tol)
+    converged = (newton.stop == "tolerance"
+                 and ev.poho_residual < config.poho_tol)
     hs_norm = math.sqrt(ev.kinetic + ev.mass)
     if hs_norm >= r0:
         raise TruncationActive(

@@ -59,7 +59,7 @@ def rng():
 
 @pytest.fixture(scope="session")
 def desk_config():
-    return SolveConfig(grad_tol=1e-6, poho_tol=0.1)
+    return SolveConfig(poho_tol=0.1)
 
 
 @pytest.fixture(scope="session")

@@ -119,7 +119,7 @@ def test_criterion_04_multiplier_law(cfg, cert_solve):
 def test_criterion_05_affine_level_shift(cfg):
     """b_mu - b_0 = mu a/2 within 1e-4 relative for mu in {0.5, 1.0}."""
     g = Grid(1, 96.0, 2048)
-    scfg = SolveConfig(grad_tol=1e-6, poho_tol=0.1)
+    scfg = SolveConfig(poho_tol=0.1)
     levels = {mu: solve_autonomous(cfg.exps, mu, DESK_MASS, g, config=scfg).level
               for mu in (0.0, 0.5, 1.0)}
     worst = affine_level_defect(levels, DESK_MASS)
@@ -131,7 +131,7 @@ def test_criterion_06_mass_monotonicity(cfg):
     """b_{0,T,a} nonincreasing over {0.5, 1, 1.5, 2} x a0, slack 1e-6."""
     masses = [0.5 * DESK_MASS, DESK_MASS, 1.5 * DESK_MASS, 2.0 * DESK_MASS]
     rows, _ = level_curves(cfg.exps, masses, [], Grid(1, 96.0, 4096),
-                           SolveConfig(grad_tol=1e-4, poho_tol=0.2), DESK_MASS)
+                           SolveConfig(poho_tol=0.2), DESK_MASS)
     assert all(r["grad"] < 1e-4 for r in rows)  # criticality per cell
     levels = [r["level"] for r in rows]
     assert _line(6, "mass monotonicity",
@@ -227,7 +227,7 @@ def test_criterion_11_concentration_multiplicity(cfg, concentration):
 def test_criterion_12_determinism_io(cfg, tmp_path):
     """Bit-exact re-run of a solve cell and snapshot round-trip."""
     g = Grid(1, 96.0, 2048)
-    scfg = SolveConfig(grad_tol=1e-6, poho_tol=0.1)
+    scfg = SolveConfig(poho_tol=0.1)
     res1, res2 = (solve_autonomous(cfg.exps, 0.5, DESK_MASS, g, config=scfg)
                   for _ in range(2))
     bitwise = passes("determinism", rerun_defect(res1, res2))

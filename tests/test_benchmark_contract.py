@@ -91,7 +91,7 @@ def test_sampled_newton_reaches_hartree_jvp(exps, grid_unit, monkeypatch):
     monkeypatch.setattr(solver, "_NEWTON_MAX", 2)
     x = grid_unit.axis()
     potential = 0.2 - 0.1 * np.exp(-(x / 8.0) ** 2)
-    config = SolveConfig(grad_tol=1e-6, poho_tol=0.1)
+    config = SolveConfig(poho_tol=0.1)
     solve_nonautonomous(exps, potential, DESK_MASS, grid_unit, config=config)
     assert all(calls.values()), calls
 

@@ -219,6 +219,23 @@ def test_multiplicity_rejects_single_well_before_any_solve(tmp_path, capsys,
     assert not (tmp_path / "multiplicity.csv").exists()
 
 
+def test_concentrate_rejects_potential_without_wells(tmp_path, capsys,
+                                                     monkeypatch):
+    # the sweep follows the potential's wells: a constant potential, zero or
+    # not, has none and exits 2 before any solve and without a report
+    solves = _count_solves(monkeypatch)
+    path = Path(_write_cfg(tmp_path))
+    constant = (path.read_text().replace("kind = double_well", "kind = constant")
+                .replace("centers = -8.0, 8.0\nwidth = 2.0\n", ""))
+    for v_inf in ("0.2", "0.0"):
+        path.write_text(constant.replace("v_inf = 0.2", f"v_inf = {v_inf}"))
+        rc = main(["--out", str(tmp_path), "--config", str(path), "concentrate"])
+        assert rc == 2
+        assert "ConfigError" in capsys.readouterr().err
+    assert solves == []
+    assert not (tmp_path / "concentration.csv").exists()
+
+
 def _write_cfg(tmp_path, extent=96.0):
     path = tmp_path / "exp.cfg"
     path.write_text(f"""
@@ -238,7 +255,6 @@ centers = -8.0, 8.0
 width = 2.0
 v_inf = 0.2
 [solver]
-grad_tol = 1e-6
 poho_tol = 0.1
 """)
     return str(path)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from choqlab.errors import ConfigError, EmptyM, OutOfBox, OutOfRange
+from choqlab.errors import ConfigError, OutOfBox, OutOfRange
 from choqlab.harness import (CHECK_FIELDS, ExperimentConfig, ReportRow,
                              SCHEMA_VERSION, barycenter, default_config,
                              write_report)
-from choqlab.potentials import PotentialSpec, detect_M, dist_to_set
+from choqlab.potentials import PotentialSpec, dist_to_set
 from choqlab.spectral import Field, project_mass, translate
 from conftest import make_positive_field
 
@@ -35,20 +35,17 @@ def test_potential_builtins(grid_unit):
         PotentialSpec(kind="unknown")
 
 
-def test_detect_m(grid_unit):
+def test_well_points():
+    # M is the constructed centers, where V vanishes; a constant potential
+    # has none
     pot = PotentialSpec(kind="double_well", centers=(-8.0, 8.0), width=2.0,
                         v_inf=0.2)
-    m_points, degenerate = detect_M(pot, grid_unit, 1.0)
-    assert list(m_points) == [-8.0, 8.0]
-    assert not degenerate
+    m_points = pot.well_points()
+    assert m_points == (-8.0, 8.0)
+    assert np.all(pot(np.array(m_points)) == 0.0)
     assert dist_to_set(7.0, m_points) == pytest.approx(1.0)
-    # degenerate constant-zero potential flagged by the grid scan
-    flat = PotentialSpec(kind="constant", v_inf=0.0)
-    _, deg = detect_M(flat, grid_unit, 1.0)
-    assert deg
-    nowhere = PotentialSpec(kind="constant", v_inf=1.0)
-    with pytest.raises(EmptyM):
-        detect_M(nowhere, grid_unit, 1.0)
+    for v_inf in (0.0, 1.0):
+        assert PotentialSpec(kind="constant", v_inf=v_inf).well_points() == ()
 
 
 def test_barycenter_symmetry_and_shift(grid_unit, rng):
@@ -86,7 +83,6 @@ v_inf = 0.2
 eps_list = 0.4, 0.2, 0.1
 delta = 1.6
 [solver]
-grad_tol = 2e-4
 poho_tol = 0.1
 [output]
 dir = out
@@ -99,7 +95,7 @@ seed = 7
     assert cfg.grid.points == 2048
     assert cfg.eps_list == (0.4, 0.2, 0.1)
     assert cfg.seed == 7
-    assert cfg.solver.grad_tol == 2e-4
+    assert cfg.solver.poho_tol == 0.1
     # omitted [sweep] keys take the default configuration's values
     desk = default_config()
     assert (cfg.delta, cfg.delta_target, cfg.box_radius) == (
@@ -131,7 +127,7 @@ kind = constant
     path.write_text(base + "[truncation]\nR0 = 1.0\nR1 = 3.0\n")
     with pytest.raises(ConfigError, match="unknown config section"):
         ExperimentConfig.from_file(path)
-    path.write_text(base + "[sovler]\ngrad_tol = 1e-8\n")
+    path.write_text(base + "[sovler]\npoho_tol = 1e-8\n")
     with pytest.raises(ConfigError, match="sovler"):
         ExperimentConfig.from_file(path)
     # only N = 1 has operators: N = 2 is rejected by the regime check
@@ -142,6 +138,13 @@ kind = constant
     path.write_text(bad_eps)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(path)
+    # every eps must be positive: rejected when the file loads, not by
+    # OutOfBox from the last positive cell of a sweep
+    for eps_list in ("0.2, 0.1, -0.1", "0.2, 0.1, 0.0"):
+        path.write_text(base + f"[sweep]\neps_list = {eps_list}\n")
+        with pytest.raises(ConfigError,
+                           match=r"eps_list in \[sweep\] must be positive"):
+            ExperimentConfig.from_file(path)
     # the sweep's radii must be positive: rejected when the file loads, not
     # after every solve of a sweep has run
     for key, value in (("box_radius", "0.0"), ("box_radius", "-3"),
@@ -410,13 +413,16 @@ a = 1.5
 kind = constant
 """
     path = tmp_path / "solver.cfg"
-    path.write_text(base + "[solver]\ngrad_tol = 1e-8\n")
-    sol = ExperimentConfig.from_file(path).solver
+    path.write_text(base + "[solver]\npoho_tol = 1e-3\n")
+    assert ExperimentConfig.from_file(path).solver.poho_tol == 1e-3
     # a missing key keeps the file default
-    assert (sol.grad_tol, sol.poho_tol) == (1e-8, 0.05)
-    # the former settings are constants now: naming one is an error
+    path.write_text(base + "[solver]\n")
+    assert ExperimentConfig.from_file(path).solver.poho_tol == 0.05
+    # the former settings are constants now, or read off the solve (the
+    # residual tolerance: converged reads Newton's stop): naming one is an
+    # error
     for key in ("step", "refine", "newton_tol", "switch_tol", "alias_tol",
-                "max_iter", "newton_max"):
+                "max_iter", "newton_max", "grad_tol"):
         path.write_text(base + f"[solver]\n{key} = 1\n")
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_file(path)

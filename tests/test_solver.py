@@ -8,7 +8,7 @@ import pytest
 
 from choqlab.energy import energy
 from choqlab.errors import OutOfBox, OutOfRange
-from choqlab.harness import (default_config, detect_M, level_rise, passes,
+from choqlab.harness import (default_config, level_rise, passes,
                              sharp_tightness)
 from choqlab.params import mass_threshold, s_alpha_reference
 from choqlab import solver
@@ -96,7 +96,7 @@ def test_sharp_tightness_at_ground_state(exps, scalar_ground, c_alpha_q):
 def test_autonomous_certificates(exps, autonomous_mu0, desk_config):
     res = autonomous_mu0
     assert res.converged
-    assert res.grad_residual < desk_config.grad_tol
+    assert res.grad_residual < 1e-6
     assert res.poho_residual < desk_config.poho_tol
     assert res.lam < 0.0                               # lambda < mu = 0
     assert res.mass == pytest.approx(DESK_MASS, rel=1e-12)
@@ -118,12 +118,26 @@ def test_warm_start_from_converged_field(exps, grid_solver, autonomous_mu0,
 
 
 def test_solve_config_rejects_bad_settings():
-    # the two certificate tolerances are the only settings
+    # the Pohozaev tolerance is the only setting: the residual's is Newton's
+    # own stop rule
     names = [f.name for f in dataclasses.fields(SolveConfig)]
-    assert names == ["grad_tol", "poho_tol"]
-    for bad in (dict(grad_tol=0.0), dict(poho_tol=-0.1)):
+    assert names == ["poho_tol"]
+    for bad in (0.0, -0.1):
         with pytest.raises(OutOfRange):
-            SolveConfig(**bad)
+            SolveConfig(poho_tol=bad)
+
+
+def test_budget_stop_is_not_converged(exps, grid_solver, monkeypatch):
+    # a desk solve cut to three Newton steps ends on the budget with a
+    # residual below 2e-4 and the Pohozaev value within the default
+    # tolerance: converged reads how Newton stopped, not that residual
+    config = default_config().solver
+    monkeypatch.setattr(solver, "_NEWTON_MAX", 3)
+    res = solve_autonomous(exps, 0.0, DESK_MASS, grid_solver, config=config)
+    assert res.newton.stop == "budget"
+    assert res.grad_residual < 2e-4
+    assert res.poho_residual < config.poho_tol
+    assert res.converged is False
 
 
 def test_constrained_row_finite_difference(exps, grid_unit, rng):
@@ -251,8 +265,7 @@ def test_lattice_pinned_cell_converges_without_crawl():
     # correction together with the base point crawled there, 18 steps with
     # 18 halvings; shifting only the base point takes 12 with 3
     cfg = default_config()
-    m_points, _ = detect_M(cfg.potential, cfg.grid, 0.1)
-    y = float(min(m_points))
+    y = min(cfg.potential.well_points())
     assert y == pytest.approx(-8.0, abs=0.1)
     auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
     profile, _ = make_profile(auto.field, y, 0.1, cfg.a)

@@ -18,7 +18,7 @@ from choqlab.energy import _abs_power, _odd_power, hartree_jvp
 from choqlab.errors import AliasRisk, NonFinite, OutOfRange, ZeroField
 from choqlab.harness import dilate_gaussian_error, passes
 from choqlab.params import validate_regime
-from choqlab.solver import SolveConfig, solve_scalar_ground
+from choqlab.solver import solve_scalar_ground
 from choqlab.spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                               fractional_laplacian, fractional_laplacian_free,
                               kinetic_energy, kinetic_energy_free,
@@ -453,5 +453,5 @@ def test_operators_need_no_complex_transform(monkeypatch):
     band_limit(u)
     hartree_jvp(u, u.values, exps.p, ALPHA)
     # Petviashvili, then Newton: neither resamples with dilate
-    gs = solve_scalar_ground(exps, Grid(1, 96.0, 1024), SolveConfig())
+    gs = solve_scalar_ground(exps, Grid(1, 96.0, 1024))
     assert gs.converged and gs.newton.stop == "tolerance"
