@@ -3,9 +3,9 @@ solutions of fractional Choquard equations with mixed Hartree terms."""
 
 __version__ = "0.1.0"
 
-from .params import (ExponentSet, MassThreshold, gamma_ts, hls_constant,
-                     mass_threshold, riesz_normalization, s_alpha_reference,
-                     sharp_constant, sobolev_constant, validate_regime)
+from .params import (ExponentSet, MassThreshold, hls_constant, mass_threshold,
+                     riesz_normalization, s_alpha_reference, sharp_constant,
+                     sobolev_constant, validate_regime)
 from .spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                        fractional_laplacian, fractional_laplacian_free,
                        kinetic_energy, kinetic_energy_free, mass,
@@ -14,9 +14,9 @@ from .spectral import (Field, Grid, band_limit, boundary_decay, dilate,
 from .energy import Evaluation, Truncation, energy, tau_eval, tau_prime
 from .fiber import (FiberMax, FiberProfile, extract_profile, fiber_maximizer,
                     fiber_value, psi, ray_level)
-from .solver import (GroundState, NewtonStats, SAlphaResult, SolveConfig,
-                     SolveResult, compute_S_alpha, default_init, level_curves,
-                     make_profile, solve_autonomous, solve_nonautonomous,
+from .solver import (GroundState, NewtonStats, SolveConfig, SolveResult,
+                     default_init, level_curves, make_profile,
+                     solve_autonomous, solve_nonautonomous,
                      solve_scalar_ground, x_star_root)
 from .potentials import PotentialSpec
 from .harness import (ExperimentConfig, ReportRow, barycenter, default_config,

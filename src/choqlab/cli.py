@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands mirror the lab's workflows: regime validation, constant
-tables, ground states, single solves, fiber curves, level sweeps,
-the concentration sweep and its multiplicity verdict, and the
-verification battery.
+One subcommand per computation: regime validation, the constant table
+with the scalar ground state behind C_{alpha,q}, single solves, fiber
+curves, level sweeps, the concentration sweep with its multiplicity
+verdict, the verification battery and snapshot inspection.
 Exit code 0 only when every assertion requested by the subcommand holds.
 """
 
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ChoqlabError, ConfigError, OutOfRange
+from .errors import ChoqlabError, OutOfRange
 from .fiber import extract_profile, fiber_maximizer, fiber_value, psi
 from .harness import (CHECK_FIELDS, CHECKS, GROUND_GRID, ExperimentConfig,
                       ReportRow, affine_level_defect, barycenter,
@@ -25,10 +25,9 @@ from .harness import (CHECK_FIELDS, CHECKS, GROUND_GRID, ExperimentConfig,
 from .params import (hls_constant, mass_threshold, riesz_normalization,
                      s_alpha_reference, sharp_constant, validate_regime)
 from .snapshot import load_field, save_field, save_solve_sidecar
-from .solver import (_well_cells, compute_S_alpha, level_curves,
-                     solve_autonomous, solve_nonautonomous,
-                     solve_scalar_ground, x_star_root)
-from .spectral import Grid, mass
+from .solver import (_well_cells, level_curves, solve_autonomous,
+                     solve_nonautonomous, solve_scalar_ground, x_star_root)
+from .spectral import mass
 
 __all__ = ["main"]
 
@@ -74,14 +73,16 @@ def _cmd_constants(args) -> int:
     print(f"A_N_alpha  = {a_na:.12g}")
     print(f"C_HLS      = {c_hls:.12g}")
     print(f"S_alpha    = {s_ref:.12g}   (sharp Sobolev x HLS composition)")
-    sweep = compute_S_alpha(exps, Grid(1, 60.0, 4096))
-    print(f"S_alpha sweep min = {sweep.value:.6g} "
-          f"(sensitivity {sweep.sensitivity:.1%}; grid bubbles are "
-          f"tail-truncated in this regime)")
     gs = solve_scalar_ground(exps, GROUND_GRID)
+    print(f"scalar ground state: residual={gs.residual:.2e} "
+          f"iterations={gs.iterations} converged={gs.converged} "
+          f"newton_stop={gs.newton.stop}")
+    print(f"  ||U||_2 = {gs.norm2:.12g}  action = {gs.action:.12g} "
+          f"scaling identity defect = {gs.poho_residual:.2e}")
+    snap = _outpath(cfg, "scalar_ground.chqf")
+    save_field(gs.field, snap)
+    print(f"snapshot -> {snap}")
     c_aq = sharp_constant(exps, exps.q, gs.norm2)
-    print(f"||U||_2    = {gs.norm2:.12g}  (scalar ground state, residual "
-          f"{gs.residual:.1e})")
     print(f"C_alpha_q  = {c_aq:.12g}")
     mt = mass_threshold(exps, s_ref, c_aq)
     print(f"K_q        = {mt.k_q:.12g}")
@@ -90,19 +91,6 @@ def _cmd_constants(args) -> int:
           + ("   [near-degenerate exponent]" if mt.near_degenerate else ""))
     xs = x_star_root(exps, s_ref, mt.k_q, cfg.a)
     print(f"X*(a={cfg.a}) = {xs:.12g}   (kinetic ridge root, diagnostic)")
-    return 0
-
-
-def _cmd_groundstate(args) -> int:
-    cfg = _load_config(args)
-    gs = solve_scalar_ground(cfg.exps, GROUND_GRID)
-    print(f"scalar ground state: residual={gs.residual:.2e} "
-          f"iterations={gs.iterations} converged={gs.converged} "
-          f"newton_stop={gs.newton.stop}")
-    print(f"  ||U||_2 = {gs.norm2:.12g}  action = {gs.action:.12g} "
-          f"scaling identity defect = {gs.poho_residual:.2e}")
-    save_field(gs.field, _outpath(cfg, "scalar_ground.chqf"))
-    print(f"snapshot -> {_outpath(cfg, 'scalar_ground.chqf')}")
     return 0 if gs.converged else 1
 
 
@@ -189,30 +177,26 @@ def _cmd_concentrate(args) -> int:
     print(f"|level - b0| per eps: {['%.5f' % gp for gp in out['gaps']]} "
           f"b0 converged={out['autonomous_converged']}")
     print(f"report -> {path}")
-    return 0 if out["passed"] else 1
-
-
-def _cmd_multiplicity(args) -> int:
-    cfg = _load_config(args)
-    if cfg.potential.kind != "double_well":
-        raise ConfigError("multiplicity experiment needs a double_well potential")
-    out = run_concentration(cfg, threads=args.threads)["multiplicity"]
-    if out["reason"]:
-        print(f"INDISTINCT: {out['reason']}")
+    verdict = out.get("multiplicity")
+    if verdict is None:                  # no double well: no verdict
+        return 0 if out["passed"] else 1
+    if verdict["reason"]:
+        print(f"INDISTINCT: {verdict['reason']}")
         return 1
     path = _outpath(cfg, "multiplicity.csv")
-    write_report(out["rows"], path)
-    print(f"wells {out['wells']}: barycenters {['%.4f' % b for b in out['betas']]}")
-    print(f"H^s separation {out['separation']:.4f} "
-          f"(aligned {out['separation_aligned']:.2e}), "
-          f"level gap {out['level_gap']:.2e}, lambdas {out['lams']}")
+    write_report(verdict["rows"], path)
+    print(f"wells {verdict['wells']}: barycenters "
+          f"{['%.4f' % b for b in verdict['betas']]}")
+    print(f"H^s separation {verdict['separation']:.4f} "
+          f"(aligned {verdict['separation_aligned']:.2e}), "
+          f"level gap {verdict['level_gap']:.2e}, lambdas {verdict['lams']}")
     print(f"report -> {path}")
-    return 0 if out["passed"] else 1
+    return 0 if out["passed"] and verdict["passed"] else 1
 
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
-    out = run_verify(cfg, quick=not args.full)
+    out = run_verify(cfg)
     path = _outpath(cfg, "verify.csv")
     write_report(out["rows"], path, CHECK_FIELDS)
     for name, status, measured, tol in out["rows"]:
@@ -249,11 +233,10 @@ def main(argv=None) -> int:
     p.add_argument("--q", type=float, default=3.0)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("constants", help="derived exponents and sharp constants")
+    p = sub.add_parser("constants",
+                       help="sharp constants, with the scalar ground state "
+                            "behind C_alpha_q")
     p.set_defaults(func=_cmd_constants)
-
-    p = sub.add_parser("groundstate", help="scalar ground state and C_alpha_q")
-    p.set_defaults(func=_cmd_groundstate)
 
     p = sub.add_parser("solve", help="one autonomous or non-autonomous solve")
     p.add_argument("--mu", type=float, default=None,
@@ -271,15 +254,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("sweep", help="level curves over masses and mu")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("concentrate", help="eps-halving concentration sweep")
+    p = sub.add_parser("concentrate",
+                       help="eps-halving concentration sweep; on a double "
+                            "well, the multiplicity verdict of its "
+                            "smallest-eps pair")
     p.set_defaults(func=_cmd_concentrate)
 
-    p = sub.add_parser("multiplicity",
-                       help="two-well distinctness of the sweep's smallest-eps pair")
-    p.set_defaults(func=_cmd_multiplicity)
-
     p = sub.add_parser("verify", help="cross-module verification battery")
-    p.add_argument("--full", action="store_true", help="larger corpora")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("snapshot", help="inspect a field snapshot")

@@ -55,8 +55,8 @@ SEPARATION = 0.1
 # header of the verification battery's report (verify.csv)
 CHECK_FIELDS = ("check", "status", "measured", "tolerance")
 
-# the grid of the scalar ground state behind C_{alpha,q}: choqlab constants,
-# groundstate and verify all solve on it, so they agree on the constant
+# the grid of the scalar ground state behind C_{alpha,q}: choqlab constants
+# and verify both solve on it, so they agree on the constant
 GROUND_GRID = Grid(1, 96.0, 4096)
 
 # the sections and keys ExperimentConfig.from_file understands; any other
@@ -70,9 +70,6 @@ _CONFIG_KEYS = {
     "solver": tuple(f.name for f in fields(SolveConfig)),
     "output": ("dir", "seed"),
 }
-
-# [solver] defaults of a config file where they differ from SolveConfig's
-_SOLVER_FILE_DEFAULTS = {"poho_tol": 0.05}
 
 
 def default_config() -> "ExperimentConfig":
@@ -167,7 +164,8 @@ class ExperimentConfig:
             spec = PotentialSpec(kind=kind, centers=centers,
                                  width=pot.getfloat("width", 0.3),
                                  v_inf=pot.getfloat("v_inf", 1.0))
-            # omitted [sweep] and [output] keys take default_config()'s values
+            # omitted [sweep], [solver] and [output] keys take
+            # default_config()'s values
             base = default_config()
             sw = cp["sweep"] if cp.has_section("sweep") else {}
             eps_list = (tuple(float(t) for t in sw["eps_list"].split(","))
@@ -186,12 +184,9 @@ class ExperimentConfig:
                     raise ConfigError(f"{key} in [sweep] must be positive, "
                                       f"got {value}")
             sol = cp["solver"] if cp.has_section("solver") else {}
-            settings = {}
-            for f in fields(SolveConfig):
-                default = _SOLVER_FILE_DEFAULTS.get(f.name, f.default)
-                settings[f.name] = (type(default)(sol[f.name]) if f.name in sol
-                                    else default)
-            solver = SolveConfig(**settings)
+            solver = replace(base.solver, **{
+                key: type(getattr(base.solver, key))(value)
+                for key, value in sol.items()})
             out = cp["output"] if cp.has_section("output") else {}
             out_dir = out.get("dir", base.out_dir)
             seed = int(out.get("seed", base.seed))
@@ -544,7 +539,7 @@ def rerun_defect(first, second) -> float:
     return 0.0 if same else 1.0
 
 
-def run_verify(cfg: ExperimentConfig, quick: bool = True):
+def run_verify(cfg: ExperimentConfig):
     """Run the battery: one (name, status, measured, tol) row per reported
     check of CHECKS.  The three checks on the desk solves report Skipped when a
     solve rejects its input (a mass a <= 0); any Skipped or Failed row makes
@@ -572,17 +567,17 @@ def run_verify(cfg: ExperimentConfig, quick: bool = True):
     record("kinetic_selfadjoint", abs(lhs - rhs) / abs(lhs)
            + abs(pair - kinetic_energy(u_g, exps.s)) / pair)
 
-    corpus = [make_positive_field(g_small, rng) for _ in range(3 if quick else 8)]
+    corpus = [make_positive_field(g_small, rng) for _ in range(3)]
     record("fiber_consistency",
            fiber_consistency_error(corpus, exps, 0.7, (0.5, 0.8, 1.25, 2.0)))
     record("truncated_ray_identity",
-           truncated_ray_error([(f, t) for f in corpus[:3]
+           truncated_ray_error([(f, t) for f in corpus
                                 for t in (0.7, 1.0, 1.5)], exps))
     profiles = [FiberProfile(A=float(rng.uniform(0.1, 10.0)),
                              B_p=float(rng.uniform(0.0, 5.0)),
                              B_q=float(rng.uniform(1e-4, 5.0)),
                              a=float(rng.uniform(0.1, 5.0)), exps=exps)
-                for _ in range(50 if quick else 100)]
+                for _ in range(50)]
     record("psi_unique_zero", psi_sign_change_defect(profiles))
 
     gs = solve_scalar_ground(exps, GROUND_GRID)

@@ -24,7 +24,6 @@ __all__ = [
     "ExponentSet",
     "MassThreshold",
     "validate_regime",
-    "gamma_ts",
     "sharp_constant",
     "mass_threshold",
     "riesz_normalization",
@@ -122,17 +121,6 @@ def validate_regime(N: int, s: float, alpha: float, q: float) -> ExponentSet:
         gamma_q=gamma_q, sigma=sigma,
         theta_q=theta_q, k_q_coeff=k_q_coeff,
     )
-
-
-def gamma_ts(exp: ExponentSet, t: float) -> float:
-    """Interpolation exponent gamma_{t,s} = (Nt - N - alpha)/(2st).
-
-    Defined for t in (p_lower, p]; equals 1 at the critical exponent and
-    tends to 0 as t decreases to p_lower.
-    """
-    if not (exp.p_lower < t <= exp.p):
-        raise OutOfRange(f"t={t} outside ({exp.p_lower}, {exp.p}]")
-    return (exp.N * t - exp.N - exp.alpha) / (2.0 * exp.s * t)
 
 
 def sharp_constant(exp: ExponentSet, t: float, norm2_of_U: float) -> float:

@@ -40,8 +40,8 @@ from .spectral import (Field, band_limit, dilate, edge_shell,
                        smooth_cutoff, translate)
 
 __all__ = [
-    "SolveConfig", "SolveResult", "GroundState", "SAlphaResult", "NewtonStats",
-    "default_init", "solve_scalar_ground", "compute_S_alpha",
+    "SolveConfig", "SolveResult", "GroundState", "NewtonStats",
+    "default_init", "solve_scalar_ground",
     "solve_autonomous", "solve_nonautonomous",
     "make_profile", "level_curves", "x_star_root",
 ]
@@ -115,14 +115,6 @@ class GroundState:
     iterations: int
     converged: bool
     newton: NewtonStats
-
-
-@dataclass(frozen=True)
-class SAlphaResult:
-    value: float           # min of the Rayleigh quotient over the sweep
-    eps_grid: tuple
-    quotients: tuple
-    sensitivity: float     # (max - min) / min over the sweep
 
 
 def default_init(grid, a: float) -> Field:
@@ -227,35 +219,6 @@ def solve_scalar_ground(exps: ExponentSet, grid,
                        residual=res_rel, poho_residual=poho,
                        iterations=it, converged=newton.stop == "tolerance",
                        newton=newton)
-
-
-# ---------------------------------------------------------------------------
-# Critical Choquard constant
-# ---------------------------------------------------------------------------
-
-def compute_S_alpha(exps: ExponentSet, grid) -> SAlphaResult:
-    """Rayleigh quotient A(u)/B_p(u)^{1/p} on the bubble family
-
-        u_eps(x) = (eps/(eps^2+|x|^2))^{(N-2s)/2},
-
-    swept over nine eps from max(4 dx, L/1000) to L/24 (envelope-localized
-    to keep the tails in the box) and minimized.  The sweep spread is
-    reported as the discretization sensitivity of the constant.
-    """
-    g = grid
-    r = g.radius()
-    L = g.extent
-    eps_grid = tuple(np.geomspace(max(4.0 * g.dx, 1e-3 * L), L / 24.0, 9))
-    envelope = np.exp(-((r / (0.2 * L)) ** 8))
-    quotients = []
-    for eps in eps_grid:
-        prof = (eps / (eps * eps + r * r)) ** (0.5 * (exps.N - 2.0 * exps.s))
-        ev = energy(Field(g, prof * envelope), exps)
-        quotients.append(ev.kinetic / ev.hartree_p ** (1.0 / exps.p))
-    quotients = tuple(quotients)
-    value = min(quotients)
-    return SAlphaResult(value=value, eps_grid=eps_grid, quotients=quotients,
-                        sensitivity=(max(quotients) - value) / value)
 
 
 # ---------------------------------------------------------------------------

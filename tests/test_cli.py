@@ -6,11 +6,12 @@ import dataclasses
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from choqlab.cli import main
 from choqlab.harness import default_config, run_verify
-from choqlab.snapshot import save_field
-from choqlab.spectral import Field, Grid
+from choqlab.snapshot import load_field, save_field
+from choqlab.spectral import Field, Grid, mass
 
 
 def test_validate_accepts_and_rejects(capsys):
@@ -42,6 +43,33 @@ def test_snapshot_info(tmp_path, capsys):
     assert main(["snapshot", str(path)]) == 0
     out = capsys.readouterr().out
     assert "points=512" in out
+
+
+def test_constants_saves_the_scalar_ground_state(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "constants"]) == 0
+    out = capsys.readouterr().out
+    assert "C_alpha_q  = 1.0259235" in out
+    assert "converged=True newton_stop=tolerance" in out
+    norm2 = float(out.split("||U||_2 = ")[1].split()[0])
+    u = load_field(tmp_path / "scalar_ground.chqf")
+    assert mass(u) == pytest.approx(norm2 ** 2, rel=1e-11)
+
+
+def test_constants_fails_on_unconverged_ground_state(tmp_path, capsys,
+                                                     monkeypatch):
+    import choqlab.cli as cli
+
+    solve = cli.solve_scalar_ground
+
+    def unconverged(*args, **kwargs):
+        gs = solve(*args, **kwargs)
+        return dataclasses.replace(
+            gs, converged=False,
+            newton=dataclasses.replace(gs.newton, stop="budget"))
+
+    monkeypatch.setattr(cli, "solve_scalar_ground", unconverged)
+    assert main(["--out", str(tmp_path), "constants"]) == 1
+    assert "converged=False newton_stop=budget" in capsys.readouterr().out
 
 
 def test_fiber_csv(tmp_path, capsys):
@@ -180,13 +208,29 @@ def _report_rows(path):
     return list(csv.reader(lines[2:]))
 
 
-def test_multiplicity_judges_the_sweep_smallest_eps_pair(tmp_path, capsys):
-    # the verdict reads the concentration sweep's eps 0.1 cells: each
-    # multiplicity.csv row is that sweep row under another label
+def _counted_solves(monkeypatch):
+    # pass-through counters on the sweep's solves, by kind
+    import choqlab.harness as harness
+
+    counts = {"solve_autonomous": 0, "solve_nonautonomous": 0}
+    for name in counts:
+        def counted(*args, _name=name, _solve=getattr(harness, name), **kwargs):
+            counts[_name] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    return counts
+
+
+def test_multiplicity_judges_the_sweep_smallest_eps_pair(tmp_path, capsys,
+                                                         monkeypatch):
+    # one concentrate run writes both reports from one sweep: the verdict
+    # reads its eps 0.1 cells, so each multiplicity.csv row is that sweep
+    # row under another label
+    counts = _counted_solves(monkeypatch)
     path = _write_cfg(tmp_path, extent=240.0)
-    for command in ("concentrate", "multiplicity"):
-        assert main(["--out", str(tmp_path), "--config", path,
-                     "--threads", "2", command]) == 0
+    assert main(["--out", str(tmp_path), "--config", path,
+                 "--threads", "2", "concentrate"]) == 0
+    assert counts == {"solve_autonomous": 1, "solve_nonautonomous": 6}
     out = capsys.readouterr().out
     assert "H^s separation 1.41" in out
     smallest = [row for row in _report_rows(tmp_path / "concentration.csv")
@@ -197,25 +241,16 @@ def test_multiplicity_judges_the_sweep_smallest_eps_pair(tmp_path, capsys):
     assert [row[1:] for row in rows] == [row[1:] for row in smallest]
 
 
-def test_multiplicity_rejects_single_well_before_any_solve(tmp_path, capsys,
-                                                          monkeypatch):
-    import choqlab.harness as harness
-
-    solves = []
-
-    def recorded(*args, **kwargs):
-        solves.append(args)
-        raise AssertionError("a solve ran on a single-well config")
-
-    monkeypatch.setattr(harness, "solve_autonomous", recorded)
-    monkeypatch.setattr(harness, "solve_nonautonomous", recorded)
-    path = Path(_write_cfg(tmp_path))
+def test_concentrate_single_well_writes_no_multiplicity_report(tmp_path,
+                                                               capsys):
+    # one well has no multiplicity verdict: the sweep alone sets the exit
+    path = Path(_write_cfg(tmp_path, extent=240.0))
     path.write_text(path.read_text().replace("double_well", "single_well")
                     .replace("-8.0, 8.0", "8.0"))
-    rc = main(["--out", str(tmp_path), "--config", str(path), "multiplicity"])
-    assert rc == 2
-    assert "ConfigError" in capsys.readouterr().err
-    assert solves == []
+    assert main(["--out", str(tmp_path), "--config", str(path),
+                 "concentrate"]) == 0
+    assert "separation" not in capsys.readouterr().out
+    assert len(_report_rows(tmp_path / "concentration.csv")) == 3
     assert not (tmp_path / "multiplicity.csv").exists()
 
 

@@ -415,9 +415,9 @@ kind = constant
     path = tmp_path / "solver.cfg"
     path.write_text(base + "[solver]\npoho_tol = 1e-3\n")
     assert ExperimentConfig.from_file(path).solver.poho_tol == 1e-3
-    # a missing key keeps the file default
+    # a missing key takes default_config()'s value, like [sweep] and [output]
     path.write_text(base + "[solver]\n")
-    assert ExperimentConfig.from_file(path).solver.poho_tol == 0.05
+    assert ExperimentConfig.from_file(path).solver.poho_tol == 0.1
     # the former settings are constants now, or read off the solve (the
     # residual tolerance: converged reads Newton's stop): naming one is an
     # error

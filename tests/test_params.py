@@ -3,13 +3,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from choqlab.errors import NonPositiveConstant, OutOfRange, RegimeViolation
-from choqlab.params import (gamma_ts, hls_constant, mass_threshold,
-                            riesz_normalization, s_alpha_reference,
-                            sharp_constant, sobolev_constant, validate_regime)
+from choqlab.params import (hls_constant, mass_threshold, riesz_normalization,
+                            s_alpha_reference, sharp_constant,
+                            sobolev_constant, validate_regime)
 
 # high-precision references computed independently (mpmath, 40 digits)
 A_1_05 = 0.3989422804014326779399460599343818684759  # = 1/sqrt(2 pi)
@@ -55,29 +53,6 @@ def test_regime_rejections():
         validate_regime(1, 0.4, 1.0, 3.0)
     with pytest.raises(RegimeViolation, match="positive integer"):
         validate_regime(0, 0.4, 0.5, 3.0)
-
-
-def test_gamma_ts_values(exps):
-    assert gamma_ts(exps, exps.p) == pytest.approx(1.0, rel=1e-13)
-    # at p_bar the product t*gamma equals 1 (delta_{p_bar} = 2s)
-    g = gamma_ts(exps, exps.p_bar)
-    assert exps.p_bar * g == pytest.approx(1.0, rel=1e-13)
-    assert gamma_ts(exps, 3.0) == pytest.approx(0.625, rel=1e-14)
-    with pytest.raises(OutOfRange):
-        gamma_ts(exps, exps.p_lower)
-    with pytest.raises(OutOfRange):
-        gamma_ts(exps, exps.p * 1.01)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=1e-4, max_value=1.0 - 1e-4))
-def test_gamma_ts_strictly_increasing(frac):
-    exps = validate_regime(**{"N": 1, "s": 0.4, "alpha": 0.5, "q": 3.0})
-    lo = exps.p_lower
-    t1 = lo + frac * (exps.p - lo) * 0.5
-    t2 = t1 + (exps.p - t1) * 0.5
-    assert gamma_ts(exps, t2) > gamma_ts(exps, t1)
-    assert 0.0 < gamma_ts(exps, t1) <= 1.0
 
 
 def test_sharp_constant_unit_norm_factor(exps):

@@ -12,9 +12,9 @@ from choqlab.harness import (default_config, level_rise, passes,
                              sharp_tightness)
 from choqlab.params import mass_threshold, s_alpha_reference
 from choqlab import solver
-from choqlab.solver import (SolveConfig, compute_S_alpha, make_profile,
-                            solve_autonomous, solve_nonautonomous,
-                            solve_scalar_ground, x_star_root)
+from choqlab.solver import (SolveConfig, make_profile, solve_autonomous,
+                            solve_nonautonomous, solve_scalar_ground,
+                            x_star_root)
 from choqlab.spectral import Field, Grid, band_limit, kinetic_energy_free, mass
 from conftest import DESK_MASS, make_positive_field
 
@@ -43,29 +43,25 @@ def test_scalar_ground_norm_reproducible(exps, scalar_ground):
     assert gs2.norm2 == pytest.approx(scalar_ground.norm2, rel=1e-5)
 
 
-def test_compute_s_alpha_sweep(exps):
+def test_bubble_quotient_ignores_amplitude(exps):
+    # the critical quotient A / B_p^(1/p) of an enveloped bubble is
+    # homogeneous of degree 0 in its amplitude and never undercuts S_alpha
     g = Grid(1, 60.0, 2048)
-    sw = compute_S_alpha(exps, g)
-    assert sw.value > 0.0
-    assert sw.value == min(sw.quotients)
-    # amplitude homogeneity: the quotient ignores overall scaling of u
     x = g.axis()
     prof = (1.0 / (1.0 + x * x)) ** 0.1 * np.exp(-((x / 12.0) ** 8))
+    quots = []
     for c in (1.0, 3.7):
         u = Field(g, c * prof)
-        quot = (kinetic_energy_free(u, exps.s)
-                / energy(u, exps).hartree_p ** (1 / exps.p))
-        if c == 1.0:
-            base = quot
-    assert quot == pytest.approx(base, rel=1e-12)
-    # the grid quotient never undercuts the sharp constant
-    assert sw.value > s_alpha_reference(exps)
+        quots.append(kinetic_energy_free(u, exps.s)
+                     / energy(u, exps).hartree_p ** (1 / exps.p))
+    assert quots[1] == pytest.approx(quots[0], rel=1e-12)
+    assert quots[0] > s_alpha_reference(exps)
 
 
 def test_scalar_problems_build_only_their_hartree_term(exps, scalar_ground,
                                                      monkeypatch):
-    # the bubble quotient reads B_p and the ground state's report B_q: each
-    # field costs one Riesz convolution, not two
+    # a bubble's critical quotient reads B_p and the ground state's report
+    # B_q: each field costs one Riesz convolution, not two
     energy_module = importlib.import_module("choqlab.energy")
     calls = []
     original = energy_module.riesz_potential
@@ -75,8 +71,10 @@ def test_scalar_problems_build_only_their_hartree_term(exps, scalar_ground,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(energy_module, "riesz_potential", counted)
-    compute_S_alpha(exps, Grid(1, 60.0, 4096))
-    assert len(calls) == 9
+    g = Grid(1, 60.0, 4096)
+    bubble = Field(g, (1.0 / (1.0 + g.radius() ** 2)) ** 0.1)
+    assert energy(bubble, exps).hartree_p > 0.0
+    assert len(calls) == 1
     calls.clear()
     assert energy(scalar_ground.field, exps).hartree_q > 0.0
     assert len(calls) == 1
