@@ -14,10 +14,9 @@ from .spectral import (Field, Grid, band_limit, boundary_decay, dilate,
 from .energy import Evaluation, Truncation, energy, tau_eval, tau_prime
 from .fiber import (FiberMax, FiberProfile, extract_profile, fiber_maximizer,
                     fiber_value, psi, ray_level)
-from .solver import (GroundState, NewtonStats, SolveConfig, SolveResult,
-                     default_init, level_curves, make_profile,
-                     solve_autonomous, solve_nonautonomous,
-                     solve_scalar_ground, x_star_root)
+from .solver import (GroundState, NewtonStats, SolveResult, default_init,
+                     level_curves, make_profile, solve_autonomous,
+                     solve_nonautonomous, solve_scalar_ground, x_star_root)
 from .potentials import PotentialSpec
 from .harness import (ExperimentConfig, ReportRow, barycenter, default_config,
                       run_concentration, run_verify)

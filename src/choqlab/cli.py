@@ -97,8 +97,7 @@ def _cmd_constants(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = _load_config(args)
     if args.mu is not None:
-        res = solve_autonomous(cfg.exps, args.mu, cfg.a, cfg.grid,
-                               config=cfg.solver)
+        res = solve_autonomous(cfg.exps, args.mu, cfg.a, cfg.grid)
         tag = f"autonomous_mu{args.mu:g}"
     else:
         if args.eps <= 0.0:
@@ -106,13 +105,12 @@ def _cmd_solve(args) -> int:
         wells = cfg.potential.well_points()
         if wells:
             _well_cells(cfg.grid, wells[-1], args.eps)   # before any solve
-            auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid,
-                                    config=cfg.solver)
+            auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid)
             res = solve_cell(cfg, auto.field, args.eps, wells[-1])
         else:
             res = solve_nonautonomous(
                 cfg.exps, cfg.potential.sample_on(cfg.grid, args.eps), cfg.a,
-                cfg.grid, config=cfg.solver)
+                cfg.grid)
         tag = f"nonautonomous_eps{args.eps:g}"
     beta = barycenter(res.field, args.eps if args.mu is None else 1.0,
                       cfg.box_radius)
@@ -123,15 +121,14 @@ def _cmd_solve(args) -> int:
           f"newton_stop={res.newton.stop}")
     snap = _outpath(cfg, f"{tag}.chqf")
     save_field(res.field, snap)
-    save_solve_sidecar(res, snap + ".txt", cfg.solver,
-                       extra={"barycenter": beta})
+    save_solve_sidecar(res, snap + ".txt", extra={"barycenter": beta})
     print(f"snapshot -> {snap}")
     return 0 if res.converged else 1
 
 
 def _cmd_fiber(args) -> int:
     cfg = _load_config(args)
-    res = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
+    res = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid)
     prof = extract_profile(res.field, cfg.exps)
     fm = fiber_maximizer(prof)
     path = _outpath(cfg, "fiber.csv")
@@ -148,7 +145,7 @@ def _cmd_sweep(args) -> int:
     a_list = [f * cfg.a for f in (0.5, 1.0, 1.5, 2.0)]
     mu_list = [0.0, 0.5, 1.0]
     a_rows, mu_rows = level_curves(cfg.exps, a_list, mu_list, cfg.grid,
-                                   cfg.solver, a0=cfg.a)
+                                   a0=cfg.a)
     path = _outpath(cfg, "levels.csv")
     write_report([ReportRow("sweep", 0.0, r["a"], r["mu"], r["level"], r["lam"],
                             r["poho"], r["grad"], 0.0, 0.0, r["iterations"],

@@ -18,7 +18,7 @@ import io
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .snapshot import atomic_write
 from .spectral import (Field, Grid, band_limit, dilate, fractional_laplacian,
                        half_sum, kinetic_energy, mass, random_field,
                        riesz_potential, smooth_cutoff, translate)
-from .solver import (SolveConfig, _well_cells, make_profile, solve_autonomous,
+from .solver import (POHO_TOL, _well_cells, make_profile, solve_autonomous,
                      solve_nonautonomous, solve_scalar_ground)
 
 __all__ = [
@@ -60,14 +60,13 @@ CHECK_FIELDS = ("check", "status", "measured", "tolerance")
 GROUND_GRID = Grid(1, 96.0, 4096)
 
 # the sections and keys ExperimentConfig.from_file understands; any other
-# section or key is an error.  [solver] sets SolveConfig fields by name.
+# section or key is an error
 _CONFIG_KEYS = {
     "params": ("n", "s", "alpha", "q"),
     "grid": ("extent", "points"),
     "mass": ("a",),
     "potential": ("kind", "centers", "width", "v_inf"),
     "sweep": ("eps_list", "delta", "delta_target", "box_radius"),
-    "solver": tuple(f.name for f in fields(SolveConfig)),
     "output": ("dir", "seed"),
 }
 
@@ -91,7 +90,6 @@ def default_config() -> "ExperimentConfig":
         delta=1.6,
         delta_target=0.5,
         box_radius=10.0,
-        solver=SolveConfig(poho_tol=0.1),
         out_dir="out",
         seed=12345,
     )
@@ -125,7 +123,6 @@ class ExperimentConfig:
     delta: float
     delta_target: float
     box_radius: float
-    solver: SolveConfig
     out_dir: str
     seed: int
 
@@ -164,8 +161,7 @@ class ExperimentConfig:
             spec = PotentialSpec(kind=kind, centers=centers,
                                  width=pot.getfloat("width", 0.3),
                                  v_inf=pot.getfloat("v_inf", 1.0))
-            # omitted [sweep], [solver] and [output] keys take
-            # default_config()'s values
+            # omitted [sweep] and [output] keys take default_config()'s values
             base = default_config()
             sw = cp["sweep"] if cp.has_section("sweep") else {}
             eps_list = (tuple(float(t) for t in sw["eps_list"].split(","))
@@ -183,10 +179,6 @@ class ExperimentConfig:
                 if not value > 0:
                     raise ConfigError(f"{key} in [sweep] must be positive, "
                                       f"got {value}")
-            sol = cp["solver"] if cp.has_section("solver") else {}
-            solver = replace(base.solver, **{
-                key: type(getattr(base.solver, key))(value)
-                for key, value in sol.items()})
             out = cp["output"] if cp.has_section("output") else {}
             out_dir = out.get("dir", base.out_dir)
             seed = int(out.get("seed", base.seed))
@@ -196,7 +188,7 @@ class ExperimentConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
         return cls(exps=exps, grid=grid, a=a, potential=spec, eps_list=eps_list,
                    delta=delta, delta_target=delta_target, box_radius=box_radius,
-                   solver=solver, out_dir=out_dir, seed=seed)
+                   out_dir=out_dir, seed=seed)
 
 
 @dataclass
@@ -245,7 +237,7 @@ def solve_cell(cfg: ExperimentConfig, w_auto, eps: float, y: float):
     run_concentration."""
     profile, _ = make_profile(w_auto, y, eps, cfg.a)
     return solve_nonautonomous(cfg.exps, cfg.potential.sample_on(cfg.grid, eps),
-                               cfg.a, cfg.grid, init=profile, config=cfg.solver)
+                               cfg.a, cfg.grid, init=profile)
 
 
 def run_concentration(cfg: ExperimentConfig, threads: int = 1):
@@ -281,7 +273,7 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     for eps in cfg.eps_list:
         for y in wells:
             _well_cells(cfg.grid, y, eps)
-    auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
+    auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid)
 
     def chain(y):
         results = [solve_cell(cfg, auto.field, cfg.eps_list[0], y)]
@@ -289,8 +281,7 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
             cells = int(np.rint((y / eps - y / prev) / cfg.grid.dx))
             results.append(solve_nonautonomous(
                 cfg.exps, cfg.potential.sample_on(cfg.grid, eps), cfg.a,
-                cfg.grid, init=translate(results[-1].field, cells),
-                config=cfg.solver))
+                cfg.grid, init=translate(results[-1].field, cells)))
         return results
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -594,8 +585,7 @@ def run_verify(cfg: ExperimentConfig):
 
     g_sol = Grid(1, 96.0, 2048)
     try:
-        res0, res_mu, res0b = (solve_autonomous(exps, mu, cfg.a, g_sol,
-                                                config=cfg.solver)
+        res0, res_mu, res0b = (solve_autonomous(exps, mu, cfg.a, g_sol)
                                for mu in (0.0, 0.5, 0.0))
     except OutOfRange as exc:
         rows += [(name, "Skipped", str(exc)[:40], "")
@@ -604,7 +594,7 @@ def run_verify(cfg: ExperimentConfig):
         return dict(rows=rows, passed=False, reason=f"solver failure: {exc}")
     record("autonomous_certificates",
            max(0.0 if res0.newton.stop == "tolerance" else 2.0,
-               res0.poho_residual / cfg.solver.poho_tol,
+               res0.poho_residual / POHO_TOL,
                0.0 if res0.lam < 0.0 else 2.0))
     record("affine_level_shift",
            affine_level_defect({0.0: res0.level, 0.5: res_mu.level}, cfg.a))

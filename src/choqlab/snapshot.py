@@ -85,9 +85,9 @@ def load_field(path) -> Field:
     return Field(grid, vals)
 
 
-def save_solve_sidecar(result, path, config, extra) -> None:
-    """key = value companion file for a SolveResult, its SolveConfig and the
-    extra mapping of further keys."""
+def save_solve_sidecar(result, path, extra) -> None:
+    """key = value companion file for a SolveResult, its Newton record and
+    the extra mapping of further keys."""
     lines = [
         "format = choqlab-solve v1",
         f"level = {result.level!r}",
@@ -101,8 +101,6 @@ def save_solve_sidecar(result, path, config, extra) -> None:
     ]
     for f in fields(result.newton):
         lines.append(f"newton.{f.name} = {getattr(result.newton, f.name)!r}")
-    for f in fields(config):
-        lines.append(f"config.{f.name} = {getattr(config, f.name)!r}")
     for k, v in extra.items():
         lines.append(f"{k} = {v!r}")
     atomic_write(path, ("\n".join(lines) + "\n").encode())

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, OutOfBox, OutOfRange, TruncationActive
+from .errors import (AliasRisk, NoConvergence, OutOfBox, OutOfRange,
+                     TruncationActive)
 from .energy import energy, normalize_potential
 from .fiber import extract_profile, fiber_maximizer, ray_level
 from .params import ExponentSet
@@ -40,7 +41,7 @@ from .spectral import (Field, band_limit, dilate, edge_shell,
                        smooth_cutoff, translate)
 
 __all__ = [
-    "SolveConfig", "SolveResult", "GroundState", "NewtonStats",
+    "POHO_TOL", "SolveResult", "GroundState", "NewtonStats",
     "default_init", "solve_scalar_ground",
     "solve_autonomous", "solve_nonautonomous",
     "make_profile", "level_curves", "x_star_root",
@@ -55,6 +56,7 @@ _STEP = 0.5          # initial descent step
 _MAX_ITER = 300      # descent and Petviashvili iterations
 _NEWTON_MAX = 60     # Newton steps
 _NEWTON_TOL = 1e-10  # relative residual that ends a Newton solve
+POHO_TOL = 0.1       # |P| / (2 s A) below which a solve is converged
 # Eisenstat-Walker forcing terms (choice 2), the relative tolerance of each
 # Newton step's Krylov solve: _ETA_MAX on the first step, then
 # eta = _ETA_GAMMA (fn/fn_prev)^2, at least _ETA_GAMMA eta_prev^2 when that
@@ -68,15 +70,6 @@ _ETA_MIN = 1e-8
 # iteration whose rescaled level lies below the previous one by less than
 # _HANDOVER of itself (a level that rises hands over too)
 _HANDOVER = 1e-5
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    poho_tol: float = 1e-6     # |P| / (2 s A)
-
-    def __post_init__(self):
-        if self.poho_tol <= 0:
-            raise OutOfRange(f"poho_tol must be positive, got {self.poho_tol}")
 
 
 @dataclass(frozen=True)
@@ -374,7 +367,7 @@ def _constrained_system(ev, lam: float, a: float):
 
 
 def _composite_solve(exps: ExponentSet, potential, a: float, grid,
-                     init: Field | None, config: SolveConfig) -> SolveResult:
+                     init: Field | None) -> SolveResult:
     """Alternate fiber rescaling and projected descent, then Newton.
 
     potential is normalized (see normalize_potential): a float mu or
@@ -390,7 +383,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     converged field whose H^s norm reaches it raises TruncationActive.
     Every descent iterate is band-limited (see band_limit); Newton works on
     the raw field.  The result is converged when Newton stopped on
-    _NEWTON_TOL and |P|/(2sA) < config.poho_tol."""
+    _NEWTON_TOL and |P|/(2sA) < POHO_TOL."""
     # a caller's seed may be a raw Newton field: band-limit it like every
     # descent iterate, so that a t <= 2 dilation of it is alias-free
     # (default_init is smooth already)
@@ -455,7 +448,7 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
     trace.append(("newton", it + 1, ev.total, ev.grad_residual,
                   ev.poho_residual))
     converged = (newton.stop == "tolerance"
-                 and ev.poho_residual < config.poho_tol)
+                 and ev.poho_residual < POHO_TOL)
     hs_norm = math.sqrt(ev.kinetic + ev.mass)
     if hs_norm >= r0:
         raise TruncationActive(
@@ -468,20 +461,17 @@ def _composite_solve(exps: ExponentSet, potential, a: float, grid,
 
 
 def solve_autonomous(exps: ExponentSet, mu: float, a: float, grid,
-                     init: Field | None = None,
-                     config: SolveConfig | None = None) -> SolveResult:
+                     init: Field | None = None) -> SolveResult:
     """Mountain-pass solution of the autonomous problem at mass a.
 
     The level reported is J_mu(u) = J_0(u) + mu*a/2; the multiplier
     satisfies lam < mu at any nontrivial critical point.
     """
-    return _composite_solve(exps, float(mu), a, grid, init,
-                            config or SolveConfig())
+    return _composite_solve(exps, float(mu), a, grid, init)
 
 
 def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
-                        init: Field | None = None,
-                        config: SolveConfig | None = None) -> SolveResult:
+                        init: Field | None = None) -> SolveResult:
     """Critical point of the non-autonomous functional with V(eps x) on the grid.
 
     The fiber rescale and the line search's ray level freeze the potential
@@ -492,7 +482,7 @@ def solve_nonautonomous(exps: ExponentSet, potential, a: float, grid,
     v = normalize_potential(potential, grid)
     if isinstance(v, np.ndarray) and float(np.ptp(v)) == 0.0:
         v = float(v[0])
-    return _composite_solve(exps, v, a, grid, init, config or SolveConfig())
+    return _composite_solve(exps, v, a, grid, init)
 
 
 # ---------------------------------------------------------------------------
@@ -537,19 +527,20 @@ def make_profile(w: Field, y: float, eps: float, a: float):
 # Level tables and the kinetic-bound root
 # ---------------------------------------------------------------------------
 
-def level_curves(exps: ExponentSet, a_list, mu_list, grid, config: SolveConfig,
-                 a0: float):
+def level_curves(exps: ExponentSet, a_list, mu_list, grid, a0: float):
     """b_{0,T,a} over a_list (warm-started) and the mu-affine law over
     mu_list at mass a0.
 
     Returns (a_rows, mu_rows): lists of dicts, one per solve; failed cells
-    carry converged=False instead of aborting the table.
+    (TruncationActive, or AliasRisk in a rescale) carry converged=False
+    instead of aborting the table.  When a0 is in a_list the mu = 0 row is
+    a copy of the a-row at a0, not a second solve.
     """
 
     def solve_row(a, mu, init=None):
         try:
-            res = solve_autonomous(exps, mu, a, grid, init=init, config=config)
-        except TruncationActive as exc:
+            res = solve_autonomous(exps, mu, a, grid, init=init)
+        except (TruncationActive, AliasRisk) as exc:
             return None, dict(a=a, mu=mu, level=math.nan, lam=math.nan,
                               poho=math.nan, grad=math.nan, iterations=0,
                               converged=False, error=str(exc))
@@ -564,7 +555,9 @@ def level_curves(exps: ExponentSet, a_list, mu_list, grid, config: SolveConfig,
         res, row = solve_row(a, 0.0, init)
         warm = res.field if res is not None else warm
         a_rows.append(row)
-    mu_rows = [solve_row(a0, mu)[1] for mu in mu_list]
+    by_a = {row["a"]: row for row in a_rows}
+    mu_rows = [dict(by_a[a0]) if mu == 0.0 and a0 in by_a
+               else solve_row(a0, mu)[1] for mu in mu_list]
     return a_rows, mu_rows
 
 

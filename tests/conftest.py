@@ -8,7 +8,7 @@ import pytest
 from choqlab.harness import GROUND_GRID
 from choqlab.harness import make_positive_field  # noqa: F401 (for the tests)
 from choqlab.params import riesz_normalization, sharp_constant, validate_regime
-from choqlab.solver import SolveConfig, solve_autonomous, solve_scalar_ground
+from choqlab.solver import solve_autonomous, solve_scalar_ground
 from choqlab.spectral import Grid
 
 DESK = dict(N=1, s=0.4, alpha=0.5, q=3.0)
@@ -58,11 +58,6 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def desk_config():
-    return SolveConfig(poho_tol=0.1)
-
-
-@pytest.fixture(scope="session")
 def scalar_ground(exps):
     gs = solve_scalar_ground(exps, GROUND_GRID)
     assert gs.converged
@@ -75,6 +70,5 @@ def c_alpha_q(exps, scalar_ground):
 
 
 @pytest.fixture(scope="session")
-def autonomous_mu0(exps, grid_solver, desk_config):
-    return solve_autonomous(exps, 0.0, DESK_MASS, grid_solver,
-                            config=desk_config)
+def autonomous_mu0(exps, grid_solver):
+    return solve_autonomous(exps, 0.0, DESK_MASS, grid_solver)

@@ -31,8 +31,7 @@ from choqlab.harness import (SEPARATION, ReportRow, affine_level_defect,
                              write_report)
 from choqlab.params import s_alpha_reference
 from choqlab.snapshot import load_field, save_field
-from choqlab.solver import (SolveConfig, level_curves, make_profile,
-                            solve_autonomous)
+from choqlab.solver import level_curves, make_profile, solve_autonomous
 from choqlab.spectral import Grid, band_limit, random_field
 from conftest import DESK_MASS, make_positive_field
 
@@ -55,8 +54,7 @@ def cert_solve(cfg):
     """Certificate solve: the smallest grid on the measured defect law that
     clears the criterion-3 tolerance (or a faster smaller one on demand)."""
     grid = Grid(1, 3072.0, 131072) if SMALL else Grid(1, 6144.0, 524288)
-    return solve_autonomous(cfg.exps, 0.0, DESK_MASS, grid,
-                            config=SolveConfig(poho_tol=1.0))
+    return solve_autonomous(cfg.exps, 0.0, DESK_MASS, grid)
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +117,7 @@ def test_criterion_04_multiplier_law(cfg, cert_solve):
 def test_criterion_05_affine_level_shift(cfg):
     """b_mu - b_0 = mu a/2 within 1e-4 relative for mu in {0.5, 1.0}."""
     g = Grid(1, 96.0, 2048)
-    scfg = SolveConfig(poho_tol=0.1)
-    levels = {mu: solve_autonomous(cfg.exps, mu, DESK_MASS, g, config=scfg).level
+    levels = {mu: solve_autonomous(cfg.exps, mu, DESK_MASS, g).level
               for mu in (0.0, 0.5, 1.0)}
     worst = affine_level_defect(levels, DESK_MASS)
     assert _line(5, "affine level shift", passes("affine_level_shift", worst),
@@ -131,7 +128,7 @@ def test_criterion_06_mass_monotonicity(cfg):
     """b_{0,T,a} nonincreasing over {0.5, 1, 1.5, 2} x a0, slack 1e-6."""
     masses = [0.5 * DESK_MASS, DESK_MASS, 1.5 * DESK_MASS, 2.0 * DESK_MASS]
     rows, _ = level_curves(cfg.exps, masses, [], Grid(1, 96.0, 4096),
-                           SolveConfig(poho_tol=0.2), DESK_MASS)
+                           DESK_MASS)
     assert all(r["grad"] < 1e-4 for r in rows)  # criticality per cell
     levels = [r["level"] for r in rows]
     assert _line(6, "mass monotonicity",
@@ -189,7 +186,7 @@ def test_criterion_10_profile_energy_barycenter(cfg, concentration):
     """|beta(Phi_eps(y)) - y| <= 2 eps R_eps and |J - b0| decreasing."""
     from choqlab.harness import barycenter
     exps = cfg.exps
-    auto = solve_autonomous(exps, 0.0, DESK_MASS, cfg.grid, config=cfg.solver)
+    auto = solve_autonomous(exps, 0.0, DESK_MASS, cfg.grid)
     bound_ok = True
     gaps = []
     y = 8.0
@@ -227,8 +224,7 @@ def test_criterion_11_concentration_multiplicity(cfg, concentration):
 def test_criterion_12_determinism_io(cfg, tmp_path):
     """Bit-exact re-run of a solve cell and snapshot round-trip."""
     g = Grid(1, 96.0, 2048)
-    scfg = SolveConfig(poho_tol=0.1)
-    res1, res2 = (solve_autonomous(cfg.exps, 0.5, DESK_MASS, g, config=scfg)
+    res1, res2 = (solve_autonomous(cfg.exps, 0.5, DESK_MASS, g)
                   for _ in range(2))
     bitwise = passes("determinism", rerun_defect(res1, res2))
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from choqlab import solver
-from choqlab.solver import SolveConfig, solve_nonautonomous
+from choqlab.solver import solve_nonautonomous
 from conftest import DESK_MASS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,8 +91,7 @@ def test_sampled_newton_reaches_hartree_jvp(exps, grid_unit, monkeypatch):
     monkeypatch.setattr(solver, "_NEWTON_MAX", 2)
     x = grid_unit.axis()
     potential = 0.2 - 0.1 * np.exp(-(x / 8.0) ** 2)
-    config = SolveConfig(poho_tol=0.1)
-    solve_nonautonomous(exps, potential, DESK_MASS, grid_unit, config=config)
+    solve_nonautonomous(exps, potential, DESK_MASS, grid_unit)
     assert all(calls.values()), calls
 
 

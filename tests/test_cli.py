@@ -289,7 +289,5 @@ kind = double_well
 centers = -8.0, 8.0
 width = 2.0
 v_inf = 0.2
-[solver]
-poho_tol = 0.1
 """)
     return str(path)

@@ -82,8 +82,6 @@ v_inf = 0.2
 [sweep]
 eps_list = 0.4, 0.2, 0.1
 delta = 1.6
-[solver]
-poho_tol = 0.1
 [output]
 dir = out
 seed = 7
@@ -95,7 +93,6 @@ seed = 7
     assert cfg.grid.points == 2048
     assert cfg.eps_list == (0.4, 0.2, 0.1)
     assert cfg.seed == 7
-    assert cfg.solver.poho_tol == 0.1
     # omitted [sweep] keys take the default configuration's values
     desk = default_config()
     assert (cfg.delta, cfg.delta_target, cfg.box_radius) == (
@@ -397,7 +394,7 @@ def test_concentration_survives_alias_risk(points):
     assert all(row.converged for row in out["rows"])
 
 
-def test_config_solver_section_reads_every_field(tmp_path):
+def test_config_solver_section_is_refused(tmp_path):
     base = """
 [params]
 N = 1
@@ -413,23 +410,16 @@ a = 1.5
 kind = constant
 """
     path = tmp_path / "solver.cfg"
-    path.write_text(base + "[solver]\npoho_tol = 1e-3\n")
-    assert ExperimentConfig.from_file(path).solver.poho_tol == 1e-3
-    # a missing key takes default_config()'s value, like [sweep] and [output]
-    path.write_text(base + "[solver]\n")
-    assert ExperimentConfig.from_file(path).solver.poho_tol == 0.1
-    # the former settings are constants now, or read off the solve (the
-    # residual tolerance: converged reads Newton's stop): naming one is an
-    # error
-    for key in ("step", "refine", "newton_tol", "switch_tol", "alias_tol",
-                "max_iter", "newton_max", "grad_tol"):
-        path.write_text(base + f"[solver]\n{key} = 1\n")
-        with pytest.raises(ConfigError, match=key):
+    # the former settings are constants now (solver.POHO_TOL among them), or
+    # read off the solve: a [solver] section, even an empty one, is an
+    # unknown section
+    for body in [""] + [f"{key} = 1\n" for key in (
+            "poho_tol", "step", "refine", "newton_tol", "switch_tol",
+            "alias_tol", "max_iter", "newton_max", "grad_tol")]:
+        path.write_text(base + "[solver]\n" + body)
+        with pytest.raises(ConfigError, match=r"unknown config section.*solver"):
             ExperimentConfig.from_file(path)
     # a key no field reads is an error, in any section
-    path.write_text(base + "[solver]\nnewton_mx = 60\n")
-    with pytest.raises(ConfigError, match="newton_mx"):
-        ExperimentConfig.from_file(path)
     path.write_text(base.replace("a = 1.5", "a = 1.5\nmas = 2.0"))
     with pytest.raises(ConfigError, match="mas"):
         ExperimentConfig.from_file(path)
@@ -440,19 +430,10 @@ def test_readme_config_is_the_default(tmp_path):
     import dataclasses
     from pathlib import Path
 
-    from choqlab.solver import SolveConfig
-
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     path = tmp_path / "readme.cfg"
     path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
     cfg = ExperimentConfig.from_file(path)
     ref = default_config()
-    # the block names every solver setting
-    solver_block = path.read_text().split("[solver]\n", 1)[1].split("[", 1)[0]
-    assert ([line.split("=")[0].strip() for line in solver_block.splitlines()
-             if line.strip()]
-            == [f.name for f in dataclasses.fields(SolveConfig)])
-    for f in dataclasses.fields(ref.solver):
-        assert getattr(cfg.solver, f.name) == getattr(ref.solver, f.name), f.name
     for f in dataclasses.fields(ref):
         assert getattr(cfg, f.name) == getattr(ref, f.name), f.name

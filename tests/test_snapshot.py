@@ -80,15 +80,12 @@ def test_rejects_other_dimensions(tmp_path):
     assert err.value.offset == 8
 
 
-def test_sidecar(tmp_path, autonomous_mu0, desk_config):
+def test_sidecar(tmp_path, autonomous_mu0):
     path = tmp_path / "solve.txt"
-    save_solve_sidecar(autonomous_mu0, path, desk_config,
-                       extra={"note": "unit"})
+    save_solve_sidecar(autonomous_mu0, path, extra={"note": "unit"})
     text = path.read_text()
     assert f"level = {autonomous_mu0.level!r}" in text
     assert f"lambda = {autonomous_mu0.lam!r}" in text
-    for f in fields(desk_config):
-        assert f"config.{f.name} = {getattr(desk_config, f.name)!r}" in text
     assert "note = 'unit'" in text
     assert "descent_stop = 'handover'" in text
     for f in fields(autonomous_mu0.newton):
@@ -96,14 +93,14 @@ def test_sidecar(tmp_path, autonomous_mu0, desk_config):
 
 
 def test_failed_writes_keep_old_files(tmp_path, grid_unit, rng, autonomous_mu0,
-                                      desk_config, monkeypatch):
+                                      monkeypatch):
     # every output file goes through one atomic writer: a write that fails
     # at the rename leaves the old bytes and no temp file
     u = make_positive_field(grid_unit, rng)
     snap, side, report = (tmp_path / name
                           for name in ("u.chqf", "u.chqf.txt", "r.csv"))
     save_field(u, snap)
-    save_solve_sidecar(autonomous_mu0, side, desk_config, extra={})
+    save_solve_sidecar(autonomous_mu0, side, extra={})
     write_report([("a", 1)], report, ("key", "value"))
     before = [path.read_bytes() for path in (snap, side, report)]
 
@@ -112,7 +109,7 @@ def test_failed_writes_keep_old_files(tmp_path, grid_unit, rng, autonomous_mu0,
 
     monkeypatch.setattr(os, "replace", failing_replace)
     writes = (lambda: save_field(Field(grid_unit, 2.0 * u.values), snap),
-              lambda: save_solve_sidecar(autonomous_mu0, side, desk_config,
+              lambda: save_solve_sidecar(autonomous_mu0, side,
                                          extra={"note": "new"}),
               lambda: write_report([("b", 2)], report, ("key", "value")))
     for write in writes:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from choqlab.harness import (default_config, level_rise, passes,
                              sharp_tightness)
 from choqlab.params import mass_threshold, s_alpha_reference
 from choqlab import solver
-from choqlab.solver import (SolveConfig, make_profile, solve_autonomous,
-                            solve_nonautonomous, solve_scalar_ground,
-                            x_star_root)
+from choqlab.solver import (POHO_TOL, level_curves, make_profile,
+                            solve_autonomous, solve_nonautonomous,
+                            solve_scalar_ground, x_star_root)
 from choqlab.spectral import Field, Grid, band_limit, kinetic_energy_free, mass
 from conftest import DESK_MASS, make_positive_field
 
@@ -91,11 +92,11 @@ def test_sharp_tightness_at_ground_state(exps, scalar_ground, c_alpha_q):
 # Autonomous solves
 # ---------------------------------------------------------------------------
 
-def test_autonomous_certificates(exps, autonomous_mu0, desk_config):
+def test_autonomous_certificates(exps, autonomous_mu0):
     res = autonomous_mu0
     assert res.converged
     assert res.grad_residual < 1e-6
-    assert res.poho_residual < desk_config.poho_tol
+    assert res.poho_residual < POHO_TOL
     assert res.lam < 0.0                               # lambda < mu = 0
     assert res.mass == pytest.approx(DESK_MASS, rel=1e-12)
     assert np.all(res.field.values > -1e-8)
@@ -105,36 +106,25 @@ def test_autonomous_certificates(exps, autonomous_mu0, desk_config):
 
 @pytest.mark.parametrize("mu", [0.0, 0.5])
 def test_warm_start_from_converged_field(exps, grid_solver, autonomous_mu0,
-                                         desk_config, mu):
+                                         mu):
     # a converged field carries Newton content above half Nyquist; the
     # solve band-limits its seed, so the first rescale does not alias
     res = solve_autonomous(exps, mu, DESK_MASS, grid_solver,
-                           init=autonomous_mu0.field, config=desk_config)
+                           init=autonomous_mu0.field)
     assert res.converged and res.newton.stop == "tolerance"
     assert res.level == pytest.approx(autonomous_mu0.level + mu * DESK_MASS / 2,
                                       rel=1e-8)
-
-
-def test_solve_config_rejects_bad_settings():
-    # the Pohozaev tolerance is the only setting: the residual's is Newton's
-    # own stop rule
-    names = [f.name for f in dataclasses.fields(SolveConfig)]
-    assert names == ["poho_tol"]
-    for bad in (0.0, -0.1):
-        with pytest.raises(OutOfRange):
-            SolveConfig(poho_tol=bad)
 
 
 def test_budget_stop_is_not_converged(exps, grid_solver, monkeypatch):
     # a desk solve cut to three Newton steps ends on the budget with a
     # residual below 2e-4 and the Pohozaev value within the default
     # tolerance: converged reads how Newton stopped, not that residual
-    config = default_config().solver
     monkeypatch.setattr(solver, "_NEWTON_MAX", 3)
-    res = solve_autonomous(exps, 0.0, DESK_MASS, grid_solver, config=config)
+    res = solve_autonomous(exps, 0.0, DESK_MASS, grid_solver)
     assert res.newton.stop == "budget"
     assert res.grad_residual < 2e-4
-    assert res.poho_residual < config.poho_tol
+    assert res.poho_residual < POHO_TOL
     assert res.converged is False
 
 
@@ -175,25 +165,25 @@ def test_newton_rows_map_zero_to_zero(exps, grid_unit, rng):
     assert not np.any(row(zero, 0.0))
 
 
-def test_newton_budget_stop(exps, grid_unit, desk_config, monkeypatch):
+def test_newton_budget_stop(exps, grid_unit, monkeypatch):
     monkeypatch.setattr(solver, "_NEWTON_MAX", 1)
-    res = solve_autonomous(exps, 0.0, DESK_MASS, grid_unit, config=desk_config)
+    res = solve_autonomous(exps, 0.0, DESK_MASS, grid_unit)
     assert res.newton.stop == "budget"
     assert res.newton.steps == 1
 
 
-def test_krylov_failure_is_counted(exps, grid_unit, desk_config, monkeypatch):
+def test_krylov_failure_is_counted(exps, grid_unit, monkeypatch):
     # a Krylov solve that reports failure and returns no step: the step is
     # still tried, every halving is rejected and the line search stops
     monkeypatch.setattr(solver, "lgmres",
                         lambda op, b, **kw: (np.zeros_like(b), 1))
-    res = solve_autonomous(exps, 0.5, DESK_MASS, grid_unit, config=desk_config)
+    res = solve_autonomous(exps, 0.5, DESK_MASS, grid_unit)
     assert res.newton.krylov_failures >= 1
     assert res.newton.stop == "line_search"
     assert res.newton.steps == 1 and res.newton.backtracks == 12
 
 
-def test_krylov_forcing_terms(exps, grid_solver, desk_config, monkeypatch):
+def test_krylov_forcing_terms(exps, grid_solver, monkeypatch):
     # Eisenstat-Walker: the first Krylov solve is loose, later ones follow
     # the fall of the residual, and none is tighter than 1e-8; the solve
     # still meets the Newton stop rule
@@ -205,7 +195,7 @@ def test_krylov_forcing_terms(exps, grid_solver, desk_config, monkeypatch):
         return original(op, b, **kw)
 
     monkeypatch.setattr(solver, "lgmres", recorded)
-    res = solve_autonomous(exps, 0.0, DESK_MASS, grid_solver, config=desk_config)
+    res = solve_autonomous(exps, 0.0, DESK_MASS, grid_solver)
     assert rtols[0] == solver._ETA_MAX
     assert all(1e-8 <= t <= solver._ETA_MAX for t in rtols)
     assert len(set(rtols)) > 1
@@ -250,7 +240,7 @@ def test_descent_hands_over_on_coarse_grid():
     from choqlab.harness import solve_cell
 
     cfg = dataclasses.replace(default_config(), grid=Grid(1, 240.0, 1024))
-    auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
+    auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid)
     res = solve_cell(cfg, auto.field, 0.2, -8.0)
     assert res.iterations < solver._MAX_ITER
     assert res.converged
@@ -265,18 +255,17 @@ def test_lattice_pinned_cell_converges_without_crawl():
     cfg = default_config()
     y = min(cfg.potential.well_points())
     assert y == pytest.approx(-8.0, abs=0.1)
-    auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid, config=cfg.solver)
+    auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid)
     profile, _ = make_profile(auto.field, y, 0.1, cfg.a)
     res = solve_nonautonomous(cfg.exps, cfg.potential.sample_on(cfg.grid, 0.1),
-                              cfg.a, cfg.grid, init=profile, config=cfg.solver)
+                              cfg.a, cfg.grid, init=profile)
     assert res.converged and res.newton.stop == "tolerance"
     assert res.newton.steps <= 13
     assert res.newton.backtracks <= 5
 
 
-def test_mu_shift_exactness(exps, grid_solver, autonomous_mu0, desk_config):
-    res_mu = solve_autonomous(exps, 0.5, DESK_MASS, grid_solver,
-                              config=desk_config)
+def test_mu_shift_exactness(exps, grid_solver, autonomous_mu0):
+    res_mu = solve_autonomous(exps, 0.5, DESK_MASS, grid_solver)
     gap = res_mu.level - autonomous_mu0.level
     assert gap == pytest.approx(0.5 * DESK_MASS / 2.0, rel=1e-10)
     assert res_mu.lam == pytest.approx(autonomous_mu0.lam + 0.5, rel=1e-8)
@@ -315,10 +304,9 @@ def test_warn_above_mass_threshold(exps, c_alpha_q):
 # ---------------------------------------------------------------------------
 
 def test_nonautonomous_constant_matches_autonomous(exps, grid_solver,
-                                                   autonomous_mu0, desk_config):
+                                                   autonomous_mu0):
     v = np.full(grid_solver.shape, 0.0)
-    res = solve_nonautonomous(exps, v, DESK_MASS, grid_solver,
-                              config=desk_config)
+    res = solve_nonautonomous(exps, v, DESK_MASS, grid_solver)
     assert res.level == pytest.approx(autonomous_mu0.level, abs=1e-8)
     rel = (np.linalg.norm(res.field.values - autonomous_mu0.field.values)
            / np.linalg.norm(autonomous_mu0.field.values))
@@ -336,7 +324,7 @@ def test_make_profile_contract(exps, autonomous_mu0):
 
 
 def test_sampled_line_search_dilates_no_trial(exps, grid_solver, autonomous_mu0,
-                                             desk_config, monkeypatch):
+                                             monkeypatch):
     # the line search freezes V at each trial, so the only dilations are the
     # rescales, at most one per descent iteration
     calls = []
@@ -349,8 +337,7 @@ def test_sampled_line_search_dilates_no_trial(exps, grid_solver, autonomous_mu0,
     monkeypatch.setattr(solver, "dilate", counted)
     prof, _ = make_profile(autonomous_mu0.field, 8.0, 0.4, DESK_MASS)
     v = default_config().potential.sample_on(grid_solver, 0.4)
-    res = solve_nonautonomous(exps, v, DESK_MASS, grid_solver, init=prof,
-                              config=desk_config)
+    res = solve_nonautonomous(exps, v, DESK_MASS, grid_solver, init=prof)
     assert len(calls) <= res.iterations
     assert res.converged
 
@@ -380,11 +367,20 @@ def test_kinetic_ridge_diagnostic(exps, autonomous_mu0, c_alpha_q):
         assert kin <= xs * 1.05
 
 
-def test_level_curves_table(exps, grid_solver, desk_config):
-    from choqlab.solver import level_curves
+def test_level_curves_table(exps, grid_solver, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_autonomous(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_autonomous", counted)
     a_rows, mu_rows = level_curves(exps, [DESK_MASS, 2.0 * DESK_MASS],
-                                   [0.0, 0.5], grid_solver, desk_config,
-                                   a0=DESK_MASS)
+                                   [0.0, 0.5], grid_solver, a0=DESK_MASS)
+    monkeypatch.undo()
+    # the mu = 0 row at a0 is the a-row at a0, not a second solve
+    assert len(calls) == 3
+    assert mu_rows[0] == a_rows[0]
     assert [r["a"] for r in a_rows] == [DESK_MASS, 2.0 * DESK_MASS]
     assert passes("mass_monotone", level_rise([r["level"] for r in a_rows]))
     assert all(r["converged"] for r in a_rows)
@@ -392,7 +388,15 @@ def test_level_curves_table(exps, grid_solver, desk_config):
     gap = mu_rows[1]["level"] - mu_rows[0]["level"]
     assert gap == pytest.approx(0.5 * DESK_MASS / 2.0, rel=1e-8)
     # single-cell table reproduces solve_autonomous
-    single, _ = level_curves(exps, [DESK_MASS], [], grid_solver, desk_config,
-                             a0=DESK_MASS)
-    ref = solve_autonomous(exps, 0.0, DESK_MASS, grid_solver, config=desk_config)
+    single, _ = level_curves(exps, [DESK_MASS], [], grid_solver, a0=DESK_MASS)
+    ref = solve_autonomous(exps, 0.0, DESK_MASS, grid_solver)
     assert single[0]["level"] == ref.level
+
+
+def test_level_curves_keeps_an_aliased_cell(exps):
+    # a cold solve at a = 0.3 on the default grid raises AliasRisk in its
+    # first rescale; the table records the cell and goes on
+    rows, _ = level_curves(exps, [0.3, 1.5], [], Grid(1, 240.0, 8192), a0=1.5)
+    assert math.isnan(rows[0]["level"]) and rows[0]["converged"] is False
+    assert "alias" in rows[0]["error"]
+    assert rows[1]["a"] == 1.5 and rows[1]["converged"]
