@@ -33,20 +33,12 @@ __all__ = ["main"]
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-    else:
-        cfg = default_config()
-    if args.out:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    return ExperimentConfig.from_file(args.config) if args.config else default_config()
 
 
-def _outpath(cfg, name):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+def _outpath(args, name):
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def _cmd_validate(args) -> int:
@@ -79,14 +71,14 @@ def _cmd_constants(args) -> int:
           f"newton_stop={gs.newton.stop}")
     print(f"  ||U||_2 = {gs.norm2:.12g}  action = {gs.action:.12g} "
           f"scaling identity defect = {gs.poho_residual:.2e}")
-    snap = _outpath(cfg, "scalar_ground.chqf")
+    snap = _outpath(args, "scalar_ground.chqf")
     save_field(gs.field, snap)
     print(f"snapshot -> {snap}")
     c_aq = sharp_constant(exps, exps.q, gs.norm2)
     print(f"C_alpha_q  = {c_aq:.12g}")
     mt = mass_threshold(exps, s_ref, c_aq)
     print(f"K_q        = {mt.k_q:.12g}")
-    print(f"theta_q    = {mt.theta_q:.12g}")
+    print(f"theta_q    = {exps.theta_q:.12g}")
     print(f"a_max      = {mt.a_max:.12g}"
           + ("   [near-degenerate exponent]" if mt.near_degenerate else ""))
     xs = x_star_root(exps, s_ref, mt.k_q, cfg.a)
@@ -119,7 +111,7 @@ def _cmd_solve(args) -> int:
           f"poho_residual={res.poho_residual:.2e} iterations={res.iterations} "
           f"converged={res.converged} descent_stop={res.descent_stop} "
           f"newton_stop={res.newton.stop}")
-    snap = _outpath(cfg, f"{tag}.chqf")
+    snap = _outpath(args, f"{tag}.chqf")
     save_field(res.field, snap)
     save_solve_sidecar(res, snap + ".txt", extra={"barycenter": beta})
     print(f"snapshot -> {snap}")
@@ -127,11 +119,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
+    if not (args.tmin > 0.0 and args.tmax > 0.0 and args.samples >= 1):
+        raise OutOfRange(f"fiber needs tmin, tmax > 0 and samples >= 1, got "
+                         f"{args.tmin}, {args.tmax}, {args.samples}")
     cfg = _load_config(args)
     res = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid)
     prof = extract_profile(res.field, cfg.exps)
     fm = fiber_maximizer(prof)
-    path = _outpath(cfg, "fiber.csv")
+    path = _outpath(args, "fiber.csv")
     write_report([(t, fiber_value(prof, t), psi(prof, t))
                   for t in np.geomspace(args.tmin, args.tmax, args.samples)],
                  path, header=("t", "phi", "psi"))
@@ -146,7 +141,7 @@ def _cmd_sweep(args) -> int:
     mu_list = [0.0, 0.5, 1.0]
     a_rows, mu_rows = level_curves(cfg.exps, a_list, mu_list, cfg.grid,
                                    a0=cfg.a)
-    path = _outpath(cfg, "levels.csv")
+    path = _outpath(args, "levels.csv")
     write_report([ReportRow("sweep", 0.0, r["a"], r["mu"], r["level"], r["lam"],
                             r["poho"], r["grad"], 0.0, 0.0, r["iterations"],
                             r["converged"]) for r in a_rows + mu_rows], path)
@@ -159,6 +154,9 @@ def _cmd_sweep(args) -> int:
           f"{rise:.2e} (tol {CHECKS['mass_monotone'][0]:g}) nonincreasing={mono}")
     print(f"b_mu - b_0 = mu a/2 over mu={mu_list}: max rel defect {defect:.2e} "
           f"(tol {CHECKS['affine_level_shift'][0]:g}) ok={affine}")
+    for r in a_rows + mu_rows:
+        if "error" in r:
+            print(f"FAILED: a={r['a']:g} mu={r['mu']:g}: {r['error']}")
     print(f"table -> {path}")
     return 0 if (mono and affine
                  and all(r["converged"] for r in a_rows + mu_rows)) else 1
@@ -167,7 +165,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_concentrate(args) -> int:
     cfg = _load_config(args)
     out = run_concentration(cfg, threads=args.threads)
-    path = _outpath(cfg, "concentration.csv")
+    path = _outpath(args, "concentration.csv")
     write_report(out["rows"], path)
     print(f"distance to M per eps: "
           f"{['%.5f' % d for d in out['dists']]} monotone={out['monotone']}")
@@ -180,7 +178,7 @@ def _cmd_concentrate(args) -> int:
     if verdict["reason"]:
         print(f"INDISTINCT: {verdict['reason']}")
         return 1
-    path = _outpath(cfg, "multiplicity.csv")
+    path = _outpath(args, "multiplicity.csv")
     write_report(verdict["rows"], path)
     print(f"wells {verdict['wells']}: barycenters "
           f"{['%.4f' % b for b in verdict['betas']]}")
@@ -194,7 +192,7 @@ def _cmd_concentrate(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
     out = run_verify(cfg)
-    path = _outpath(cfg, "verify.csv")
+    path = _outpath(args, "verify.csv")
     write_report(out["rows"], path, CHECK_FIELDS)
     for name, status, measured, tol in out["rows"]:
         print(f"  [{status:>7}] {name:<28} measured={measured} tol={tol}")
@@ -216,8 +214,7 @@ def main(argv=None) -> int:
         prog="choqlab",
         description="Pseudospectral lab for normalized fractional Choquard solutions")
     parser.add_argument("--config", help="experiment config file (key = value INI)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="RNG seed override")
+    parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads of the concentration sweep "
                              "(one chain per well)")
@@ -236,10 +233,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("solve", help="one autonomous or non-autonomous solve")
-    p.add_argument("--mu", type=float, default=None,
-                   help="constant potential (autonomous mode)")
-    p.add_argument("--eps", type=float, default=0.1,
-                   help="potential scale for the non-autonomous mode")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--mu", type=float, default=None,
+                      help="constant potential (autonomous mode)")
+    mode.add_argument("--eps", type=float, default=0.1,
+                      help="potential scale for the non-autonomous mode")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("fiber", help="emit (t, phi, Psi) fiber curve CSV")

@@ -39,7 +39,7 @@ __all__ = [
     "ExperimentConfig", "ReportRow", "barycenter", "default_config",
     "run_concentration", "run_verify", "solve_cell",
     "write_report", "CHECK_FIELDS", "SCHEMA_VERSION", "CHECKS", "SEPARATION",
-    "GROUND_GRID", "passes", "level_rise",
+    "DELTA", "DELTA_TARGET", "VERIFY_SEED", "GROUND_GRID", "passes", "level_rise",
     "make_positive_field", "oracle_density", "riesz_oracle_error",
     "dilate_gaussian_error", "fiber_consistency_error", "truncated_ray_error",
     "psi_sign_change_defect", "interpolation_slacks", "sharp_tightness",
@@ -51,6 +51,12 @@ SCHEMA_VERSION = "choqlab-report v1"
 # relative H^s distance the two smallest-eps solutions of a double-well
 # sweep must exceed to count as distinct
 SEPARATION = 0.1
+# well radius of the multiplicity verdict (10% of the default wells'
+# separation), and the distance to M the concentration sweep must end below
+DELTA = 1.6
+DELTA_TARGET = 0.5
+# the seed of run_verify's random corpus
+VERIFY_SEED = 12345
 
 # header of the verification battery's report (verify.csv)
 CHECK_FIELDS = ("check", "status", "measured", "tolerance")
@@ -66,8 +72,7 @@ _CONFIG_KEYS = {
     "grid": ("extent", "points"),
     "mass": ("a",),
     "potential": ("kind", "centers", "width", "v_inf"),
-    "sweep": ("eps_list", "delta", "delta_target", "box_radius"),
-    "output": ("dir", "seed"),
+    "sweep": ("eps_list", "box_radius"),
 }
 
 
@@ -87,11 +92,7 @@ def default_config() -> "ExperimentConfig":
         potential=PotentialSpec(kind="double_well", centers=(-8.0, 8.0),
                                 width=2.0, v_inf=0.2),
         eps_list=(0.4, 0.2, 0.1),
-        delta=1.6,
-        delta_target=0.5,
         box_radius=10.0,
-        out_dir="out",
-        seed=12345,
     )
 
 
@@ -113,18 +114,14 @@ def barycenter(u: Field, eps: float, box_radius: float) -> float:
 # Configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     exps: ExponentSet
     grid: Grid
     a: float
     potential: PotentialSpec
     eps_list: tuple
-    delta: float
-    delta_target: float
     box_radius: float
-    out_dir: str
-    seed: int
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -161,7 +158,7 @@ class ExperimentConfig:
             spec = PotentialSpec(kind=kind, centers=centers,
                                  width=pot.getfloat("width", 0.3),
                                  v_inf=pot.getfloat("v_inf", 1.0))
-            # omitted [sweep] and [output] keys take default_config()'s values
+            # omitted [sweep] keys take default_config()'s values
             base = default_config()
             sw = cp["sweep"] if cp.has_section("sweep") else {}
             eps_list = (tuple(float(t) for t in sw["eps_list"].split(","))
@@ -171,24 +168,16 @@ class ExperimentConfig:
             if not all(eps > 0 for eps in eps_list):
                 raise ConfigError(f"eps_list in [sweep] must be positive, "
                                   f"got {eps_list}")
-            delta = float(sw.get("delta", base.delta))
-            delta_target = float(sw.get("delta_target", base.delta_target))
             box_radius = float(sw.get("box_radius", base.box_radius))
-            for key, value in (("delta", delta), ("delta_target", delta_target),
-                               ("box_radius", box_radius)):
-                if not value > 0:
-                    raise ConfigError(f"{key} in [sweep] must be positive, "
-                                      f"got {value}")
-            out = cp["output"] if cp.has_section("output") else {}
-            out_dir = out.get("dir", base.out_dir)
-            seed = int(out.get("seed", base.seed))
+            if not box_radius > 0:
+                raise ConfigError(f"box_radius in [sweep] must be positive, "
+                                  f"got {box_radius}")
         except ConfigError:
             raise
         except Exception as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
         return cls(exps=exps, grid=grid, a=a, potential=spec, eps_list=eps_list,
-                   delta=delta, delta_target=delta_target, box_radius=box_radius,
-                   out_dir=out_dir, seed=seed)
+                   box_radius=box_radius)
 
 
 @dataclass
@@ -246,7 +235,7 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     without wells raises ConfigError before any solve.  The sweep passes
     when the autonomous solve (the seed of every chain and the level b0 of
     the gaps) and every cell converged and the max distance decreases along
-    the sweep and ends below delta_target.
+    the sweep and ends below DELTA_TARGET.
 
     Every cell is placed (_well_cells) before any solve, so a seed in the
     outer 1/16 shell raises OutOfBox before the autonomous solve.  Each well
@@ -300,7 +289,7 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     gap_seq = [max(gaps[e]) for e in cfg.eps_list]
     monotone = all(dists[i + 1] <= dists[i] + 1e-12 for i in range(len(dists) - 1))
     converged = auto.converged and all(row.converged for row in rows)
-    passed = converged and monotone and dists[-1] <= cfg.delta_target
+    passed = converged and monotone and dists[-1] <= DELTA_TARGET
     # "skipped" is always False: perfbench's concentration workload reads it
     out = dict(skipped=False, rows=rows, dists=dists, gaps=gap_seq,
                monotone=monotone, autonomous_level=auto.level,
@@ -330,7 +319,7 @@ def _hs_distance(u: Field, v: Field, s: float, aligned: bool) -> float:
 def _multiplicity_verdict(cfg: ExperimentConfig, rows, fields, wells):
     """Judge the two smallest-eps solutions of a double-well sweep (their
     rows and fields, in well order): two distinct normalized solutions
-    localized at distinct wells of M = wells.
+    localized at distinct wells of M = wells, each within DELTA of its well.
 
     Distinctness: the plain relative H^s distance must exceed SEPARATION
     (the two are genuinely different functions), and the barycenters must
@@ -345,9 +334,9 @@ def _multiplicity_verdict(cfg: ExperimentConfig, rows, fields, wells):
     near = [min(range(len(wells)), key=lambda i: abs(b - wells[i]))
             for b in betas]
     distinct_wells = near[0] != near[1] and all(
-        abs(b - wells[i]) <= cfg.delta for b, i in zip(betas, near))
+        abs(b - wells[i]) <= DELTA for b, i in zip(betas, near))
     reason = None
-    if abs(wells[1] - wells[0]) < 2.0 * cfg.delta:
+    if abs(wells[1] - wells[0]) < 2.0 * DELTA:
         reason = "wells merged: M does not resolve two points at this delta"
     elif sep <= SEPARATION or (near[0] == near[1] and sep_aligned <= SEPARATION):
         reason = (f"solutions collapsed: H^s separation {sep:.3g} <= "
@@ -535,7 +524,7 @@ def run_verify(cfg: ExperimentConfig):
     check of CHECKS.  The three checks on the desk solves report Skipped when a
     solve rejects its input (a mass a <= 0); any Skipped or Failed row makes
     the battery fail overall."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(VERIFY_SEED)
     rows = []
 
     def record(name, measured):

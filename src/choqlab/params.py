@@ -69,8 +69,6 @@ class ExponentSet:
 class MassThreshold:
     a_max: float
     k_q: float
-    theta_q: float
-    exponent: float        # 1/(q(1 - gamma_q)) applied to K_q^{-1} S^theta
     near_degenerate: bool  # gamma_q so close to 1 the power law blows up
 
 
@@ -155,10 +153,7 @@ def mass_threshold(exp: ExponentSet, s_alpha: float, c_alpha_q: float) -> MassTh
         raise NonPositiveConstant(f"K_q must be positive, got {k_q}")
     expo = 1.0 / (exp.q * (1.0 - exp.gamma_q))
     a_max = (s_alpha ** exp.theta_q / k_q) ** expo
-    return MassThreshold(
-        a_max=a_max, k_q=k_q, theta_q=exp.theta_q,
-        exponent=expo, near_degenerate=(expo > 100.0),
-    )
+    return MassThreshold(a_max=a_max, k_q=k_q, near_degenerate=(expo > 100.0))
 
 
 def riesz_normalization(N: int, alpha: float) -> float:

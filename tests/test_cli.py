@@ -83,6 +83,17 @@ def test_fiber_csv(tmp_path, capsys):
         assert len([float(v) for v in line.split(",")]) == 3
 
 
+def test_fiber_rejects_a_bad_range_before_any_solve(tmp_path, capsys,
+                                                    monkeypatch):
+    # geomspace needs positive ends: --tmin 0 is an input error, exit 2,
+    # raised before the autonomous solve
+    solves = _count_solves(monkeypatch)
+    assert main(["--out", str(tmp_path), "fiber", "--tmin", "0"]) == 2
+    assert "OutOfRange" in capsys.readouterr().err
+    assert solves == []
+    assert not (tmp_path / "fiber.csv").exists()
+
+
 SOLVER_CHECKS = ("scalar_ground", "interp_subcritical", "interp_critical",
                  "sharp_tightness", "autonomous_certificates",
                  "affine_level_shift", "determinism")
@@ -132,6 +143,26 @@ def test_solve_sampled_potential(tmp_path, capsys):
     assert abs(beta - 8.0) < 0.5
 
 
+def test_sweep_prints_why_a_cell_failed(tmp_path, capsys, monkeypatch):
+    # a cell that raised keeps its error in the table row; the sweep prints it
+    import choqlab.cli as cli
+
+    def curves(exps, a_list, mu_list, grid, a0):
+        rows = [dict(a=a, mu=0.0, level=0.2 - 0.01 * a, lam=-0.1, poho=0.0,
+                     grad=0.0, iterations=5, converged=True) for a in a_list]
+        rows[0] = dict(rows[0], level=float("nan"), converged=False,
+                       error="alias risk: tail energy 1e-3")
+        mu_rows = [dict(rows[1], mu=mu, level=rows[1]["level"] + mu * a0 / 2)
+                   for mu in mu_list]
+        return rows, mu_rows
+
+    monkeypatch.setattr(cli, "level_curves", curves)
+    assert main(["--out", str(tmp_path), "sweep"]) == 1
+    out = capsys.readouterr().out
+    failed = [line for line in out.splitlines() if line.startswith("FAILED")]
+    assert failed == ["FAILED: a=0.75 mu=0: alias risk: tail energy 1e-3"]
+
+
 def test_sweep_level_laws(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "--config", _write_cfg(tmp_path),
                "sweep"])
@@ -171,6 +202,25 @@ def test_solve_rejects_seed_at_box_edge(tmp_path, capsys, monkeypatch):
     assert "OutOfBox" in err and "outer 1/16 shell" in err
     assert not (tmp_path / "nonautonomous_eps0.2.chqf").exists()
     assert solves == []
+
+
+def test_solve_takes_mu_or_eps_not_both(tmp_path, capsys, monkeypatch):
+    # --mu selects the autonomous solve, which reads no eps: giving both is
+    # argparse's usage error (status 2), before any solve
+    solves = _count_solves(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "solve", "--mu", "0", "--eps", "0.2"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert solves == []
+
+
+def test_seed_flag_is_gone(tmp_path, capsys):
+    # run_verify seeds its corpus from harness.VERIFY_SEED; --seed is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "--seed=7", "verify"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_solve_rejects_nonpositive_eps(tmp_path, capsys, monkeypatch):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from choqlab.errors import ConfigError, OutOfBox, OutOfRange
-from choqlab.harness import (CHECK_FIELDS, ExperimentConfig, ReportRow,
-                             SCHEMA_VERSION, barycenter, default_config,
-                             write_report)
+from choqlab.harness import (CHECK_FIELDS, DELTA_TARGET, ExperimentConfig,
+                             ReportRow, SCHEMA_VERSION, barycenter,
+                             default_config, write_report)
 from choqlab.potentials import PotentialSpec, dist_to_set
 from choqlab.spectral import Field, project_mass, translate
 from conftest import make_positive_field
@@ -81,10 +81,6 @@ width = 2.0
 v_inf = 0.2
 [sweep]
 eps_list = 0.4, 0.2, 0.1
-delta = 1.6
-[output]
-dir = out
-seed = 7
 """
     path = tmp_path / "exp.cfg"
     path.write_text(cfg_text)
@@ -92,11 +88,8 @@ seed = 7
     assert cfg.exps.q == 3.0
     assert cfg.grid.points == 2048
     assert cfg.eps_list == (0.4, 0.2, 0.1)
-    assert cfg.seed == 7
     # omitted [sweep] keys take the default configuration's values
-    desk = default_config()
-    assert (cfg.delta, cfg.delta_target, cfg.box_radius) == (
-        1.6, desk.delta_target, desk.box_radius)
+    assert cfg.box_radius == default_config().box_radius
 
 
 def test_experiment_config_rejections(tmp_path):
@@ -127,6 +120,15 @@ kind = constant
     path.write_text(base + "[sovler]\npoho_tol = 1e-8\n")
     with pytest.raises(ConfigError, match="sovler"):
         ExperimentConfig.from_file(path)
+    # the output directory is --out, and the multiplicity radii are the
+    # constants harness.DELTA and DELTA_TARGET: none is a config entry
+    path.write_text(base + "[output]\ndir = out\n")
+    with pytest.raises(ConfigError, match=r"unknown config section.*output"):
+        ExperimentConfig.from_file(path)
+    for key in ("delta", "delta_target"):
+        path.write_text(base + f"[sweep]\n{key} = 1.0\n")
+        with pytest.raises(ConfigError, match=rf"unknown key.*'{key}'"):
+            ExperimentConfig.from_file(path)
     # only N = 1 has operators: N = 2 is rejected by the regime check
     path.write_text(base.replace("N = 1", "N = 2").replace("q = 3.0", "q = 1.8"))
     with pytest.raises(ConfigError, match="N must be 1"):
@@ -142,10 +144,9 @@ kind = constant
         with pytest.raises(ConfigError,
                            match=r"eps_list in \[sweep\] must be positive"):
             ExperimentConfig.from_file(path)
-    # the sweep's radii must be positive: rejected when the file loads, not
-    # after every solve of a sweep has run
-    for key, value in (("box_radius", "0.0"), ("box_radius", "-3"),
-                       ("delta", "-1.6"), ("delta_target", "0")):
+    # the barycenter's radius must be positive: rejected when the file
+    # loads, not after every solve of a sweep has run
+    for key, value in (("box_radius", "0.0"), ("box_radius", "-3")):
         path.write_text(base + f"[sweep]\n{key} = {value}\n")
         with pytest.raises(ConfigError,
                            match=rf"{key} in \[sweep\] must be positive"):
@@ -192,7 +193,14 @@ def test_report_schema_and_atomicity(tmp_path):
 
 
 def test_default_config_valid():
+    # the config holds only the problem, and nothing mutates it
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "exps", "grid", "a", "potential", "eps_list", "box_radius"]
     cfg = default_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.a = 2.0
     assert cfg.exps.p == pytest.approx(7.5, rel=1e-12)
     assert cfg.eps_list == (0.4, 0.2, 0.1)
     assert cfg.potential.kind == "double_well"
@@ -232,7 +240,7 @@ def test_multiplicity_verdict_on_hand_built_pairs(grid_unit, rng):
     out = _verdict([u, u], wells)
     assert out["passed"] is False
     assert out["reason"].startswith("solutions collapsed")
-    # wells closer than 2 delta = 3.2
+    # wells closer than 2 DELTA = 3.2
     out = _verdict([u, far], [0.0, 2.0])
     assert out["passed"] is False
     assert out["reason"].startswith("wells merged")
@@ -240,7 +248,7 @@ def test_multiplicity_verdict_on_hand_built_pairs(grid_unit, rng):
 
 def test_concentration_gates_on_convergence(monkeypatch):
     # a small single-well sweep whose distances to M shrink to well under
-    # delta_target; with every cell reported unconverged it must not pass
+    # DELTA_TARGET; with every cell reported unconverged it must not pass
     import dataclasses
 
     import choqlab.harness as harness
@@ -250,7 +258,7 @@ def test_concentration_gates_on_convergence(monkeypatch):
         default_config(), grid=Grid(1, 120.0, 2048),
         potential=PotentialSpec(kind="single_well", centers=(4.0,), width=1.0,
                                 v_inf=0.2),
-        delta=0.8, box_radius=5.0)
+        box_radius=5.0)
     real = harness.solve_nonautonomous
 
     def unconverged(*args, **kwargs):
@@ -258,7 +266,7 @@ def test_concentration_gates_on_convergence(monkeypatch):
 
     monkeypatch.setattr(harness, "solve_nonautonomous", unconverged)
     out = harness.run_concentration(cfg)
-    assert out["monotone"] and out["dists"][-1] <= cfg.delta_target
+    assert out["monotone"] and out["dists"][-1] <= DELTA_TARGET
     assert not any(row.converged for row in out["rows"])
     assert out["passed"] is False
 
@@ -282,7 +290,7 @@ def test_concentration_gates_on_the_autonomous_seed(monkeypatch):
 
     monkeypatch.setattr(harness, "solve_autonomous", unconverged)
     out = harness.run_concentration(cfg)
-    assert out["monotone"] and out["dists"][-1] <= cfg.delta_target
+    assert out["monotone"] and out["dists"][-1] <= DELTA_TARGET
     assert all(row.converged for row in out["rows"])
     assert out["autonomous_converged"] is False
     assert out["passed"] is False
