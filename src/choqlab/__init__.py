@@ -3,9 +3,9 @@ solutions of fractional Choquard equations with mixed Hartree terms."""
 
 __version__ = "0.1.0"
 
-from .params import (ExponentSet, MassThreshold, hls_constant, mass_threshold,
-                     riesz_normalization, s_alpha_reference, sharp_constant,
-                     sobolev_constant, validate_regime)
+from .params import (ExponentSet, MassThreshold, critical_level, hls_constant,
+                     mass_threshold, riesz_normalization, s_alpha_reference,
+                     sharp_constant, sobolev_constant, validate_regime)
 from .spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                        fractional_laplacian, fractional_laplacian_free,
                        kinetic_energy, kinetic_energy_free, mass,

@@ -22,8 +22,9 @@ from .harness import (CHECK_FIELDS, CHECKS, GROUND_GRID, ExperimentConfig,
                       ReportRow, affine_level_defect, barycenter,
                       default_config, level_rise, passes, run_concentration,
                       run_verify, solve_cell, write_report)
-from .params import (hls_constant, mass_threshold, riesz_normalization,
-                     s_alpha_reference, sharp_constant, validate_regime)
+from .params import (critical_level, hls_constant, mass_threshold,
+                     riesz_normalization, s_alpha_reference, sharp_constant,
+                     validate_regime)
 from .snapshot import load_field, save_field, save_solve_sidecar
 from .solver import (_well_cells, level_curves, solve_autonomous,
                      solve_nonautonomous, solve_scalar_ground, x_star_root)
@@ -81,6 +82,7 @@ def _cmd_constants(args) -> int:
     print(f"theta_q    = {exps.theta_q:.12g}")
     print(f"a_max      = {mt.a_max:.12g}"
           + ("   [near-degenerate exponent]" if mt.near_degenerate else ""))
+    print(f"c_star     = {critical_level(exps):.12g}   (critical bubble level)")
     xs = x_star_root(exps, s_ref, mt.k_q, cfg.a)
     print(f"X*(a={cfg.a}) = {xs:.12g}   (kinetic ridge root, diagnostic)")
     return 0 if gs.converged else 1

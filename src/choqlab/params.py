@@ -30,6 +30,7 @@ __all__ = [
     "hls_constant",
     "sobolev_constant",
     "s_alpha_reference",
+    "critical_level",
 ]
 
 
@@ -191,6 +192,17 @@ def s_alpha_reference(exp: ExponentSet) -> float:
     return sobolev_constant(exp.N, exp.s) * (
         riesz_normalization(exp.N, exp.alpha) * hls_constant(exp.N, exp.alpha)
     ) ** (-1.0 / exp.p)
+
+
+def critical_level(exp: ExponentSet) -> float:
+    """Level c* = ((p-1)/(2p)) S_alpha^{p/(p-1)} of the critical bubble.
+
+    It is the maximum over t of t^2 A/2 - t^{2p} B_p/(2p) for a field whose
+    quotient A/B_p^{1/p} equals S_alpha, the threshold below which the
+    critical term keeps Palais-Smale sequences compact.
+    """
+    p = exp.p
+    return (p - 1.0) / (2.0 * p) * s_alpha_reference(exp) ** (p / (p - 1.0))
 
 
 def hls_constant(N: int, alpha: float) -> float:

@@ -189,6 +189,18 @@ def kinetic_energy(u: Field, s: float) -> float:
 # Adding it back makes the kinetic energy follow the continuum t^{2s}
 # dilation law to ~1e-10, which the fiber-map machinery requires.
 #
+# The lag values zeta(sigma, 1 + j/n), sigma = 1+2s, come from a blocked
+# interpolant.  [1, 2] is cut into B = min(n, _ZETA_BLOCKS) equal blocks,
+# zeta is summed exactly at the D = _ZETA_NODES Chebyshev points of each
+# block and at q = 2 (B*D + 1 sums), and each block's n/B lags are read off
+# the degree D-1 interpolant through its points.  zeta(sigma, .) is
+# analytic but at q <= 0, at least 2B half-widths from every block, so the
+# interpolant errs by ~(4B)^-D, far below rounding (Trefethen,
+# Approximation Theory and Approximation Practice, SIAM 2013, ch. 8).  The
+# lags are equispaced, so every block has the same in-block offsets and
+# one Lagrange basis serves them all: the n values are a single
+# (B x D) @ (D x n/B) product.
+#
 # zeta(sigma, q) for q in [1, 2] is summed here (_hurwitz_zeta), by
 # Euler-Maclaurin: _ZETA_DIRECT terms (q+k)^{-sigma} directly, then the tail
 # at a = q + _ZETA_DIRECT,
@@ -196,11 +208,14 @@ def kinetic_energy(u: Field, s: float) -> float:
 #     + sum_{j=1..8} B_2j/(2j)! sigma(sigma+1)...(sigma+2j-2) a^{-sigma-2j+1}.
 # With a >= 10 and sigma <= 3 the first term left out is below 1e-17 of
 # zeta, so the sum is exact to rounding (within 5.8e-16 of mpmath at 300
-# lags of n = 2^19 for s = 0.1, 0.4, 0.7, 0.95), and it takes ~0.1 s at
-# n = 2^19 without loading scipy.special.
+# lags of n = 2^19 for s = 0.1, 0.4, 0.7, 0.95).  The whole kernel takes
+# ~10 ms at n = 2^19 (2-vCPU Xeon) without loading scipy.special.
 # ---------------------------------------------------------------------------
 
 _ZETA_DIRECT = 9
+# (4B)^-D: 256^-10 ~ 1e-24 at B = 64, and 64^-10 ~ 1e-18 at n = B = 16
+_ZETA_BLOCKS = 64
+_ZETA_NODES = 10
 _BERNOULLI_EVEN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730,
                    7 / 6, -3617 / 510)          # B_2, B_4, ..., B_16
 
@@ -229,7 +244,24 @@ def _kinetic_zeta_kernel(n: int, L: float, s: float) -> np.ndarray:
     """c_K * L^{-1-2s} [zeta(1+2s,1-y/L)+zeta(1+2s,1+y/L)] on padded lags."""
     sigma = 1.0 + 2.0 * s
     j = np.arange(n + 1)
-    zp = _hurwitz_zeta(sigma, 1.0 + j / n)
+    # zeta(sigma, 1 + j/n) by the blocked interpolant above; the Lagrange
+    # basis is barycentric, at the in-block offsets 2r/per - 1 (r < per):
+    # dyadic numbers, so none meets an (irrational) Chebyshev node
+    blocks = min(n, _ZETA_BLOCKS)
+    per = n // blocks
+    k = np.arange(_ZETA_NODES)
+    theta = (2 * k + 1) * np.pi / (2 * _ZETA_NODES)
+    nodes = np.cos(theta)
+    q = 1.0 + (np.arange(blocks)[:, None] + 0.5 * (nodes + 1.0)) / blocks
+    z = _hurwitz_zeta(sigma, np.append(q.ravel(), 2.0))
+    basis = ((-1.0) ** k * np.sin(theta))[:, None] / (
+        2.0 * np.arange(per) / per - 1.0 - nodes[:, None])
+    basis /= basis.sum(axis=0)
+    zp = np.empty(n + 1)
+    # einsum, not @: a BLAS product maps OpenBLAS's work buffers, which the
+    # kernels otherwise never touch (+0.2 MB of peak RSS)
+    zp[:n] = np.einsum("bk,kr->br", z[:-1].reshape(blocks, _ZETA_NODES), basis).ravel()
+    zp[n] = z[-1]
     # zeta(sigma, 1 - j/n) = zeta(sigma, 2 - j/n) + (1 - j/n)^-sigma, and
     # 2 - j/n is the 1 + j/n of lag n - j
     half = np.zeros(n + 1)                       # lag n (y = L) stays 0
@@ -249,7 +281,10 @@ def _kinetic_zeta_spectrum(n: int, L: float, s: float) -> np.ndarray:
     """rfft of the zeta kernel (n+1 values), its real part copied so that the
     complex transform is freed.  The kernel is real and even in the lag, so
     its spectrum is real; the imaginary part dropped is rounding."""
-    out = np.fft.rfft(_kinetic_zeta_kernel(n, L, s)).real.copy()
+    # allocated before the build's temporaries, as the Riesz multiplier is,
+    # so that the cache does not sit above the heap space they free
+    out = np.empty(n + 1)
+    np.copyto(out, np.fft.rfft(_kinetic_zeta_kernel(n, L, s)).real)
     out.setflags(write=False)
     return out
 
@@ -282,13 +317,25 @@ def fractional_laplacian_free(u: Field, s: float) -> Field:
 #   g_hat(0) = 2 L^alpha / alpha,
 # where W(w) = Integral_0^w v^{alpha-2} sin v dv.  For m <= _ASYMP_SWITCH,
 # W is a series on [0,1] plus Gauss-Legendre panels on [1,pi] and on each
-# [pi*k, pi*(k+1)]; beyond, the integration-by-parts asymptotic expansion
-# at the special points w = pi*m (where sin w = 0).
+# [pi*k, pi*(k+1)].  Beyond, W(omega) = g_inf - T(omega) at omega = pi*m,
+# with g_inf = W(inf) = Gamma(alpha-1) sin(pi (alpha-1)/2) and the tail
+# T = Integral_omega^inf v^{alpha-2} sin v dv integrated by parts at the
+# special points, where sin omega = 0:
+#   T(omega) = (-1)^m omega^{beta} sum_{j < _TAIL_TERMS} c_j x^j,
+#   x = -omega^{-2},  beta = alpha - 2,  c_0 = 1,
+#   c_{j+1} = c_j (beta-2j)(beta-2j-1).
+# The expansion is asymptotic, but at omega > 40 pi its terms shrink by a
+# factor below (2j+2)(2j+3)/(41 pi)^2 < 0.017 up to j = 7, for every alpha
+# in (0, 1), so the fixed-length sum is exact to rounding.  Since
+# omega^{-alpha} omega^{beta} = -x, each bin takes one power, omega^{-alpha}:
+#   omega^{-alpha} W(omega) = g_inf omega^{-alpha} + (-1)^m x sum_j c_j x^j.
 # As m -> infinity, A * g_hat(m) -> |k_m|^{-alpha}: the continuum symbol.
 # ---------------------------------------------------------------------------
 
 _ASYMP_SWITCH = 40
 _GL_NODES = 20
+# the first term left out is below 17!/(41 pi)^16 ~ 6e-20 of the first
+_TAIL_TERMS = 8
 
 
 def _sine_moments_small(alpha: float, m_max: int) -> np.ndarray:
@@ -315,31 +362,6 @@ def _sine_moments_small(alpha: float, m_max: int) -> np.ndarray:
     return acc + np.cumsum(panels)
 
 
-def _sine_moment_tail_at_pi_m(m: np.ndarray, alpha: float) -> np.ndarray:
-    """T(pi*m) = Integral_{pi m}^inf v^{alpha-2} sin v dv by the alternating
-    integration-by-parts expansion (sin(pi m) = 0 collapses odd terms)."""
-    beta = alpha - 2.0
-    omega = np.pi * m.astype(np.float64)
-    total = np.zeros_like(omega)
-    coeff = 1.0
-    power = omega ** beta
-    prev_mag = np.full_like(omega, np.inf)
-    for j in range(40):
-        term = coeff * power
-        mag = np.abs(term)
-        # asymptotic series: stop before terms start growing
-        grow = mag > prev_mag
-        term = np.where(grow, 0.0, term)
-        total += (-1.0) ** j * term
-        if np.all(mag < 1e-18) or np.all(grow):
-            break
-        prev_mag = np.where(grow, prev_mag, mag)
-        coeff *= (beta - 2.0 * j) * (beta - 2.0 * j - 1.0)
-        power = power / omega ** 2
-    sign = np.where(m % 2 == 0, 1.0, -1.0)
-    return sign * total
-
-
 @lru_cache(maxsize=32)
 def _freespace_multiplier_1d(n_pad: int, L: float, alpha: float) -> np.ndarray:
     """A_{1,alpha} * g_hat(m), m = 0..n_pad/2: the rfft half of the lattice."""
@@ -351,14 +373,31 @@ def _freespace_multiplier_1d(n_pad: int, L: float, alpha: float) -> np.ndarray:
     ghat[m_small] = (2.0 * L ** alpha * (1.0 - alpha) * (np.pi * m_small) ** (-alpha)
                      * _sine_moments_small(alpha, m_small.size))
     if half > _ASYMP_SWITCH:
-        m_big = np.arange(_ASYMP_SWITCH + 1, half + 1)
+        # omega^{-alpha} W(omega) by the fixed-length tail above, written
+        # into ghat, the cache, which is allocated before the temporaries;
+        # Horner in x, which takes over omega's buffer
+        beta = alpha - 2.0
+        coef = [1.0]
+        for j in range(_TAIL_TERMS - 1):
+            coef.append(coef[-1] * (beta - 2.0 * j) * (beta - 2.0 * j - 1.0))
         g_inf = math.gamma(alpha - 1.0) * math.sin(math.pi * (alpha - 1.0) / 2.0)
-        w_big = g_inf - _sine_moment_tail_at_pi_m(m_big, alpha)
-        ghat[m_big] = (2.0 * L ** alpha * (1.0 - alpha)
-                       * (np.pi * m_big) ** (-alpha) * w_big)
-    out = a_const * ghat
-    out.setflags(write=False)
-    return out
+        omega = np.arange(_ASYMP_SWITCH + 1, half + 1, dtype=np.float64)
+        omega *= np.pi
+        big = ghat[_ASYMP_SWITCH + 1:]
+        np.power(omega, -alpha, out=big)
+        big *= g_inf
+        x = np.multiply(omega, omega, out=omega)
+        np.divide(-1.0, x, out=x)
+        tail = coef[-1] * x
+        for c in reversed(coef[:-1]):
+            tail += c
+            tail *= x
+        tail[_ASYMP_SWITCH % 2::2] *= -1.0             # (-1)^m: the odd m
+        big += tail
+        big *= 2.0 * L ** alpha * (1.0 - alpha)
+    ghat *= a_const
+    ghat.setflags(write=False)
+    return ghat
 
 
 def riesz_potential(rho: Field, alpha: float) -> Field:

@@ -49,6 +49,7 @@ def test_constants_saves_the_scalar_ground_state(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "constants"]) == 0
     out = capsys.readouterr().out
     assert "C_alpha_q  = 1.0259235" in out
+    assert "c_star     = 0.184898151718" in out
     assert "converged=True newton_stop=tolerance" in out
     norm2 = float(out.split("||U||_2 = ")[1].split()[0])
     u = load_field(tmp_path / "scalar_ground.chqf")

@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from choqlab.errors import NonPositiveConstant, OutOfRange, RegimeViolation
-from choqlab.params import (hls_constant, mass_threshold, riesz_normalization,
-                            s_alpha_reference, sharp_constant,
-                            sobolev_constant, validate_regime)
+from choqlab.params import (critical_level, hls_constant, mass_threshold,
+                            riesz_normalization, s_alpha_reference,
+                            sharp_constant, sobolev_constant, validate_regime)
 
 # high-precision references computed independently (mpmath, 40 digits)
 A_1_05 = 0.3989422804014326779399460599343818684759  # = 1/sqrt(2 pi)
@@ -140,3 +141,14 @@ def test_s_alpha_reference_frozen(exps):
     assert s_alpha_reference(exps) == pytest.approx(S_ALPHA_DESK, rel=1e-12)
     assert hls_constant(1, 0.5) > 0.0
     assert sobolev_constant(1, 0.4) > 0.0
+
+
+def test_critical_level_is_the_bubble_fiber_maximum(exps):
+    # max over t of t^2 A/2 - t^(2p) B_p/(2p) on a field with A = S_alpha,
+    # B_p = 1, read off a grid of spacing 5e-6 around t* = S^(1/(2p-2)) ~ 0.945
+    c_star = critical_level(exps)
+    assert c_star == pytest.approx(0.1848981517181969, rel=1e-14)
+    p = exps.p
+    t = np.linspace(0.5, 1.5, 200_001)
+    ray = t * t * S_ALPHA_DESK / 2.0 - t ** (2.0 * p) / (2.0 * p)
+    assert float(ray.max()) == pytest.approx(c_star, rel=1e-9)

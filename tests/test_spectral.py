@@ -24,9 +24,9 @@ from choqlab.spectral import (Field, Grid, band_limit, boundary_decay, dilate,
                               kinetic_energy, kinetic_energy_free,
                               mass, project_mass, random_field,
                               riesz_potential, translate)
-from choqlab.spectral import (_ASYMP_SWITCH, _freespace_multiplier_1d,
-                              _hurwitz_zeta, _kinetic_zeta_kernel,
-                              _kinetic_zeta_spectrum)
+from choqlab.spectral import (_ASYMP_SWITCH, _ZETA_BLOCKS, _ZETA_NODES,
+                              _freespace_multiplier_1d, _hurwitz_zeta,
+                              _kinetic_zeta_kernel, _kinetic_zeta_spectrum)
 from conftest import make_positive_field, riesz_oracle_1d
 
 S = 0.4
@@ -158,17 +158,20 @@ def test_riesz_multiplier_vs_mpmath_closed_form():
     # A * g_hat(m) with g_hat(m) = 2 Int_0^L x^(alpha-1) cos(pi m x/L) dx
     #   = 2 L^alpha 1F2(alpha/2; 1/2, 1+alpha/2; -(pi m)^2/4) / alpha,
     # checked at every panel count of the Gauss-Legendre tail, on both sides
-    # of the quadrature/asymptotic switch and at Nyquist
+    # of the quadrature/asymptotic switch and at Nyquist; near-end alphas at
+    # the first tail bins, where the fixed-length tail is weakest
     mpmath.mp.dps = 30
     n, L = 1024, 48.0
     ms = (*range(42), 1000, n)
     assert ms[40] == _ASYMP_SWITCH < ms[41]
-    for alpha in (0.3, 0.5, 0.9):
+    edge_ms = (_ASYMP_SWITCH, _ASYMP_SWITCH + 1, _ASYMP_SWITCH + 2, 1000, n)
+    for alpha, bins in ((0.3, ms), (0.5, ms), (0.9, ms),
+                        (0.05, edge_ms), (0.95, edge_ms)):
         mult = _freespace_multiplier_1d(2 * n, L, alpha)
         a = mpmath.mpf(alpha)
         a_const = mpmath.gamma((1 - a) / 2) / (
             mpmath.sqrt(mpmath.pi) * 2 ** a * mpmath.gamma(a / 2))
-        for m in ms:
+        for m in bins:
             ref = (a_const * 2 * mpmath.mpf(L) ** a / a
                    * mpmath.hyp1f2(a / 2, 0.5, 1 + a / 2, -(mpmath.pi * m) ** 2 / 4))
             assert float(abs(mult[m] - ref) / abs(ref)) < 1e-13, (alpha, m)
@@ -177,11 +180,17 @@ def test_riesz_multiplier_vs_mpmath_closed_form():
 
 def test_kinetic_zeta_kernel_vs_mpmath():
     # c_K L^(-1-2s) [zeta(1+2s, 1-y/L) + zeta(1+2s, 1+y/L)] with
-    # c_K = Gamma(1+2s) sin(pi s)/pi, away from the taper (|y| < 0.9 L)
+    # c_K = Gamma(1+2s) sin(pi s)/pi, away from the taper (|y| < 0.9 L);
+    # on n = 1024 the lags +-(edge-1), +-edge, +-(edge+1) straddle the first
+    # interpolation block edge, and on n = 16 every lag is a block's left end
     mpmath.mp.dps = 30
-    n, L = 1024, 48.0
-    lags = (0, 1, -1, 7, 100, -450, 500, 900, -921)
-    for s in (0.1, 0.25, S, 0.45):
+    L = 48.0
+    edge = 1024 // _ZETA_BLOCKS
+    wide = (0, 1, -1, 7, 100, -450, 500, 900, -921,
+            edge - 1, edge, edge + 1, 1 - edge, -edge, -edge - 1)
+    cases = [(1024, s, wide) for s in (0.1, 0.25, S, 0.45)]
+    cases += [(16, s, (0, 1, -1, 7, -8, 13, -14)) for s in (0.1, 0.45)]
+    for n, s, lags in cases:
         kern = _kinetic_zeta_kernel(n, L, s)
         sm = mpmath.mpf(s)
         c_k = (mpmath.gamma(1 + 2 * sm) * mpmath.sin(mpmath.pi * sm) / mpmath.pi
@@ -206,7 +215,7 @@ def test_hurwitz_zeta_vs_mpmath():
             assert float(abs(zi - ref) / ref) <= 1e-15, (sigma, qi)
 
 
-def test_zeta_kernel_is_even_and_takes_one_zeta_per_lag(monkeypatch):
+def test_zeta_kernel_is_even_and_sums_zeta_only_at_the_block_nodes(monkeypatch):
     spectral = importlib.import_module("choqlab.spectral")
     zeta, calls = spectral._hurwitz_zeta, []
 
@@ -216,7 +225,7 @@ def test_zeta_kernel_is_even_and_takes_one_zeta_per_lag(monkeypatch):
     monkeypatch.setattr(spectral, "_hurwitz_zeta", counted)
     n = 2 ** 11
     kern = _kinetic_zeta_kernel(n, 48.0, S)
-    assert 0 < sum(calls) <= n + 1
+    assert sum(calls) == _ZETA_BLOCKS * _ZETA_NODES + 1
     assert kern.shape == (2 * n,) and kern[n] == 0.0
     j = np.arange(1, n)
     assert np.array_equal(kern[2 * n - j], kern[j])
