@@ -4,7 +4,8 @@ One subcommand per computation: regime validation, the constant table
 with the scalar ground state behind C_{alpha,q}, single solves, fiber
 curves, level sweeps, the concentration sweep with its multiplicity
 verdict, the verification battery and snapshot inspection.
-Exit code 0 only when every assertion requested by the subcommand holds.
+Exit code 0 only when every assertion requested by the subcommand holds;
+an input the lab rejects, or a file it cannot read or write, exits 2.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ __all__ = ["main"]
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config of a command that writes to --out; an --out that names
+    something other than a directory is refused here, before any solve."""
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise FileExistsError(f"--out {args.out} is not a directory")
     return ExperimentConfig.from_file(args.config) if args.config else default_config()
 
 
@@ -96,7 +101,7 @@ def _cmd_solve(args) -> int:
     else:
         if args.eps <= 0.0:
             raise OutOfRange(f"eps must be positive, got {args.eps}")
-        wells = cfg.potential.well_points()
+        wells = cfg.potential.centers
         if wells:
             _well_cells(cfg.grid, wells[-1], args.eps)   # before any solve
             auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid)
@@ -175,7 +180,7 @@ def _cmd_concentrate(args) -> int:
           f"b0 converged={out['autonomous_converged']}")
     print(f"report -> {path}")
     verdict = out.get("multiplicity")
-    if verdict is None:                  # no double well: no verdict
+    if verdict is None:                  # not two wells: no verdict
         return 0 if out["passed"] else 1
     if verdict["reason"]:
         print(f"INDISTINCT: {verdict['reason']}")
@@ -199,8 +204,6 @@ def _cmd_verify(args) -> int:
     for name, status, measured, tol in out["rows"]:
         print(f"  [{status:>7}] {name:<28} measured={measured} tol={tol}")
     print(f"report -> {path}")
-    if out.get("reason"):
-        print(f"NOTE: {out['reason']}")
     return 0 if out["passed"] else 1
 
 
@@ -252,8 +255,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("concentrate",
-                       help="eps-halving concentration sweep; on a double "
-                            "well, the multiplicity verdict of its "
+                       help="eps-halving concentration sweep; on two "
+                            "wells, the multiplicity verdict of its "
                             "smallest-eps pair")
     p.set_defaults(func=_cmd_concentrate)
 
@@ -267,7 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChoqlabError as exc:
+    except (ChoqlabError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,8 @@ Experiments work in the y/eps frame: the solver grid holds the translated
 profiles for the smallest eps of a sweep, the potential enters as V(eps x),
 and positions are reported in slow coordinates z = eps x.  The
 concentration sweep follows each well's solution down the eps list as one
-chain (continuation in eps), and the chains share a thread pool.  On a
-double well the sweep's two smallest-eps solutions are also judged for
+chain (continuation in eps), and the chains share a thread pool.  On two
+wells the sweep's two smallest-eps solutions are also judged for
 multiplicity: two distinct solutions at distinct wells.
 """
 
@@ -48,7 +48,7 @@ __all__ = [
 
 SCHEMA_VERSION = "choqlab-report v1"
 
-# relative H^s distance the two smallest-eps solutions of a double-well
+# relative H^s distance the two smallest-eps solutions of a two-well
 # sweep must exceed to count as distinct
 SEPARATION = 0.1
 # well radius of the multiplicity verdict (10% of the default wells'
@@ -71,7 +71,7 @@ _CONFIG_KEYS = {
     "params": ("n", "s", "alpha", "q"),
     "grid": ("extent", "points"),
     "mass": ("a",),
-    "potential": ("kind", "centers", "width", "v_inf"),
+    "potential": ("centers", "width", "v_inf"),
     "sweep": ("eps_list", "box_radius"),
 }
 
@@ -89,8 +89,7 @@ def default_config() -> "ExperimentConfig":
         exps=exps,
         grid=Grid(1, 240.0, 8192),
         a=1.5,
-        potential=PotentialSpec(kind="double_well", centers=(-8.0, 8.0),
-                                width=2.0, v_inf=0.2),
+        potential=PotentialSpec(centers=(-8.0, 8.0), width=2.0, v_inf=0.2),
         eps_list=(0.4, 0.2, 0.1),
         box_radius=10.0,
     )
@@ -116,12 +115,28 @@ def barycenter(u: Field, eps: float, box_radius: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The problem of an experiment; built, it has a positive mass, a
+    strictly decreasing list of positive eps and a positive box_radius."""
+
     exps: ExponentSet
     grid: Grid
     a: float
     potential: PotentialSpec
     eps_list: tuple
     box_radius: float
+
+    def __post_init__(self):
+        if not self.a > 0:
+            raise ConfigError(f"mass must be positive, got {self.a}")
+        eps_list = self.eps_list
+        if any(b >= a_ for a_, b in zip(eps_list, eps_list[1:])):
+            raise ConfigError(f"eps_list must be strictly decreasing: {eps_list}")
+        if not all(eps > 0 for eps in eps_list):
+            raise ConfigError(f"eps_list in [sweep] must be positive, "
+                              f"got {eps_list}")
+        if not self.box_radius > 0:
+            raise ConfigError(f"box_radius in [sweep] must be positive, "
+                              f"got {self.box_radius}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -145,17 +160,13 @@ class ExperimentConfig:
             gsec = cp["grid"]
             grid = Grid(exps.N, gsec.getfloat("extent"), gsec.getint("points"))
             a = cp["mass"].getfloat("a")
-            if a <= 0:
-                raise ConfigError(f"mass must be positive, got {a}")
             pot = cp["potential"]
-            kind = pot.get("kind", "constant")
-            unread = [key for key in ("centers", "width") if key in pot]
-            if kind == "constant" and unread:
-                raise ConfigError(f"key(s) {unread} in [potential] have no "
-                                  f"effect on a constant potential")
             centers = tuple(float(t) for t in pot.get("centers", "").split(",")
-                            if t.strip()) if pot.get("centers", "") else ()
-            spec = PotentialSpec(kind=kind, centers=centers,
+                            if t.strip())
+            if not centers and "width" in pot:
+                raise ConfigError("key 'width' in [potential] has no effect "
+                                  "on a potential without centers")
+            spec = PotentialSpec(centers=centers,
                                  width=pot.getfloat("width", 0.3),
                                  v_inf=pot.getfloat("v_inf", 1.0))
             # omitted [sweep] keys take default_config()'s values
@@ -163,15 +174,7 @@ class ExperimentConfig:
             sw = cp["sweep"] if cp.has_section("sweep") else {}
             eps_list = (tuple(float(t) for t in sw["eps_list"].split(","))
                         if "eps_list" in sw else base.eps_list)
-            if any(b >= a_ for a_, b in zip(eps_list, eps_list[1:])):
-                raise ConfigError(f"eps_list must be strictly decreasing: {eps_list}")
-            if not all(eps > 0 for eps in eps_list):
-                raise ConfigError(f"eps_list in [sweep] must be positive, "
-                                  f"got {eps_list}")
             box_radius = float(sw.get("box_radius", base.box_radius))
-            if not box_radius > 0:
-                raise ConfigError(f"box_radius in [sweep] must be positive, "
-                                  f"got {box_radius}")
         except ConfigError:
             raise
         except Exception as exc:
@@ -248,17 +251,17 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     pinning of the solution, turns the 6-step Newton solves of the eps 0.1
     cells into 24 and 26 steps.  The chains run on a pool of threads
     workers, so more threads than wells add nothing; the rows, ordered by
-    eps and then by well, do not depend on threads.  For a double_well
-    potential the result also holds "multiplicity", the verdict of
+    eps and then by well, do not depend on threads.  On two wells the
+    result also holds "multiplicity", the verdict of
     _multiplicity_verdict on the chains' last (smallest-eps) solutions."""
     if threads < 1:
         raise OutOfRange(f"threads must be >= 1, got {threads}")
     if len(cfg.eps_list) < 3:
         raise ConfigError("concentration sweep needs >= 3 eps values")
-    wells = [float(y) for y in cfg.potential.well_points()]
+    wells = [float(y) for y in cfg.potential.centers]
     if not wells:
-        raise ConfigError(f"concentration sweep needs wells; a "
-                          f"{cfg.potential.kind} potential has none")
+        raise ConfigError("concentration sweep needs wells; the potential "
+                          "has no centers")
     for eps in cfg.eps_list:
         for y in wells:
             _well_cells(cfg.grid, y, eps)
@@ -294,7 +297,7 @@ def run_concentration(cfg: ExperimentConfig, threads: int = 1):
     out = dict(skipped=False, rows=rows, dists=dists, gaps=gap_seq,
                monotone=monotone, autonomous_level=auto.level,
                autonomous_converged=auto.converged, passed=passed)
-    if cfg.potential.kind == "double_well":
+    if len(wells) == 2:
         out["multiplicity"] = _multiplicity_verdict(
             cfg, rows[-len(wells):], [results[-1].field for results in chains],
             wells)
@@ -317,7 +320,7 @@ def _hs_distance(u: Field, v: Field, s: float, aligned: bool) -> float:
 
 
 def _multiplicity_verdict(cfg: ExperimentConfig, rows, fields, wells):
-    """Judge the two smallest-eps solutions of a double-well sweep (their
+    """Judge the two smallest-eps solutions of a two-well sweep (their
     rows and fields, in well order): two distinct normalized solutions
     localized at distinct wells of M = wells, each within DELTA of its well.
 
@@ -521,9 +524,7 @@ def rerun_defect(first, second) -> float:
 
 def run_verify(cfg: ExperimentConfig):
     """Run the battery: one (name, status, measured, tol) row per reported
-    check of CHECKS.  The three checks on the desk solves report Skipped when a
-    solve rejects its input (a mass a <= 0); any Skipped or Failed row makes
-    the battery fail overall."""
+    check of CHECKS; any Failed row makes the battery fail overall."""
     rng = np.random.default_rng(VERIFY_SEED)
     rows = []
 
@@ -573,14 +574,8 @@ def run_verify(cfg: ExperimentConfig):
                                               np.linspace(0.7, 1.3, 13)))
 
     g_sol = Grid(1, 96.0, 2048)
-    try:
-        res0, res_mu, res0b = (solve_autonomous(exps, mu, cfg.a, g_sol)
-                               for mu in (0.0, 0.5, 0.0))
-    except OutOfRange as exc:
-        rows += [(name, "Skipped", str(exc)[:40], "")
-                 for name in ("autonomous_certificates", "affine_level_shift",
-                              "determinism")]
-        return dict(rows=rows, passed=False, reason=f"solver failure: {exc}")
+    res0, res_mu, res0b = (solve_autonomous(exps, mu, cfg.a, g_sol)
+                           for mu in (0.0, 0.5, 0.0))
     record("autonomous_certificates",
            max(0.0 if res0.newton.stop == "tolerance" else 2.0,
                res0.poho_residual / POHO_TOL,
@@ -590,4 +585,4 @@ def run_verify(cfg: ExperimentConfig):
     record("determinism", rerun_defect(res0, res0b))
 
     passed = all(status == "Passed" for _, status, _, _ in rows)
-    return dict(rows=rows, passed=passed, reason=None)
+    return dict(rows=rows, passed=passed)

@@ -4,8 +4,15 @@ The box [-L/2, L/2) is sampled on n points (n a power of two) and
 whole-line quantities are computed for fields that have decayed below
 ~1e-12 before the boundary.  Three operators live here:
 
-* fractional Laplacian: multiplier |k|^{2s} on the torus wavenumbers
-  k = 2*pi*m/L (the zero mode is annihilated);
+* whole-space fractional Laplacian: the pair kinetic_energy_free (the
+  kinetic energy A) and fractional_laplacian_free (the variational
+  derivative of A/2), which every energy and every solve uses.  Each is the
+  torus sum with the multiplier |k|^{2s} on the wavenumbers k = 2*pi*m/L
+  (the zero mode is annihilated) plus the Hurwitz-zeta correction for the
+  cusp of |k|^{2s} at k = 0 (see "Whole-space kinetic energy" below).  The
+  torus pair kinetic_energy / fractional_laplacian is its periodic part;
+  the verification check kinetic_selfadjoint tests that pair alone: the
+  multiplier is self-adjoint, and <u, (-Delta)^s u> is kinetic_energy(u);
 
 * Riesz potential I_alpha * rho, evaluated in *free space* by
   zero-padding to a 2L circle and multiplying with the exact Fourier

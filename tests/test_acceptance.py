@@ -10,12 +10,8 @@ resolution floor near 8e-7: measured 1.99e-4 (L=384, n=2^14), 3.5e-5
 (6144, 2^18).  Refining to dx 0.0117 breaks the floor: the default
 certificate grid (L=6144, n=2^19) measures |P|/(2sA) = 1.5e-7 and a
 closed-form multiplier defect of 4.6e-7 in about 45 s on 2 shared Xeon
-vCPUs, clearing both 1e-6 tolerances.  Set CHOQLAB_ACCEPTANCE_SMALL=1 for a 7 s certificate
-solve on (3072, 2^17), where criterion 3 reads 1.7e-6 and
-criterion 4 reads 5.1e-6 (honest fails with the scaling law printed).
+vCPUs, clearing both 1e-6 tolerances.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -36,7 +32,6 @@ from choqlab.spectral import Grid, band_limit, random_field
 from conftest import DESK_MASS, make_positive_field
 
 SEED = 20260808
-SMALL = os.environ.get("CHOQLAB_ACCEPTANCE_SMALL", "") == "1"
 
 
 def _line(num, name, ok, detail):
@@ -52,9 +47,8 @@ def cfg():
 @pytest.fixture(scope="module")
 def cert_solve(cfg):
     """Certificate solve: the smallest grid on the measured defect law that
-    clears the criterion-3 tolerance (or a faster smaller one on demand)."""
-    grid = Grid(1, 3072.0, 131072) if SMALL else Grid(1, 6144.0, 524288)
-    return solve_autonomous(cfg.exps, 0.0, DESK_MASS, grid)
+    clears the criterion-3 tolerance."""
+    return solve_autonomous(cfg.exps, 0.0, DESK_MASS, Grid(1, 6144.0, 524288))
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from choqlab.cli import main
-from choqlab.harness import default_config, run_verify
 from choqlab.snapshot import load_field, save_field
 from choqlab.spectral import Field, Grid, mass
 
@@ -43,6 +42,32 @@ def test_snapshot_info(tmp_path, capsys):
     assert main(["snapshot", str(path)]) == 0
     out = capsys.readouterr().out
     assert "points=512" in out
+
+
+def test_snapshot_of_a_missing_file_or_directory_exits_2(tmp_path, capsys):
+    # a path the loader cannot read is one error line, not a traceback
+    for path, name in ((tmp_path / "missing.chqf", "FileNotFoundError"),
+                       (tmp_path, "IsADirectoryError")):
+        assert main(["snapshot", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name}: ")
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_out_naming_a_file_exits_2_before_any_solve(tmp_path, capsys,
+                                                    monkeypatch):
+    # --out must name a directory: a regular file there is refused before
+    # the solve, and left as it was
+    solves = _count_solves(monkeypatch)
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    for command in (["fiber"], ["solve", "--mu", "0"], ["concentrate"]):
+        assert main(["--out", str(out)] + command) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: FileExistsError: --out {out} is not a directory\n"
+    assert solves == []
+    assert out.read_text() == "keep"
 
 
 def test_constants_saves_the_scalar_ground_state(tmp_path, capsys):
@@ -113,18 +138,6 @@ def test_verify_battery_passes(tmp_path, capsys):
     assert len(rows) == 13
     assert all(row[1] == "Passed" for row in rows)
     assert [row[0] for row in rows[6:]] == list(SOLVER_CHECKS)
-
-
-def test_verify_skips_desk_checks_on_solver_failure():
-    # a mass the desk solves reject: the battery fails, and the three checks
-    # on those solves are Skipped with the solver's message
-    out = run_verify(dataclasses.replace(default_config(), a=-1.0))
-    message = "target mass must be positive, got -1.0"
-    assert out["passed"] is False
-    assert out["reason"] == f"solver failure: {message}"
-    assert len(out["rows"]) == 13
-    assert out["rows"][-3:] == [(name, "Skipped", message, "")
-                                for name in SOLVER_CHECKS[-3:]]
 
 
 def test_solve_sampled_potential(tmp_path, capsys):
@@ -231,7 +244,7 @@ def test_solve_rejects_nonpositive_eps(tmp_path, capsys, monkeypatch):
     assert main(["--out", str(tmp_path), "--config", str(path),
                  "solve", "--eps", "0"]) == 2
     assert "OutOfRange" in capsys.readouterr().err
-    path.write_text(path.read_text().replace("kind = double_well", "kind = constant")
+    path.write_text(path.read_text()
                     .replace("centers = -8.0, 8.0\nwidth = 2.0\n", ""))
     assert main(["--out", str(tmp_path), "--config", str(path),
                  "solve", "--eps", "-0.1"]) == 2
@@ -296,8 +309,7 @@ def test_concentrate_single_well_writes_no_multiplicity_report(tmp_path,
                                                                capsys):
     # one well has no multiplicity verdict: the sweep alone sets the exit
     path = Path(_write_cfg(tmp_path, extent=240.0))
-    path.write_text(path.read_text().replace("double_well", "single_well")
-                    .replace("-8.0, 8.0", "8.0"))
+    path.write_text(path.read_text().replace("-8.0, 8.0", "8.0"))
     assert main(["--out", str(tmp_path), "--config", str(path),
                  "concentrate"]) == 0
     assert "separation" not in capsys.readouterr().out
@@ -307,12 +319,11 @@ def test_concentrate_single_well_writes_no_multiplicity_report(tmp_path,
 
 def test_concentrate_rejects_potential_without_wells(tmp_path, capsys,
                                                      monkeypatch):
-    # the sweep follows the potential's wells: a constant potential, zero or
-    # not, has none and exits 2 before any solve and without a report
+    # the sweep follows the potential's wells: a potential without centers,
+    # zero or not, has none and exits 2 before any solve and without a report
     solves = _count_solves(monkeypatch)
     path = Path(_write_cfg(tmp_path))
-    constant = (path.read_text().replace("kind = double_well", "kind = constant")
-                .replace("centers = -8.0, 8.0\nwidth = 2.0\n", ""))
+    constant = path.read_text().replace("centers = -8.0, 8.0\nwidth = 2.0\n", "")
     for v_inf in ("0.2", "0.0"):
         path.write_text(constant.replace("v_inf = 0.2", f"v_inf = {v_inf}"))
         rc = main(["--out", str(tmp_path), "--config", str(path), "concentrate"])
@@ -336,7 +347,6 @@ points = 2048
 [mass]
 a = 1.5
 [potential]
-kind = double_well
 centers = -8.0, 8.0
 width = 2.0
 v_inf = 0.2

@@ -13,13 +13,11 @@ from conftest import make_positive_field
 
 
 def test_potential_builtins(grid_unit):
-    pot = PotentialSpec(kind="double_well", centers=(-8.0, 8.0), width=2.0,
-                        v_inf=0.2)
+    pot = PotentialSpec(centers=(-8.0, 8.0), width=2.0, v_inf=0.2)
     v = pot.sample_on(grid_unit, 1.0)
     assert np.all(v >= 0.0)
     # exact zero where a center falls on a grid point
-    on_grid = PotentialSpec(kind="single_well", centers=(7.5,), width=2.0,
-                            v_inf=0.2)
+    on_grid = PotentialSpec(centers=(7.5,), width=2.0, v_inf=0.2)
     vg = on_grid.sample_on(grid_unit, 1.0)
     x = grid_unit.axis()
     i = int(round((7.5 + 24.0) / grid_unit.dx))
@@ -27,25 +25,31 @@ def test_potential_builtins(grid_unit):
     assert vg[i] == 0.0
     # plateau approaches v_inf away from the wells
     assert v[0] == pytest.approx(0.2, rel=1e-6)
-    with pytest.raises(OutOfRange):
-        PotentialSpec(kind="double_well", centers=(1.0,), width=2.0)
-    with pytest.raises(OutOfRange):
-        PotentialSpec(kind="single_well", centers=(0.0,), width=2.0, v_inf=0.0)
-    with pytest.raises(OutOfRange):
-        PotentialSpec(kind="unknown")
+    # the multiplicity verdict judges at most two wells; a well needs a
+    # positive width and a positive plateau
+    with pytest.raises(OutOfRange, match="at most two wells"):
+        PotentialSpec(centers=(-8.0, 0.0, 8.0), width=2.0)
+    for width in (0.0, -2.0, float("nan")):
+        with pytest.raises(OutOfRange, match="width"):
+            PotentialSpec(centers=(0.0,), width=width)
+    for v_inf in (0.0, float("nan")):
+        with pytest.raises(OutOfRange, match="v_inf"):
+            PotentialSpec(centers=(0.0,), width=2.0, v_inf=v_inf)
 
 
 def test_well_points():
-    # M is the constructed centers, where V vanishes; a constant potential
-    # has none
-    pot = PotentialSpec(kind="double_well", centers=(-8.0, 8.0), width=2.0,
-                        v_inf=0.2)
-    m_points = pot.well_points()
+    # M is the centers, where V vanishes; a potential without centers is
+    # the constant v_inf, zero or not
+    pot = PotentialSpec(centers=(-8.0, 8.0), width=2.0, v_inf=0.2)
+    m_points = pot.centers
     assert m_points == (-8.0, 8.0)
     assert np.all(pot(np.array(m_points)) == 0.0)
     assert dist_to_set(7.0, m_points) == pytest.approx(1.0)
+    z = np.linspace(-10.0, 10.0, 5)
     for v_inf in (0.0, 1.0):
-        assert PotentialSpec(kind="constant", v_inf=v_inf).well_points() == ()
+        flat = PotentialSpec(v_inf=v_inf)
+        assert flat.centers == ()
+        assert np.array_equal(flat(z), np.full(5, v_inf))
 
 
 def test_barycenter_symmetry_and_shift(grid_unit, rng):
@@ -75,7 +79,6 @@ points = 2048
 [mass]
 a = 1.5
 [potential]
-kind = double_well
 centers = -8.0, 8.0
 width = 2.0
 v_inf = 0.2
@@ -105,7 +108,6 @@ points = 2048
 [mass]
 a = 1.5
 [potential]
-kind = constant
 """
     bad_radii = base + "[truncation]\nR0 = 3.0\nR1 = 1.0\n"
     path = tmp_path / "bad.cfg"
@@ -151,25 +153,53 @@ kind = constant
         with pytest.raises(ConfigError,
                            match=rf"{key} in \[sweep\] must be positive"):
             ExperimentConfig.from_file(path)
-    # values that fail to parse, a missing section and a kind no builtin
-    # has all surface as ConfigError
+    # values that fail to parse and a missing section surface as
+    # ConfigError
     path.write_text(base.replace("points = 2048", "points = many"))
     with pytest.raises(ConfigError, match="invalid config"):
         ExperimentConfig.from_file(path)
     path.write_text(base[base.index("[grid]"):])
     with pytest.raises(ConfigError, match="invalid config"):
         ExperimentConfig.from_file(path)
-    path.write_text(base.replace("kind = constant", "kind = sampled"))
-    with pytest.raises(ConfigError, match="unknown potential kind"):
-        ExperimentConfig.from_file(path)
-    # a constant potential reads neither centers nor width: naming one of
-    # them is an error, not a key parsed and ignored
-    for key, value in (("centers", "-8.0, 8.0"), ("width", "2.0")):
-        path.write_text(base + f"{key} = {value}\n")
-        with pytest.raises(ConfigError, match=key):
+    # the potential is its wells: a kind key is an unknown key
+    for kind in ("constant", "double_well", "sampled"):
+        path.write_text(base + f"kind = {kind}\n")
+        with pytest.raises(ConfigError, match=r"unknown key.*'kind'"):
             ExperimentConfig.from_file(path)
+    # a potential without centers reads no width: naming one is an error,
+    # not a key parsed and ignored; centers alone make the wells
+    path.write_text(base + "width = 2.0\n")
+    with pytest.raises(ConfigError, match="width"):
+        ExperimentConfig.from_file(path)
+    path.write_text(base + "centers = -8.0, 8.0\n")
+    assert ExperimentConfig.from_file(path).potential.centers == (-8.0, 8.0)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(tmp_path / "missing.cfg")
+
+
+def test_experiment_config_checks_itself():
+    # a config built in code meets the checks of a config file: a bad mass,
+    # eps list or barycenter radius is a ConfigError at construction
+    base = default_config()
+
+    def build(**change):
+        fields = dict(exps=base.exps, grid=base.grid, a=base.a,
+                      potential=base.potential, eps_list=base.eps_list,
+                      box_radius=base.box_radius)
+        return ExperimentConfig(**{**fields, **change})
+
+    assert build() == base
+    for change, match in (
+            (dict(a=-1.0), "mass must be positive, got -1.0"),
+            (dict(a=0.0), "mass must be positive"),
+            (dict(a=float("nan")), "mass must be positive"),
+            (dict(eps_list=(0.1, 0.2, 0.4)), "strictly decreasing"),
+            (dict(eps_list=(0.2, 0.1, 0.0)),
+             r"eps_list in \[sweep\] must be positive"),
+            (dict(box_radius=0.0), r"box_radius in \[sweep\] must be positive"),
+            (dict(box_radius=-3.0), r"box_radius in \[sweep\] must be positive")):
+        with pytest.raises(ConfigError, match=match):
+            build(**change)
 
 
 def test_report_schema_and_atomicity(tmp_path):
@@ -203,7 +233,7 @@ def test_default_config_valid():
         cfg.a = 2.0
     assert cfg.exps.p == pytest.approx(7.5, rel=1e-12)
     assert cfg.eps_list == (0.4, 0.2, 0.1)
-    assert cfg.potential.kind == "double_well"
+    assert cfg.potential.centers == (-8.0, 8.0)
 
 
 def test_hs_distance_mirror_structure(grid_unit, rng, exps):
@@ -256,8 +286,7 @@ def test_concentration_gates_on_convergence(monkeypatch):
 
     cfg = dataclasses.replace(
         default_config(), grid=Grid(1, 120.0, 2048),
-        potential=PotentialSpec(kind="single_well", centers=(4.0,), width=1.0,
-                                v_inf=0.2),
+        potential=PotentialSpec(centers=(4.0,), width=1.0, v_inf=0.2),
         box_radius=5.0)
     real = harness.solve_nonautonomous
 
@@ -281,8 +310,7 @@ def test_concentration_gates_on_the_autonomous_seed(monkeypatch):
 
     cfg = dataclasses.replace(
         default_config(), grid=Grid(1, 240.0, 2048),
-        potential=PotentialSpec(kind="single_well", centers=(8.0,), width=2.0,
-                                v_inf=0.2))
+        potential=PotentialSpec(centers=(8.0,), width=2.0, v_inf=0.2))
     real = harness.solve_autonomous
 
     def unconverged(*args, **kwargs):
@@ -305,8 +333,7 @@ def test_single_well_sweep_passes():
 
     cfg = dataclasses.replace(
         default_config(),
-        potential=PotentialSpec(kind="single_well", centers=(8.0,), width=2.0,
-                                v_inf=0.2))
+        potential=PotentialSpec(centers=(8.0,), width=2.0, v_inf=0.2))
     out = run_concentration(cfg, threads=2)
     assert len(out["rows"]) == 3
     assert all(row.converged for row in out["rows"])
@@ -415,7 +442,6 @@ points = 2048
 [mass]
 a = 1.5
 [potential]
-kind = constant
 """
     path = tmp_path / "solver.cfg"
     # the former settings are constants now (solver.POHO_TOL among them), or

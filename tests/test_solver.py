@@ -253,7 +253,7 @@ def test_lattice_pinned_cell_converges_without_crawl():
     # correction together with the base point crawled there, 18 steps with
     # 18 halvings; shifting only the base point takes 12 with 3
     cfg = default_config()
-    y = min(cfg.potential.well_points())
+    y = min(cfg.potential.centers)
     assert y == pytest.approx(-8.0, abs=0.1)
     auto = solve_autonomous(cfg.exps, 0.0, cfg.a, cfg.grid)
     profile, _ = make_profile(auto.field, y, 0.1, cfg.a)
